@@ -1504,7 +1504,7 @@ class ServeRuntime:
 
     def pool_stats(self) -> Dict[str, Any]:
         with self._sim_lock:
-            pools = self.pools.stats(self.pool.scheduler.tasksets)
+            pools = self.pools.stats()
             manager = self.manager.snapshot()
             sim_now = self.cluster.env.now
             capacity = {

@@ -17,11 +17,22 @@ running-task counts feed back into the ordering after every single
 launch — shares rebalance at task grain, which is what makes the
 starvation guarantee (a needy pool eventually schedules under a
 saturating competitor) hold.
+
+The order is kept incrementally rather than rebuilt per launch: the
+scheduler reports each task set going live or leaving and every slot an
+attempt takes or frees (:meth:`SchedulerPools.add_taskset`,
+:meth:`~SchedulerPools.drop_taskset`, :meth:`~SchedulerPools.occupy`),
+so each application's occupied-slot count and each pool's total are
+always current, and a FAIR pool keeps its applications sorted by
+:func:`fair_sort_key`, moving one by bisect when its count changes.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.spark.task_scheduler import TaskScheduler, TaskSet
@@ -78,13 +89,66 @@ def fair_sort_key(running: int, min_share: int, weight: int,
     return (0 if needy else 1, ratio, tiebreak)
 
 
-def _row_key(row):
-    """Sort key for (key, ...) rows: the precomputed fair key."""
-    return row[0]
+class _AppShare:
+    """One application's live task sets and the slots they occupy."""
+
+    __slots__ = ("app", "tasksets", "running", "pool", "tiebreak", "key")
+
+    def __init__(self, app) -> None:
+        self.app = app
+        #: Live task sets, in submission order.
+        self.tasksets: List[TaskSet] = []
+        #: Running plus speculative attempts over ``tasksets``.
+        self.running = 0
+        #: The pool the app is registered in; None while unregistered.
+        self.pool: Optional[_Pool] = None
+        #: Set at registration: the fair-key tiebreak ``(app_id, index,
+        #: registration number)`` and the app's key in its pool — the
+        #: registration number alone in a FIFO pool, the current
+        #: :func:`fair_sort_key` in a FAIR one.
+        self.tiebreak: Tuple = ()
+        self.key: Tuple = ()
+
+
+_share_key = attrgetter("key")
+
+
+class _Pool:
+    """One pool's registered applications and their total slots."""
+
+    __slots__ = ("config", "fair", "apps", "running")
+
+    def __init__(self, config: PoolConfig) -> None:
+        self.config = config
+        self.fair = config.mode == FAIR
+        #: Registered applications in ascending key order.
+        self.apps: List[_AppShare] = []
+        self.running = 0
+
+    def sort_key(self) -> Tuple:
+        config = self.config
+        return fair_sort_key(self.running, config.min_share, config.weight,
+                             (config.name,))
+
+    def place(self, share: _AppShare) -> None:
+        """Insert ``share`` at its key, refreshing a fair key first."""
+        if self.fair:
+            app = share.app
+            share.key = fair_sort_key(share.running, app.min_share,
+                                      app.weight, share.tiebreak)
+        insort(self.apps, share, key=_share_key)
+
+    def unplace(self, share: _AppShare) -> None:
+        """Remove ``share`` (keys are unique, so bisect lands on it)."""
+        del self.apps[bisect_left(self.apps, share.key, key=_share_key)]
 
 
 class SchedulerPools:
-    """The pool tree: named pools, each holding admitted applications."""
+    """The pool tree: named pools, each holding admitted applications.
+
+    One instance serves one scheduler, which keeps it informed of the
+    live task sets and their occupied slots (see the module docstring).
+    """
 
     def __init__(self, pools: Iterable[PoolConfig]) -> None:
         self.pools: Dict[str, PoolConfig] = {}
@@ -94,143 +158,128 @@ class SchedulerPools:
             self.pools[pool.name] = pool
         if not self.pools:
             raise ValueError("at least one pool is required")
-        #: pool name -> applications in admission order.
-        self._apps: Dict[str, List[object]] = {
-            name: [] for name in self.pools}
-        #: Bumped on every registration change; part of the grouping-cache
-        #: key in :meth:`ordered_tasksets`.
-        self._version = 0
-        self._group_cache: Optional[tuple] = None
+        self._tree: Dict[str, _Pool] = {
+            name: _Pool(config) for name, config in self.pools.items()}
+        #: id(app) -> share, for every app registered or holding live
+        #: task sets (the share keeps the app alive, so ids stay unique).
+        self._shares: Dict[int, _AppShare] = {}
+        #: Live task sets with no schedulable, in submission order.
+        self._orphans: List[TaskSet] = []
+        self._registrations = itertools.count()
 
     def register(self, app) -> None:
         """Place an admitted application (``app.pool`` names the pool)."""
-        pool = getattr(app, "pool", None)
-        if pool not in self.pools:
+        name = getattr(app, "pool", None)
+        if name not in self.pools:
             raise ValueError(
-                f"unknown pool {pool!r} for app "
+                f"unknown pool {name!r} for app "
                 f"{getattr(app, 'app_id', app)!r}; "
                 f"known: {sorted(self.pools)}")
-        self._apps[pool].append(app)
-        self._version += 1
+        share = self._share(app)
+        if share.pool is not None:
+            raise ValueError(f"app {getattr(app, 'app_id', app)!r} is "
+                             f"already registered")
+        pool = share.pool = self._tree[name]
+        pool.running += share.running
+        # The registration number makes every key unique; in a FAIR pool
+        # it breaks ties between apps sharing (app_id, index) in
+        # admission order.
+        number = next(self._registrations)
+        share.tiebreak = (app.app_id, app.index, number)
+        share.key = (number,)
+        pool.place(share)
 
     def unregister(self, app) -> None:
         """Drop a finished application from its pool."""
-        apps = self._apps.get(getattr(app, "pool", None))
-        if apps is not None and app in apps:
-            apps.remove(app)
-            self._version += 1
+        share = self._shares.get(id(app))
+        if share is None or share.pool is None:
+            return
+        share.pool.running -= share.running
+        share.pool.unplace(share)
+        share.pool = None
+        if not share.tasksets:
+            del self._shares[id(app)]
+
+    def _share(self, app) -> _AppShare:
+        share = self._shares.get(id(app))
+        if share is None:
+            share = self._shares[id(app)] = _AppShare(app)
+        return share
+
+    # ------------------------------------------------------------------
+    # Scheduler-driven bookkeeping
+    # ------------------------------------------------------------------
+
+    def add_taskset(self, taskset: TaskSet) -> None:
+        """A newly submitted ``taskset`` (no attempts yet) joined the
+        scheduler's live list."""
+        app = taskset.schedulable
+        if app is None:
+            self._orphans.append(taskset)
+        else:
+            self._share(app).tasksets.append(taskset)
+
+    def drop_taskset(self, taskset: TaskSet) -> None:
+        """``taskset`` left the scheduler's live list (completed, failed
+        or withdrawn); its attempts stop counting toward the share."""
+        app = taskset.schedulable
+        if app is None:
+            self._orphans.remove(taskset)
+            return
+        occupied = len(taskset.running) + len(taskset.speculative)
+        if occupied:
+            self.occupy(taskset, -occupied)
+        share = self._shares[id(app)]
+        share.tasksets.remove(taskset)
+        if share.pool is None and not share.tasksets:
+            del self._shares[id(app)]
+
+    def occupy(self, taskset: TaskSet, delta: int) -> None:
+        """A live task set's attempts took (``delta`` > 0) or freed
+        (``delta`` < 0) executor slots. Speculative copies occupy slots
+        too, so they count toward the share like primary attempts."""
+        app = taskset.schedulable
+        if app is None:
+            return
+        share = self._shares[id(app)]
+        share.running += delta
+        pool = share.pool
+        if pool is not None:
+            pool.running += delta
+            if pool.fair:
+                pool.unplace(share)
+                pool.place(share)
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _running_tasks(tasksets: List[TaskSet]) -> int:
-        # Speculative copies occupy executor slots too, so they count
-        # toward an application's share exactly like primary attempts.
-        # sum() over a listcomp, not a genexpr: no generator frame to
-        # resume per element on a per-dispatch call (same addition order).
-        return sum([len(ts.running) + len(ts.speculative)
-                    for ts in tasksets])
-
-    def ordered_tasksets(self, tasksets: List[TaskSet]) -> List[TaskSet]:
+    def ordered_tasksets(self) -> List[TaskSet]:
         """All live task sets, in cross-pool offer order.
 
         Task sets without a schedulable handle (direct submissions to
         the shared scheduler, e.g. from tests) keep strict FIFO order
-        ahead of the pools, preserving base-scheduler behaviour.
+        ahead of the pools, preserving base-scheduler behaviour. Task
+        sets of an unregistered application are not offered.
         """
-        # The grouping (orphans, app -> its task sets, per-pool member
-        # lists) only changes when the live task-set list or the
-        # registrations change; running-task counts change on every
-        # launch. So the grouping — including every count-independent
-        # piece of the fair sort keys (the clamped minShare/weight
-        # divisors and the tiebreak tuples) — is cached, keyed on the
-        # registration version plus a snapshot equality check (TaskSet
-        # compares by identity, so ``!=`` is a cheap pointer scan), and
-        # only the count-dependent ratios and the sorts run per
-        # dispatch. Tiebreaks are unique per pool/app, so sort keys
-        # never tie and stability is moot; the computed keys match
-        # :func:`fair_sort_key` exactly.
-        cache = self._group_cache
-        if (cache is None or cache[0] != self._version
-                or cache[1] != tasksets):
-            orphans: List[TaskSet] = []
-            by_app: Dict[int, List[TaskSet]] = {}
-            for ts in tasksets:
-                app = ts.schedulable
-                if app is None:
-                    orphans.append(ts)
-                else:
-                    by_app.setdefault(id(app), []).append(ts)
-            pool_pre = []
-            for pool in self.pools.values():
-                app_pre = [(id(app), app.min_share, max(app.min_share, 1),
-                            max(app.weight, 1), (app.app_id, app.index))
-                           for app in self._apps[pool.name]
-                           if id(app) in by_app]
-                if app_pre:
-                    pool_pre.append((pool.mode == FAIR, pool.min_share,
-                                     max(pool.min_share, 1),
-                                     max(pool.weight, 1), (pool.name,),
-                                     app_pre))
-            cache = (self._version, list(tasksets), orphans, by_app,
-                     pool_pre)
-            self._group_cache = cache
-        _version, _snapshot, orphans, by_app, pool_pre = cache
-
-        ordered = list(orphans)
-        pool_rows = []
-        for is_fair, p_min, p_min1, p_w1, p_tb, app_pre in pool_pre:
-            members = []
-            pool_running = 0
-            for app_id, a_min, a_min1, a_w1, a_tb in app_pre:
-                running = 0
-                # Speculative copies occupy executor slots too, so they
-                # count toward the share like primary attempts.
-                for ts in by_app[app_id]:
-                    running += len(ts.running) + len(ts.speculative)
-                pool_running += running
-                if running < a_min:
-                    members.append(((0, running / a_min1, a_tb), app_id))
-                else:
-                    members.append(((1, running / a_w1, a_tb), app_id))
-            if pool_running < p_min:
-                key = (0, pool_running / p_min1, p_tb)
-            else:
-                key = (1, pool_running / p_w1, p_tb)
-            pool_rows.append((key, is_fair, members))
-        pool_rows.sort(key=_row_key)
-        for _key, is_fair, members in pool_rows:
-            if is_fair:
-                members.sort(key=_row_key)
-            for _akey, app_id in members:
-                ordered.extend(by_app[app_id])
+        ordered = list(self._orphans)
+        for pool in sorted(self._tree.values(), key=_Pool.sort_key):
+            for share in pool.apps:
+                ordered += share.tasksets
         return ordered
 
-
-    def stats(self, tasksets: List[TaskSet]) -> List[Dict[str, object]]:
-        """Per-pool live stats: registered apps and running tasks.
-
-        ``tasksets`` is the shared scheduler's live task-set list (the
-        source of running-task counts); pools with no live task sets
-        still report their registered apps. Serves ``GET /pools``.
-        """
-        by_app: Dict[int, List[TaskSet]] = {}
-        for ts in tasksets:
-            if ts.schedulable is not None:
-                by_app.setdefault(id(ts.schedulable), []).append(ts)
+    def stats(self) -> List[Dict[str, object]]:
+        """Per-pool live stats: registered apps and running tasks
+        (running plus speculative attempts). Serves ``GET /pools``."""
         out = []
         for name in sorted(self.pools):
-            pool = self.pools[name]
-            members = self._apps[name]
-            running = sum(self._running_tasks(by_app.get(id(app), []))
-                          for app in members)
+            pool = self._tree[name]
+            config = pool.config
             out.append({
-                "name": pool.name,
-                "mode": pool.mode,
-                "weight": pool.weight,
-                "min_share": pool.min_share,
-                "apps": len(members),
-                "running_tasks": running,
+                "name": config.name,
+                "mode": config.mode,
+                "weight": config.weight,
+                "min_share": config.min_share,
+                "apps": len(pool.apps),
+                "running_tasks": pool.running,
             })
         return out
 
@@ -253,4 +302,4 @@ class PooledTaskScheduler(TaskScheduler):
         self._resort_each_launch = True
 
     def _schedulable_tasksets(self) -> List[TaskSet]:
-        return self.scheduler_pools.ordered_tasksets(self.tasksets)
+        return self.scheduler_pools.ordered_tasksets()

@@ -8,9 +8,9 @@ Records round-trip through ``to_dict``/``from_dict`` and serialize one
 per line with :func:`write_jsonl`/:func:`read_jsonl`. On disk each line
 is a versioned :class:`~repro.api.schemas.ResponseEnvelope`
 (``{"schema_version": ..., "kind": "run_record", "data": ...}`` — the
-same shape every API/CLI JSON surface uses); pre-envelope files (raw
-RunRecord rows) still read, with a :class:`DeprecationWarning`, for one
-release.
+same shape every API/CLI JSON surface uses); a pre-envelope row (a raw
+RunRecord dict) is rejected with a
+:class:`~repro.api.schemas.SchemaError` naming the envelope format.
 
 ``wall_time_s`` is the only machine-dependent field; use
 :meth:`RunRecord.canonical` when comparing records for determinism.
@@ -144,8 +144,9 @@ def write_jsonl(records: Iterable[RunRecord], path: str) -> int:
 
 
 def read_jsonl(path: str) -> List[RunRecord]:
-    """Read records written by :func:`write_jsonl` (either enveloped
-    rows or, with a deprecation warning, pre-envelope raw rows)."""
+    """Read records written by :func:`write_jsonl`. Every row must be
+    an envelope; a pre-envelope raw row raises
+    :class:`~repro.api.schemas.SchemaError`."""
     from repro.api import schemas
     records = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.spark.task_scheduler import TaskSet
 
 
 class _lazy:
@@ -243,6 +246,9 @@ class TaskAttempt:
     state: TaskState = TaskState.PENDING
     metrics: TaskMetrics = field(default_factory=TaskMetrics)
     failure: Optional[BaseException] = None
+    #: The task set that launched this attempt, for the scheduler's
+    #: finish-time lookup; cleared once the attempt has finished.
+    taskset: Optional["TaskSet"] = field(default=None, repr=False)
 
     @property
     def task_key(self) -> Tuple[int, int]:

@@ -95,6 +95,9 @@ class TaskSet:
         #: (a ClusterApp in pooled mode); scheduler pools read it to
         #: compute per-application running-task counts.
         self.schedulable: Optional[object] = None
+        #: True while the set is on its scheduler's live list: submitted,
+        #: and not yet completed, failed or withdrawn.
+        self.live = False
         self.submit_time: Optional[float] = None
         self.last_launch_time: Optional[float] = None
         #: partition -> sim-time it (re)became runnable; launch reads it
@@ -191,6 +194,11 @@ class TaskScheduler:
         #: so shares rebalance at task grain; the single-driver scheduler
         #: keeps its historical greedy inner loop.
         self._resort_each_launch = False
+        #: Pooled schedulers' :class:`~repro.cluster.pools.SchedulerPools`,
+        #: told of every live task set added or dropped and every slot
+        #: its attempts take or free (the FAIR order reads those counts).
+        #: None on the single-driver scheduler.
+        self.scheduler_pools = None
         #: How source RDD partitions reach executors: a callable
         #: ``(executor, nbytes) -> generator`` the scenario wires to its
         #: input store (worker-local HDFS for vanilla clusters, the
@@ -290,6 +298,9 @@ class TaskScheduler:
         for partition in taskset.pending:
             taskset.pending_since[partition] = self.env.now
         self.tasksets.append(taskset)
+        taskset.live = True
+        if self.scheduler_pools is not None:
+            self.scheduler_pools.add_taskset(taskset)
         self._record(EV_TASKSET_SUBMITTED, taskset=taskset.name,
                      tasks=len(taskset.specs))
         if self._speculation and not self._speculation_active:
@@ -505,10 +516,15 @@ class TaskScheduler:
         taskset.pending.remove(partition)
         spec = taskset.specs[partition]
         attempt = TaskAttempt(spec, taskset.next_attempt_number(partition),
-                              executor.executor_id)
+                              executor.executor_id, taskset=taskset)
         attempt.metrics.scheduler_delay_seconds = max(
             0.0, self.env.now - taskset.pending_since.get(partition,
                                                           self.env.now))
+        # Slots are counted per entry: a retry that replaces a listed
+        # attempt (one whose speculative copy failed) takes none.
+        if (self.scheduler_pools is not None
+                and partition not in taskset.running):
+            self.scheduler_pools.occupy(taskset, 1)
         taskset.running[partition] = attempt
         taskset.last_launch_time = self.env.now
         executor.launch_task(attempt, self, self._on_task_finish)
@@ -566,8 +582,10 @@ class TaskScheduler:
                 free.remove(host)
                 spec = taskset.specs[partition]
                 copy = TaskAttempt(spec, taskset.next_attempt_number(partition),
-                                   host.executor_id)
+                                   host.executor_id, taskset=taskset)
                 taskset.speculative[partition] = copy
+                if self.scheduler_pools is not None:
+                    self.scheduler_pools.occupy(taskset, 1)
                 self._record(EV_SPECULATIVE_LAUNCH, task=spec.describe(),
                              executor=host.executor_id)
                 host.launch_task(copy, self, self._on_task_finish)
@@ -587,31 +605,41 @@ class TaskScheduler:
                 from repro.spark.executor import SPECULATION_CANCEL
 
                 executor.kill_task(loser, SPECULATION_CANCEL)
-        taskset.running.pop(partition, None)
-        taskset.speculative.pop(partition, None)
+        freed = ((taskset.running.pop(partition, None) is not None)
+                 + (taskset.speculative.pop(partition, None) is not None))
+        if freed and self.scheduler_pools is not None:
+            self.scheduler_pools.occupy(taskset, -freed)
 
     # ------------------------------------------------------------------
     # Completion handling
     # ------------------------------------------------------------------
 
     def _taskset_for(self, attempt: TaskAttempt) -> Optional[TaskSet]:
+        """The live task set still tracking ``attempt``: None once the
+        set has left the live list, or when the attempt was cancelled or
+        replaced there."""
+        taskset = attempt.taskset
+        if taskset is None or not taskset.live:
+            return None
         partition = attempt.spec.partition
-        for taskset in self.tasksets:
-            if taskset.stage_id != attempt.spec.stage_id:
-                continue
-            if (taskset.running.get(partition) is attempt
-                    or taskset.speculative.get(partition) is attempt):
-                return taskset
+        if (taskset.running.get(partition) is attempt
+                or taskset.speculative.get(partition) is attempt):
+            return taskset
         return None
 
     def _on_task_finish(self, executor: Executor, attempt: TaskAttempt) -> None:
         taskset = self._taskset_for(attempt)
+        # Finished attempts outlive their task set (jobs keep them for
+        # metrics); drop the link so the set is not kept alive too.
+        attempt.taskset = None
         if taskset is not None:
             partition = attempt.spec.partition
             if taskset.running.get(partition) is attempt:
                 taskset.running.pop(partition, None)
             elif taskset.speculative.get(partition) is attempt:
                 taskset.speculative.pop(partition, None)
+            if self.scheduler_pools is not None:
+                self.scheduler_pools.occupy(taskset, -1)
             self._handle_outcome(taskset, attempt)
         if executor.state is ExecutorState.DRAINING and executor.is_idle:
             self._finalize_drained(executor)
@@ -627,7 +655,7 @@ class TaskScheduler:
             self._cancel_losing_copy(taskset, partition, attempt)
             self._notify("on_task_finished", attempt, taskset=taskset)
             if taskset.is_complete:
-                self.tasksets.remove(taskset)
+                self._drop_taskset(taskset)
                 self._notify("on_taskset_complete", taskset, taskset=taskset)
             return
         if partition in taskset.finished:
@@ -663,7 +691,7 @@ class TaskScheduler:
         taskset.failure_counts[partition] = count
         if count >= self._max_failures:
             taskset.zombie = True
-            self.tasksets.remove(taskset)
+            self._drop_taskset(taskset)
             self._notify("on_taskset_failed",
                 taskset,
                 f"task {attempt.describe()} failed {count} times: "
@@ -707,8 +735,14 @@ class TaskScheduler:
 
     def remove_taskset(self, taskset: TaskSet) -> None:
         """Withdraw a (typically zombie) task set from scheduling."""
-        if taskset in self.tasksets:
-            self.tasksets.remove(taskset)
+        if taskset.live:
+            self._drop_taskset(taskset)
+
+    def _drop_taskset(self, taskset: TaskSet) -> None:
+        self.tasksets.remove(taskset)
+        taskset.live = False
+        if self.scheduler_pools is not None:
+            self.scheduler_pools.drop_taskset(taskset)
 
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:

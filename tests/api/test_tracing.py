@@ -109,14 +109,28 @@ def test_eventful_trace_and_metrics_are_byte_identical_across_runs():
     assert metrics1 == metrics2
 
 
-def test_trace_fingerprint_survives_kill9_and_journal_recovery():
+def test_trace_fingerprint_survives_kill9_and_journal_recovery(monkeypatch):
+    from repro.experiments import runner
+    run_spec = runner.run_spec
+
     def crash_and_recover():
+        # The first incarnation's worker is held until after the crash,
+        # so the kill always lands with job 1 started and jobs 2-3
+        # queued; unheld, job 1 can finish before the kill on a fast
+        # host, leaving it nothing to recover.
+        held = threading.Event()
+
+        def held_run_spec(spec):
+            held.wait(timeout=30.0)
+            return run_spec(spec)
+
         with tempfile.TemporaryDirectory(
                 prefix="repro-trace-recover-") as tmp:
             config = ServeConfig(max_concurrent=1, max_queue=8, seed=0,
                                  pool_cores=4, state_dir=tmp,
                                  retry_base_backoff_s=0.01,
                                  max_attempts=3)
+            monkeypatch.setattr(runner, "run_spec", held_run_spec)
             first = ServeRuntime(config).start()
             ids = []
             try:
@@ -127,6 +141,8 @@ def test_trace_fingerprint_survives_kill9_and_journal_recovery():
                          "seed": 100 + i}).job_id)
             finally:
                 first.hard_stop()  # as close to kill -9 as in-process gets
+                monkeypatch.setattr(runner, "run_spec", run_spec)
+                held.set()
             second = ServeRuntime(config).start()
             try:
                 assert second.drain(timeout=60.0)

@@ -1,12 +1,14 @@
-"""Static lint over the two innermost hot loops.
+"""Static lint over the innermost hot loops.
 
 ``EventBus.record_packed`` and the kernel's dispatch loops run once per
 simulated event (tens of thousands of times per run). The refactor
 moved every per-event string build and dict comprehension out of them
-— payloads are precomputed by emitters, plans are compiled once. This
-lint keeps it that way: a regression that reintroduces an f-string or a
-comprehension inside these bodies fails here with a file:line, long
-before it shows up as a throughput loss on the benchmark.
+— payloads are precomputed by emitters, plans are compiled once. The
+pooled scheduler's FAIR order and the slot-count updates that keep it
+run once per task launch or finish. This lint keeps it that way: a
+regression that reintroduces an f-string or a comprehension inside these
+bodies fails here with a file:line, long before it shows up as a
+throughput loss on the benchmark.
 
 Allowed and deliberately not flagged: ``{**a, **b}`` merges (an
 ``ast.Dict`` literal, one C-level opcode per key — how the ambient
@@ -20,6 +22,7 @@ import textwrap
 
 import pytest
 
+from repro.cluster import pools as pools_mod
 from repro.observability import bus as bus_mod
 from repro.simulation import kernel as kernel_mod
 
@@ -32,6 +35,12 @@ HOT_FUNCTIONS = [
     (kernel_mod.Environment, "run_batch"),
     (kernel_mod.Environment, "step_until"),
     (kernel_mod.Environment, "schedule"),
+    (pools_mod.SchedulerPools, "ordered_tasksets"),
+    (pools_mod.SchedulerPools, "occupy"),
+    (pools_mod._Pool, "place"),
+    (pools_mod._Pool, "unplace"),
+    (pools_mod.SchedulerPools, "add_taskset"),
+    (pools_mod.SchedulerPools, "drop_taskset"),
 ]
 
 
