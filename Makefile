@@ -2,7 +2,7 @@
 
 .PHONY: install test bench bench-smoke bench-resilience-smoke \
 	bench-multijob-smoke bench-plan-smoke bench-core-smoke \
-	bench-core bench-core-profile \
+	bench-core bench-core-profile bench-work \
 	serve-smoke chaos-smoke obs-smoke report-smoke examples figures \
 	clean
 
@@ -39,10 +39,12 @@ bench-plan-smoke:
 		pytest benchmarks/bench_planner_slo.py -m smoke -q
 
 # One small multijob replay timed end to end — smoke-tests the kernel
-# throughput figures behind BENCH_core.json (see benchmarks/bench_core_speed.py).
+# throughput figures behind BENCH_core.json (see benchmarks/bench_core_speed.py)
+# — and one counted twice, whose bytecode counts must repeat exactly.
 bench-core-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest benchmarks/bench_core_speed.py -m smoke -q
+		pytest benchmarks/bench_core_speed.py \
+		benchmarks/bench_work_counts.py -m smoke -q
 
 # Regenerate BENCH_core.json: headline 12-job + 10x 120-job configs,
 # min-of-N wall times, and a sampled profile of the hot frames.
@@ -55,6 +57,14 @@ bench-core:
 bench-core-profile:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python benchmarks/bench_core_speed.py --large --profile
+
+# Deterministic work counts (bytecodes, Python calls, events) of one
+# replay-fair-shaped replay: a repeatable measure of Python-level work,
+# free of the host's wall-time noise, but not the size of a wall-time
+# change (work done in C is not counted). Takes a few minutes.
+bench-work:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		python benchmarks/bench_work_counts.py
 
 # One open-loop burst against an in-process ServeRuntime plus the ASGI
 # test suite — smoke-tests the `repro serve` control plane

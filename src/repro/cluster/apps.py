@@ -242,10 +242,6 @@ class AppManager:
 
     # ------------------------------------------------------------------
 
-    @property
-    def all_done(self) -> bool:
-        return not self.queue and not self.running
-
     def snapshot(self) -> Dict[str, object]:
         """Live admission stats (the ``repro serve`` control plane's
         ``GET /pools`` view of this manager)."""

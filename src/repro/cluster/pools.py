@@ -111,6 +111,8 @@ class _AppShare:
 
 
 _share_key = attrgetter("key")
+_share_tasksets = attrgetter("tasksets")
+_pool_apps = attrgetter("apps")
 
 
 class _Pool:
@@ -252,19 +254,21 @@ class SchedulerPools:
 
     # ------------------------------------------------------------------
 
-    def ordered_tasksets(self) -> List[TaskSet]:
+    def ordered_tasksets(self) -> Iterable[TaskSet]:
         """All live task sets, in cross-pool offer order.
 
         Task sets without a schedulable handle (direct submissions to
         the shared scheduler, e.g. from tests) keep strict FIFO order
         ahead of the pools, preserving base-scheduler behaviour. Task
-        sets of an unregistered application are not offered.
+        sets of an unregistered application are not offered. The order
+        is a lazy walk over the kept lists, valid until the next slot
+        count changes (the scheduler asks again after every launch).
         """
-        ordered = list(self._orphans)
-        for pool in sorted(self._tree.values(), key=_Pool.sort_key):
-            for share in pool.apps:
-                ordered += share.tasksets
-        return ordered
+        pools = sorted(self._tree.values(), key=_Pool.sort_key)
+        shares = itertools.chain.from_iterable(map(_pool_apps, pools))
+        return itertools.chain(
+            self._orphans,
+            itertools.chain.from_iterable(map(_share_tasksets, shares)))
 
     def stats(self) -> List[Dict[str, object]]:
         """Per-pool live stats: registered apps and running tasks
@@ -301,5 +305,5 @@ class PooledTaskScheduler(TaskScheduler):
         self.scheduler_pools = pools
         self._resort_each_launch = True
 
-    def _schedulable_tasksets(self) -> List[TaskSet]:
+    def _schedulable_tasksets(self) -> Iterable[TaskSet]:
         return self.scheduler_pools.ordered_tasksets()

@@ -283,31 +283,29 @@ class DAGScheduler(SchedulerListener):
         self.task_scheduler.submit_taskset(taskset)
 
     def _build_spec(self, stage: Stage, partition: int) -> TaskSpec:
-        # Everything except ``partition``, a per-partition compute model,
-        # and the kind preference is identical across a stage's tasks
-        # (lineage, shuffle volumes, and stage shape are immutable), so
-        # the shared parts are resolved once per stage and reused. The
-        # pipeline tuple itself is shared too when every RDD's compute
-        # cost is a constant — PipelineStep is frozen, so aliasing one
-        # tuple across TaskSpecs is safe.
+        # Lineage, shuffle volumes and stage shape are immutable, so all
+        # but the partition's compute costs and kind preference resolve
+        # once per stage. The pipeline depends on the partition only via
+        # its compute-cost tuple, so equal-cost partitions share one
+        # (frozen) pipeline and its derived views; a skewed stage builds
+        # two variants, its hot partition's and the rest's.
         template = getattr(stage, "_spec_template", None)
         if template is None:
             ancestry = tuple(stage.rdd.narrow_ancestry())
-            reads = tuple(
-                (dep.shuffle_id, dep.total_bytes / stage.num_tasks)
-                for _owner, dep in self._incoming_deps(stage.rdd))
+            tasks = stage.num_tasks
+            reads = tuple((dep.shuffle_id, dep.total_bytes / tasks)
+                          for _owner, dep in self._incoming_deps(stage.rdd))
             write = None
             reducers = 0
             if stage.is_shuffle_map:
                 write = (stage.out_dep.shuffle_id, stage.out_dep.bytes_per_map)
                 reducers = stage.out_reducers
-            uniform_pipeline = None
-            if all(not callable(rdd._compute) for rdd in ancestry):
-                uniform_pipeline = self._stage_pipeline(ancestry, 0)
             template = stage._spec_template = (
-                ancestry, reads, write, reducers, uniform_pipeline)
-        ancestry, reads, write, reducers, uniform_pipeline = template
-        pipeline = (uniform_pipeline if uniform_pipeline is not None
+                ancestry, tasks, reads, write, reducers, {})
+        ancestry, tasks, reads, write, reducers, variants = template
+        costs = tuple([rdd.compute_seconds(partition) for rdd in ancestry])
+        variant = variants.get(costs)
+        pipeline = (variant[0] if variant is not None
                     else self._stage_pipeline(ancestry, partition))
         sized_for = None
         if stage.rdd.kind_preference is not None:
@@ -315,27 +313,14 @@ class DAGScheduler(SchedulerListener):
         spec = TaskSpec(stage_id=stage.stage_id, partition=partition,
                         pipeline=pipeline, shuffle_reads=reads,
                         shuffle_write=write, shuffle_write_reducers=reducers,
-                        stage_task_count=stage.num_tasks,
-                        sized_for=sized_for)
-        if uniform_pipeline is not None:
-            # Every spec of the stage shares pipeline and shuffle_reads,
-            # so the lazily-derived views (suffix sums, cache steps, ...)
-            # are identical too: compute them once on the stage's first
-            # spec and seed every sibling's cache with the same immutable
-            # values. Per-spec recomputation of the suffix sums was a
-            # visible slice of stage submission.
-            shared = getattr(stage, "_spec_shared", None)
-            if shared is None:
-                shared = stage._spec_shared = {
-                    "total_compute_seconds": spec.total_compute_seconds,
-                    "working_set_bytes": spec.working_set_bytes,
-                    "total_shuffle_read_bytes": spec.total_shuffle_read_bytes,
-                    "cache_steps": spec.cache_steps,
-                    "input_bytes_from": spec.input_bytes_from,
-                    "compute_seconds_from": spec.compute_seconds_from,
-                }
-            else:
-                spec.__dict__.update(shared)
+                        stage_task_count=tasks, sized_for=sized_for)
+        if variant is None:
+            views = ("working_set_bytes", "cache_steps", "input_bytes_from",
+                     "compute_seconds_from")
+            variants[costs] = (pipeline, {view: getattr(spec, view)
+                                          for view in views})
+        else:
+            spec.__dict__.update(variant[1])
         return spec
 
     @staticmethod

@@ -263,9 +263,7 @@ class Executor:
 
     @property
     def storage_limit_bytes(self) -> float:
-        from repro.spark.memory import usable_heap_bytes
-
-        return usable_heap_bytes(self.memory_bytes) * self.STORAGE_FRACTION
+        return self._usable_heap_bytes * self.STORAGE_FRACTION
 
     def has_cached(self, rdd_id: int, partition: int) -> bool:
         return (rdd_id, partition) in self._cache
@@ -291,10 +289,6 @@ class Executor:
                 break
             self._cache.pop(oldest)
             self._record(EV_CACHE_EVICT, rdd=oldest[0], partition=oldest[1])
-
-    @property
-    def cached_partitions(self) -> int:
-        return len(self._cache)
 
     @property
     def cached_bytes(self) -> float:
@@ -341,10 +335,9 @@ class Executor:
                     # (its executor died): classic FetchFailed.
                     raise FetchFailedError(shuffle_id, missing,
                                            "map output missing")
-                statuses = tracker.statuses(shuffle_id)
                 yield from scheduler.shuffle_backend.fetch(
                     self, shuffle_id, spec.partition, nbytes,
-                    spec.stage_task_count, statuses, scheduler.executors)
+                    spec.stage_task_count, tracker, scheduler.executors)
                 metrics.shuffle_read_bytes += nbytes
             metrics.fetch_seconds = self.env.now - fetch_start
 

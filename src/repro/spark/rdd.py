@@ -134,10 +134,6 @@ class RDD:
     def shuffle_deps(self) -> List[ShuffleDependency]:
         return [d for d in self.deps if isinstance(d, ShuffleDependency)]
 
-    @property
-    def narrow_deps(self) -> List[NarrowDependency]:
-        return [d for d in self.deps if isinstance(d, NarrowDependency)]
-
     def narrow_ancestry(self) -> List["RDD"]:
         """This RDD plus everything reachable through narrow deps only,
         in upstream-to-downstream (topological) order — the pipeline a

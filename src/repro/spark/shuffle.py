@@ -20,7 +20,7 @@ map partition of which shuffle is stored where.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.executor import Executor
@@ -56,6 +56,8 @@ class MapOutputTracker:
     """Registry of completed map outputs per shuffle."""
 
     def __init__(self) -> None:
+        #: shuffle -> map partition -> status, in registration order (an
+        #: overwritten partition keeps its place).
         self._outputs: Dict[int, Dict[int, MapStatus]] = {}
         self._num_maps: Dict[int, int] = {}
 
@@ -63,9 +65,7 @@ class MapOutputTracker:
         """Declare a shuffle's expected map-partition count (the DAG
         scheduler does this at stage-construction time)."""
         self._num_maps[shuffle_id] = num_maps
-
-    def expected_maps(self, shuffle_id: int) -> int:
-        return self._num_maps.get(shuffle_id, 0)
+        self._outputs.setdefault(shuffle_id, {})
 
     _EMPTY: Dict[int, MapStatus] = {}
 
@@ -74,33 +74,42 @@ class MapOutputTracker:
         expected = self._num_maps.get(shuffle_id)
         if expected is None:
             return None
-        # Membership straight on the per-shuffle dict: this runs per
-        # reducer fetch, and materializing a set of registered
-        # partitions each time was pure allocation.
-        have = self._outputs.get(shuffle_id, self._EMPTY)
+        have = self._outputs[shuffle_id]
+        # Registrations outside [0, expected) are rejected, so a full
+        # count means complete; the scan runs only on the failure path.
+        if len(have) == expected:
+            return None
         for p in range(expected):
             if p not in have:
                 return p
         return None
 
     def register(self, status: MapStatus) -> None:
-        self._outputs.setdefault(status.shuffle_id, {})[status.map_partition] = status
-
-    def get(self, shuffle_id: int, map_partition: int) -> Optional[MapStatus]:
-        return self._outputs.get(shuffle_id, {}).get(map_partition)
+        shuffle_id = status.shuffle_id
+        partition = status.map_partition
+        if not 0 <= partition < self._num_maps.get(shuffle_id, 0):
+            raise ValueError(f"map partition {partition} is outside "
+                             f"shuffle {shuffle_id}'s declared maps")
+        self._outputs[shuffle_id][partition] = status
 
     def statuses(self, shuffle_id: int) -> List[MapStatus]:
-        return list(self._outputs.get(shuffle_id, {}).values())
+        return list(self._outputs.get(shuffle_id, self._EMPTY).values())
 
-    def registered_partitions(self, shuffle_id: int) -> Set[int]:
-        return set(self._outputs.get(shuffle_id, {}))
+    def outputs(self, shuffle_id: int) -> Iterable[MapStatus]:
+        """The statuses of ``shuffle_id`` in registration order, as a live
+        view of the tracker's own dict (read, don't keep)."""
+        return self._outputs.get(shuffle_id, self._EMPTY).values()
+
+    def output_count(self, shuffle_id: int) -> int:
+        """Registered map outputs of ``shuffle_id``."""
+        return len(self._outputs.get(shuffle_id, self._EMPTY))
 
     def missing_partitions(self, shuffle_id: int, num_maps: int) -> List[int]:
-        have = self.registered_partitions(shuffle_id)
+        have = self._outputs.get(shuffle_id, self._EMPTY)
         return [p for p in range(num_maps) if p not in have]
 
     def is_complete(self, shuffle_id: int, num_maps: int) -> bool:
-        return len(self.registered_partitions(shuffle_id)) >= num_maps
+        return self.output_count(shuffle_id) >= num_maps
 
     def remove_outputs_on_executor(self, executor_id: str) -> List[MapStatus]:
         """Drop every output registered by ``executor_id`` (its storage is
@@ -126,10 +135,10 @@ class ShuffleBackend:
 
     def fetch(self, executor: "Executor", shuffle_id: int,
               reduce_partition: int, total_bytes: float,
-              num_reducers: int, statuses: Sequence[MapStatus],
+              num_reducers: int, tracker: MapOutputTracker,
               executors: Dict[str, "Executor"]):
         """Generator: pull this reducer's ``total_bytes`` — one slice of
-        every map output.
+        every map output ``tracker`` holds for ``shuffle_id``.
 
         Raises :class:`FetchFailedError` if any slice is unreachable.
         """
@@ -153,22 +162,29 @@ class LocalShuffleBackend(ShuffleBackend):
             yield link.transfer(nbytes)
 
     def fetch(self, executor, shuffle_id, reduce_partition, total_bytes,
-              num_reducers, statuses, executors):
+              num_reducers, tracker, executors):
         from repro.cloud.network import transfer_via
 
         env = executor.env
+        statuses = tracker.outputs(shuffle_id)
         slice_bytes = total_bytes / max(1, len(statuses))
         # Spark batches block fetches by source host: one fused transfer
-        # per host carries all of that host's slices.
+        # per host carries all of that host's slices. Each executor's
+        # liveness is probed once, at its first status; later statuses
+        # reuse its host entry.
         per_host: Dict[str, list] = {}
+        per_executor: Dict[str, list] = {}
         executors_get = executors.get
-        setdefault = per_host.setdefault
         for status in statuses:
-            source = executors_get(status.executor_id)
-            if source is None or not source.host_alive:
-                raise FetchFailedError(shuffle_id, status.map_partition,
-                                       f"executor {status.executor_id} lost")
-            entry = setdefault(source.host_name, [source, 0.0])
+            executor_id = status.executor_id
+            entry = per_executor.get(executor_id)
+            if entry is None:
+                source = executors_get(executor_id)
+                if source is None or not source.host_alive:
+                    raise FetchFailedError(shuffle_id, status.map_partition,
+                                           f"executor {executor_id} lost")
+                entry = per_host.setdefault(source.host_name, [source, 0.0])
+                per_executor[executor_id] = entry
             entry[1] += slice_bytes
         events = []
         for source, nbytes in per_host.values():
@@ -222,14 +238,15 @@ class ExternalShuffleBackend(ShuffleBackend):
             key_prefix=f"shuffle{shuffle_id}/map{map_partition}")
 
     def fetch(self, executor, shuffle_id, reduce_partition, total_bytes,
-              num_reducers, statuses, executors):
-        if not statuses:
+              num_reducers, tracker, executors):
+        outputs = tracker.output_count(shuffle_id)
+        if not outputs:
             return
         links = executor.net_links()
         # One request per map output (a ranged read of the consolidated
         # file, or a GET of this reducer's pair object).
         yield self.storage.batch_read(
-            len(statuses), total_bytes, via_links=links,
+            outputs, total_bytes, via_links=links,
             parallelism=self.fetch_parallelism)
 
 
@@ -267,16 +284,17 @@ class QuboleS3ShuffleBackend(ExternalShuffleBackend):
                                              mean, 0.3)
 
     def fetch(self, executor, shuffle_id, reduce_partition, total_bytes,
-              num_reducers, statuses, executors):
-        if not statuses:
+              num_reducers, tracker, executors):
+        outputs = tracker.output_count(shuffle_id)
+        if not outputs:
             return
         # The reducer awaits M objects of its own out of an M x R flood;
         # the poll-until-visible time tracks the flood size.
-        n_awaited = len(statuses) * max(1, num_reducers)
+        n_awaited = outputs * max(1, num_reducers)
         delay = self._consistency_delay(executor, n_awaited)
         if delay > 0:
             yield executor.env.timeout(delay)
         links = executor.net_links()
         yield self.storage.batch_read(
-            len(statuses), total_bytes, via_links=links,
+            outputs, total_bytes, via_links=links,
             parallelism=self.fetch_parallelism)

@@ -98,20 +98,11 @@ class TaskSpec:
     # fields — the caches never leak into identity.
 
     @_lazy
-    def total_compute_seconds(self) -> float:
-        """Reference-core compute with no cache hits."""
-        return sum(step.compute_seconds for step in self.pipeline)
-
-    @_lazy
     def working_set_bytes(self) -> float:
         """Peak per-task working set (max across pipeline steps)."""
         if not self.pipeline:
             return 0.0
         return max(step.working_set_bytes for step in self.pipeline)
-
-    @_lazy
-    def total_shuffle_read_bytes(self) -> float:
-        return sum(nbytes for _sid, nbytes in self.shuffle_reads)
 
     @property
     def is_shuffle_map(self) -> bool:
@@ -249,10 +240,6 @@ class TaskAttempt:
     #: The task set that launched this attempt, for the scheduler's
     #: finish-time lookup; cleared once the attempt has finished.
     taskset: Optional["TaskSet"] = field(default=None, repr=False)
-
-    @property
-    def task_key(self) -> Tuple[int, int]:
-        return (self.spec.stage_id, self.spec.partition)
 
     def describe(self) -> str:
         return f"{self.spec.describe()}#a{self.attempt}@{self.executor_id}"

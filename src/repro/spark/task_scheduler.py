@@ -15,7 +15,7 @@ Mirrors Spark's ``TaskSchedulerImpl`` + ``TaskSetManager``:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.observability.categories import (
     CAT_SCHEDULER,
@@ -27,7 +27,12 @@ from repro.observability.categories import (
     EV_SPECULATIVE_LAUNCH,
     EV_TASKSET_SUBMITTED,
 )
-from repro.spark.executor import Executor, ExecutorState, HostKind
+from repro.spark.executor import (
+    SPECULATION_CANCEL,
+    Executor,
+    ExecutorState,
+    HostKind,
+)
 from repro.spark.shuffle import (
     FetchFailedError,
     MapOutputTracker,
@@ -321,24 +326,9 @@ class TaskScheduler:
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _preferred_executors(self, spec: TaskSpec) -> Set[str]:
-        """Executors holding a cached partition this task could reuse."""
-        preferred: Set[str] = set()
-        cache_steps = spec.cache_steps
-        if not cache_steps:
-            return preferred
-        partition = spec.partition
-        for ex in self.executors.values():
-            cache = ex._cache
-            for _i, step in cache_steps:
-                if (step.rdd_id, partition) in cache:
-                    preferred.add(ex.executor_id)
-                    break
-        return preferred
-
     def _holds_cached_step(self, executor: Executor, spec: TaskSpec) -> bool:
         """True when ``executor`` itself holds a cached partition for
-        ``spec`` (the fast-path half of :meth:`_preferred_executors`)."""
+        ``spec``."""
         cache = executor._cache
         partition = spec.partition
         for _i, step in spec.cache_steps:
@@ -348,8 +338,8 @@ class TaskScheduler:
 
     def _anyone_holds_cached_step(self, spec: TaskSpec) -> bool:
         """True when any registered executor holds a cached partition for
-        ``spec`` — i.e. :meth:`_preferred_executors` would be non-empty —
-        with first-holder early exit."""
+        ``spec`` (the task has a locality preference), with first-holder
+        early exit."""
         partition = spec.partition
         for ex in self.executors.values():
             cache = ex._cache
@@ -437,10 +427,10 @@ class TaskScheduler:
                 fallback = partition
         return fallback if locality_relaxed else None
 
-    def _schedulable_tasksets(self) -> List[TaskSet]:
+    def _schedulable_tasksets(self) -> Iterable[TaskSet]:
         """Task sets in offer order. The base scheduler is strict FIFO
         (submission order); pooled schedulers override this with their
-        FAIR/FIFO pool policy."""
+        FAIR/FIFO pool policy, valid only until their next launch."""
         return self.tasksets
 
     def _dispatch(self) -> None:
@@ -602,8 +592,6 @@ class TaskScheduler:
                 continue
             executor = self.executors.get(loser.executor_id)
             if executor is not None:
-                from repro.spark.executor import SPECULATION_CANCEL
-
                 executor.kill_task(loser, SPECULATION_CANCEL)
         freed = ((taskset.running.pop(partition, None) is not None)
                  + (taskset.speculative.pop(partition, None) is not None))

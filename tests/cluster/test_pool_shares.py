@@ -108,14 +108,14 @@ class ShareChecker:
                 members.remove(app)
 
         def checked_order(scheduler):
-            order = schedulable(scheduler)
+            order = list(schedulable(scheduler))
             checker.check(scheduler, order)
             return order
 
         def checked_dispatch(scheduler):
             dispatch(scheduler)
-            checker.check(scheduler, scheduler.scheduler_pools
-                          .ordered_tasksets())
+            checker.check(scheduler, list(scheduler.scheduler_pools
+                                          .ordered_tasksets()))
 
         monkeypatch.setattr(SchedulerPools, "register", tracked_register)
         monkeypatch.setattr(SchedulerPools, "unregister", tracked_unregister)

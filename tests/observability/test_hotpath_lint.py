@@ -5,7 +5,9 @@ simulated event (tens of thousands of times per run). The refactor
 moved every per-event string build and dict comprehension out of them
 — payloads are precomputed by emitters, plans are compiled once. The
 pooled scheduler's FAIR order and the slot-count updates that keep it
-run once per task launch or finish. This lint keeps it that way: a
+run once per task launch or finish, and the shuffle tracker's
+registration and a reducer's completeness check and fetch once per map
+or reduce task. This lint keeps it that way: a
 regression that reintroduces an f-string or a comprehension inside these
 bodies fails here with a file:line, long before it shows up as a
 throughput loss on the benchmark.
@@ -25,6 +27,7 @@ import pytest
 from repro.cluster import pools as pools_mod
 from repro.observability import bus as bus_mod
 from repro.simulation import kernel as kernel_mod
+from repro.spark import shuffle as shuffle_mod
 
 HOT_FUNCTIONS = [
     (bus_mod.EventBus, "record"),
@@ -41,6 +44,9 @@ HOT_FUNCTIONS = [
     (pools_mod._Pool, "unplace"),
     (pools_mod.SchedulerPools, "add_taskset"),
     (pools_mod.SchedulerPools, "drop_taskset"),
+    (shuffle_mod.LocalShuffleBackend, "fetch"),
+    (shuffle_mod.MapOutputTracker, "register"),
+    (shuffle_mod.MapOutputTracker, "first_missing_partition"),
 ]
 
 
