@@ -104,6 +104,7 @@ examples:
 	python examples/pagerank_segue.py
 	python examples/autoscaling_day.py
 	python examples/kmeans_reference.py
+	python examples/flink_style_stream.py
 
 # Regenerate the outputs EXPERIMENTS.md records.
 figures: bench

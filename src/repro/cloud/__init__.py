@@ -8,9 +8,10 @@ depends on:
   60 s minimum charge (:mod:`repro.cloud.vm`,
   :mod:`repro.cloud.instance_types`, :mod:`repro.cloud.pricing`).
 - Lambda-style cloud functions with 1 vCPU per 1.5 GB, warm/cold start
-  paths, a 15 minute lifetime cap, 512 MB of /tmp, memory-proportional
-  network bandwidth, and 100 ms-granularity GB-second billing
-  (:mod:`repro.cloud.lambda_fn`).
+  paths, a 15 minute lifetime cap, memory-proportional network
+  bandwidth, and 100 ms-granularity GB-second billing
+  (:mod:`repro.cloud.lambda_fn`; the 512 MB /tmp limit is not
+  modelled).
 - Fair-share bandwidth links used for both EBS and network contention
   (:mod:`repro.cloud.network`).
 - A :class:`~repro.cloud.provisioner.CloudProvider` facade that owns the

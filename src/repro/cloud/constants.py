@@ -48,8 +48,6 @@ LAMBDA_COLD_START_MEAN_S = 8.0
 LAMBDA_COLD_START_CV = 0.30
 #: Hard lifetime cap (paper: "terminated after 15 minutes").
 LAMBDA_LIFETIME_S = 900.0
-#: Local scratch space (paper: "/tmp directory of size 512MB").
-LAMBDA_TMP_BYTES = 512 * MB
 #: How long the provider keeps an idle container warm (paper footnote:
 #: "AWS keeps dormant Lambda alive for ~90 minutes").
 LAMBDA_WARM_KEEPALIVE_S = 90 * 60.0

@@ -6,11 +6,13 @@ constraint:
 - memory-indexed capacity: one full vCPU per 1536 MB, fractional below;
 - warm starts (~100 ms) vs cold starts (several seconds);
 - a hard 15 minute lifetime after which the provider reaps the container;
-- 512 MB of local /tmp scratch;
 - network bandwidth proportional to allocated memory;
 - no inbound connectivity (peers cannot push data to a Lambda — all state
   exchange must go through external storage, which is why SplitServe needs
   its HDFS shuffle layer).
+
+The 512 MB /tmp limit is not modelled: a Lambda executor's local writes
+are memory-fast and unbounded.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.cloud.constants import (
     LAMBDA_MAX_MEMORY_MB,
     LAMBDA_MB_PER_VCPU,
     LAMBDA_NET_BYTES_PER_S_PER_MB,
-    LAMBDA_TMP_BYTES,
     LAMBDA_WARM_START_CV,
     LAMBDA_WARM_START_MEAN_S,
 )
@@ -39,7 +40,6 @@ from repro.observability.categories import (
     EV_RUNNING,
 )
 from repro.simulation.events import Event
-from repro.simulation.resources import Container
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Environment
@@ -128,7 +128,6 @@ class LambdaInstance:
 
         self.net_link = FairShareLink(
             env, config.network_bytes_per_s, name=f"{name}/net")
-        self.tmp = Container(env, capacity=float(LAMBDA_TMP_BYTES))
 
         if start_delay_s is None:
             if warm:

@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.cloud.lambda_fn import LambdaConfig
-from repro.cloud.pricing import BillingMeter
-from repro.cloud.provisioner import CloudProvider
-from repro.simulation import Environment, RandomStreams
+from repro.cluster.runtime import ClusterRuntime
 from repro.spark.application import SparkDriver
 from repro.spark.config import SparkConf
 from repro.spark.rdd import RDD, RDDBuilder
@@ -115,10 +113,9 @@ class MicroBatchSimulator:
         self.batch_interval_s = batch_interval_s
         self.bridge = bridge
 
-        self.env = Environment()
-        self.rng = RandomStreams(seed)
-        self.meter = BillingMeter()
-        self.provider = CloudProvider(self.env, self.rng, meter=self.meter)
+        runtime = ClusterRuntime(seed)
+        self.env, self.rng = runtime.env, runtime.rng
+        self.meter, self.provider = runtime.meter, runtime.provider
         master = self.provider.request_vm("m4.xlarge", name="master",
                                           already_running=True)
         master.allocate_cores(master.itype.vcpus)

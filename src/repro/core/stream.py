@@ -22,10 +22,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cloud.instance_types import instance_type
 from repro.cloud.lambda_fn import LambdaConfig
-from repro.cloud.pricing import BillingMeter
-from repro.cloud.provisioner import CloudProvider
+from repro.cluster.runtime import ClusterRuntime
 from repro.core.autoscaler import DemandPoint, ProvisioningPolicy
-from repro.simulation import Environment, RandomStreams
 from repro.spark.application import SparkDriver
 from repro.spark.config import SparkConf
 from repro.spark.shuffle import ExternalShuffleBackend
@@ -128,10 +126,9 @@ class JobStreamSimulator:
         self.fleet_itype = instance_type(fleet_itype)
         self.control_interval_s = control_interval_s
 
-        self.env = Environment()
-        self.rng = RandomStreams(seed)
-        self.meter = BillingMeter()
-        self.provider = CloudProvider(self.env, self.rng, meter=self.meter)
+        runtime = ClusterRuntime(seed)
+        self.env, self.rng = runtime.env, runtime.rng
+        self.meter, self.provider = runtime.meter, runtime.provider
         self._master = self.provider.request_vm("m4.xlarge", name="master",
                                                 already_running=True)
         self._master.allocate_cores(self._master.itype.vcpus)

@@ -100,12 +100,14 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
+        """Rebuild a record from :meth:`to_dict` output; a payload
+        without its ``spec`` raises
+        :class:`~repro.api.schemas.SchemaError`."""
         spec_data = data.get("spec")
-        if spec_data is not None:
-            spec = ExperimentSpec.from_dict(spec_data)
-        else:  # minimal legacy payloads: scenario/workload at top level
-            spec = ExperimentSpec(workload=data.get("workload", "unknown"),
-                                  scenario=data["scenario"])
+        if spec_data is None:
+            from repro.api.schemas import SchemaError
+            raise SchemaError("RunRecord payload is missing its 'spec' key")
+        spec = ExperimentSpec.from_dict(spec_data)
         return cls(
             spec=spec,
             workload=data.get("workload", spec.workload),

@@ -964,8 +964,8 @@ def deterministic_metric_lines(text: str) -> List[str]:
 #: + trace recording), scheduler (DAG/task scheduling + pools), cloud
 #: (provider/launch paths), serve (the control plane itself).
 PROFILE_BUCKETS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("kernel", ("repro/simulation/kernel", "repro/simulation/resources",
-                "repro/simulation/events", "repro/simulation/rng")),
+    ("kernel", ("repro/simulation/kernel", "repro/simulation/events",
+                "repro/simulation/rng")),
     ("bus", ("repro/observability/bus", "repro/observability/metrics",
              "repro/observability/instrumentation",
              "repro/simulation/tracing")),

@@ -11,8 +11,6 @@ Public surface:
 - :class:`~repro.simulation.events.Event`, :class:`Timeout`,
   :class:`Process`, :class:`Condition` (``AllOf`` / ``AnyOf``),
   :class:`Interrupt` — the event vocabulary.
-- :class:`~repro.simulation.resources.Resource`, :class:`Container`,
-  :class:`Store` — shared-resource primitives.
 - :class:`~repro.simulation.rng.RandomStreams` — reproducible named RNG
   streams.
 - :class:`~repro.simulation.tracing.TraceRecorder` — structured event
@@ -33,7 +31,6 @@ from repro.simulation.events import (
     Timeout,
 )
 from repro.simulation.kernel import Environment, SimulationError
-from repro.simulation.resources import Container, Resource, Store
 from repro.simulation.rng import RandomStreams
 from repro.simulation.tracing import TraceRecord, TraceRecorder
 
@@ -48,15 +45,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "TraceRecord",
     "TraceRecorder",

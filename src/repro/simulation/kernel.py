@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from repro.simulation.events import NORMAL, Event, Process, Timeout
 
@@ -12,15 +12,14 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level errors (e.g. an empty schedule in run())."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised internally when no more events remain."""
-
-
 #: Queue entries: (time, priority, sequence, event). The sequence number
 #: makes ordering total and FIFO-stable for simultaneous events, and lets
 #: boundary tuples (time, priority, seq) compare against queue heads
 #: without ever reaching the Event element.
 _QueueItem = Tuple[float, int, int, Event]
+
+#: A boundary every queue entry sorts below, even one at time +inf.
+_OPEN = (float("inf"), float("inf"), float("inf"))
 
 
 class Environment:
@@ -30,13 +29,12 @@ class Environment:
     queue. Time is a float in *seconds* by convention throughout this
     repository.
 
-    The run loops (:meth:`run`, :meth:`step_until`, :meth:`run_batch`)
-    are deliberately monomorphic: the heap pop, the callback sweep, and
-    the failure check are inlined with hoisted locals so the per-event
-    cost is a handful of bytecodes, not a method call chain. They must
-    stay observation-identical to the reference :meth:`step` — same pop
-    order, same clock updates, same ``events_processed`` accounting —
-    which the byte-identity goldens (``tests/goldens``) enforce.
+    :meth:`run` and :meth:`step_until` share one dispatch loop,
+    :meth:`_drain`, bounded by a ``(time, priority, seq)`` tuple. It is
+    deliberately monomorphic: the heap pop, the callback sweep, and the
+    failure check are inlined with hoisted locals so the per-event cost
+    is a handful of bytecodes, not a method call chain. The byte-identity
+    goldens (``tests/goldens``) pin its pop order and clock updates.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -44,7 +42,7 @@ class Environment:
         #: property: the hot paths (schedule, every emitter's ``env.now``
         #: read) touch it tens of thousands of times per run and the
         #: descriptor call was measurable. Read-only by convention —
-        #: only the run loops below may assign it.
+        #: only the run methods below may assign it.
         self.now = float(initial_time)
         self._queue: List[_QueueItem] = []
         self._eid = 0
@@ -100,103 +98,68 @@ class Environment:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the next event; raise :class:`EmptySchedule` if none.
-
-        This is the reference single-event semantics the batch loops
-        below inline. Keep them in lockstep.
-        """
-        if not self._queue:
-            raise EmptySchedule("no scheduled events")
-        self.now, _, _, event = heapq.heappop(self._queue)
-        self.events_processed += 1
-
-        # Mark processed *before* running callbacks (as SimPy does) so
-        # that callbacks observe a consistent "this event is done" state.
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failure nobody waited on: surface it instead of silently
-            # dropping it (errors should never pass silently).
-            exc = event._value
-            raise exc
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until the queue drains), a number
-        (run until that simulation time), or an :class:`Event` (run until
-        it fires, returning its value or raising its exception).
+        (run until that simulation time, as :meth:`step_until` does), or
+        an :class:`Event` (run until it fires, returning its value or
+        raising its exception).
         """
-        stop: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop = until
-            else:
-                at = float(until)
-                if at < self.now:
-                    raise ValueError(f"until={at} is in the past (now={self.now})")
-                stop = Timeout(self, at - self.now)
-            if stop.callbacks is None:
-                # Already processed before run() was even called.
-                if stop._ok:
-                    return stop._value
-                raise stop._value
-            stop.callbacks.append(_StopSimulation.callback)
-
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        try:
-            while queue:
-                self.now, _, _, event = pop(queue)
-                processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        except _StopSimulation as exc:
-            event = exc.event
-            if isinstance(until, Event):
-                if event._ok:
-                    return event._value
-                raise event._value
-            # Numeric 'until': the stop timeout already advanced the
-            # clock; keep the contract explicit.
-            self.now = max(self.now, float(until)) if until is not None else self.now
+        if until is None:
+            self._drain(_OPEN)
             return None
-        finally:
-            self.events_processed += processed
-
-        # Queue drained without the stop condition firing.
-        if stop is not None and not stop.triggered:
-            raise SimulationError(
-                "simulation ran out of events before the 'until' "
-                "condition fired")
-        return None
+        if not isinstance(until, Event):
+            self._advance(until)
+            return None
+        if until.callbacks is None:
+            # Already processed before run() was even called.
+            if until._ok:
+                return until._value
+            raise until._value
+        until.callbacks.append(_StopSimulation.callback)
+        try:
+            self._drain(_OPEN)
+        except _StopSimulation:
+            if until._ok:
+                return until._value
+            raise until._value
+        raise SimulationError(
+            "simulation ran out of events before the 'until' "
+            "condition fired")
 
     def step_until(self, at: float) -> int:
         """Advance the clock to ``at``, dispatching all due events.
 
-        Equivalent to ``run(until=at)`` but without materializing a stop
-        :class:`Timeout` or unwinding via exception — the driver-facing
-        batch API for real-time stepping (one Python call per tick, not
-        one per event). Returns the number of events dispatched.
+        The driver-facing batch API for real-time stepping (one Python
+        call per tick, not one per event). Returns the number of events
+        dispatched.
+        """
+        return self._advance(at)
 
-        A sequence number is still consumed so that the tie-breaking
-        order of events scheduled *after* this call is byte-identical to
-        the ``run(until=...)`` path it replaces (the stop timeout there
-        consumed one).
+    def _advance(self, at: float) -> int:
+        """Dispatch everything due by ``at``, then set the clock to it.
+
+        One sequence number is consumed and the heap drained below
+        ``(at, NORMAL, seq)``: exactly the events a stop :class:`Timeout`
+        scheduled now for ``at`` would let run first, and the same
+        tie-breaking for events scheduled afterwards.
         """
         at = float(at)
         if at < self.now:
             raise ValueError(f"until={at} is in the past (now={self.now})")
         self._eid += 1
-        boundary = (at, NORMAL, self._eid)
+        processed = self._drain((at, NORMAL, self._eid))
+        self.now = at
+        return processed
+
+    def _drain(self, boundary: Tuple[float, float, float]) -> int:
+        """The dispatch loop: pop and fire events while the heap head
+        sorts below ``boundary``; return how many ran.
+
+        A failed event nobody waited on is raised here instead of being
+        dropped (errors should never pass silently).
+        """
         queue = self._queue
         pop = heapq.heappop
         processed = 0
@@ -204,31 +167,8 @@ class Environment:
             while queue and queue[0] < boundary:
                 self.now, _, _, event = pop(queue)
                 processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed += processed
-        self.now = at
-        return processed
-
-    def run_batch(self, max_events: int) -> int:
-        """Dispatch up to ``max_events`` events; return how many ran.
-
-        Stops early when the queue drains. Unlike :meth:`run` this never
-        raises on an empty queue, making it suitable for cooperative
-        driver loops that interleave simulation with other work.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        try:
-            while queue and processed < max_events:
-                self.now, _, _, event = pop(queue)
-                processed += 1
+                # Mark processed *before* running callbacks (as SimPy
+                # does) so callbacks observe "this event is done".
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
@@ -241,12 +181,9 @@ class Environment:
 
 
 class _StopSimulation(Exception):
-    """Internal control-flow exception used by :meth:`Environment.run`."""
-
-    def __init__(self, event: Event) -> None:
-        super().__init__()
-        self.event = event
+    """Internal control flow: the ``until`` event of
+    :meth:`Environment.run` fired."""
 
     @staticmethod
     def callback(event: Event) -> None:
-        raise _StopSimulation(event)
+        raise _StopSimulation

@@ -10,8 +10,9 @@ the drift this package removed from the scenario drivers. New code must
 take a :class:`~repro.cluster.runtime.ClusterRuntime` (or receive
 env/meter from one) instead of constructing the substrate directly.
 
-The ``GRANDFATHERED`` set pins the pre-refactor self-contained
-simulators; it may only shrink.
+The ``GRANDFATHERED`` set pins the owner plus the provisioner's
+default-meter fallback for bare ``CloudProvider(env, rng)`` callers; it
+may only shrink.
 """
 
 import ast
@@ -23,13 +24,11 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 OWNED_CONSTRUCTORS = {"Environment", "BillingMeter"}
 
 #: Modules (relative to src/repro) allowed to construct the substrate:
-#: the owner itself, plus pre-refactor self-contained simulators. This
-#: list may shrink but must never grow.
+#: the owner itself, plus the provisioner's fallback meter. This list
+#: may shrink but must never grow.
 GRANDFATHERED = {
     "cluster/runtime.py",   # the owner
     "cloud/provisioner.py",  # default-meter fallback for bare providers
-    "core/stream.py",        # §4.1 day-of-jobs simulator (self-contained)
-    "core/microbatch.py",    # §4.2 microbatch simulator (self-contained)
 }
 
 

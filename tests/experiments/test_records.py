@@ -3,6 +3,9 @@
 import json
 import math
 
+import pytest
+
+from repro.api.schemas import SchemaError
 from repro.core.scenarios import run_scenario
 from repro.experiments import ExperimentSpec, RunRecord, read_jsonl, run_spec, write_jsonl
 
@@ -47,6 +50,13 @@ def test_failed_run_omits_job_fields():
     assert math.isnan(payload["duration_s"])
     clone = RunRecord.from_dict(payload)
     assert clone.failed and clone.tasks is None
+
+
+def test_spec_less_payload_is_rejected():
+    payload = run_spec(tiny_spec()).to_dict()
+    del payload["spec"]
+    with pytest.raises(SchemaError, match="'spec'"):
+        RunRecord.from_dict(payload)
 
 
 def test_harness_error_is_captured_not_raised():

@@ -1,6 +1,6 @@
 """Static lint over the innermost hot loops.
 
-``EventBus.record_packed`` and the kernel's dispatch loops run once per
+``EventBus.record_packed`` and the kernel's dispatch loop run once per
 simulated event (tens of thousands of times per run). The refactor
 moved every per-event string build and dict comprehension out of them
 — payloads are precomputed by emitters, plans are compiled once. The
@@ -33,10 +33,9 @@ HOT_FUNCTIONS = [
     (bus_mod.EventBus, "record"),
     (bus_mod.EventBus, "record_packed"),
     (bus_mod.EventBus, "set_context"),
-    (kernel_mod.Environment, "step"),
     (kernel_mod.Environment, "run"),
-    (kernel_mod.Environment, "run_batch"),
     (kernel_mod.Environment, "step_until"),
+    (kernel_mod.Environment, "_drain"),
     (kernel_mod.Environment, "schedule"),
     (pools_mod.SchedulerPools, "ordered_tasksets"),
     (pools_mod.SchedulerPools, "occupy"),

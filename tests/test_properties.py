@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cloud import FairShareLink, instance_type
 from repro.cloud.pricing import LambdaPricing, VMPricing
-from repro.simulation import Container, Environment, RandomStreams, Store
+from repro.simulation import Environment, RandomStreams
 from repro.spark.memory import MAX_SLOWDOWN, gc_slowdown
 from repro.spark.shuffle import MapOutputTracker, MapStatus
 from repro.storage.s3 import _TokenBucket
@@ -192,58 +192,6 @@ def test_tracker_executor_removal_drops_exactly_its_outputs(executors):
     remaining = tracker.statuses(0)
     assert all(s.executor_id != "a" for s in remaining)
     assert len(remaining) == len(executors) - executors.count("a")
-
-
-# ---------------------------------------------------------------------------
-# Simulation resources
-# ---------------------------------------------------------------------------
-
-@given(
-    amounts=st.lists(st.floats(min_value=0.1, max_value=100.0),
-                     min_size=1, max_size=10),
-)
-@settings(max_examples=60, deadline=None)
-def test_container_level_never_exceeds_capacity(amounts):
-    env = Environment()
-    capacity = 150.0
-    container = Container(env, capacity=capacity)
-
-    def producer(env):
-        for amount in amounts:
-            yield container.put(amount)
-            assert 0 <= container.level <= capacity + 1e-9
-
-    def consumer(env):
-        for amount in amounts:
-            yield container.get(amount)
-            assert 0 <= container.level <= capacity + 1e-9
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert container.level <= 1e-9
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=50))
-@settings(max_examples=60, deadline=None)
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
 
 
 # ---------------------------------------------------------------------------
