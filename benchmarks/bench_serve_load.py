@@ -36,6 +36,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.api.service import BackpressureError, ServeConfig, ServeRuntime
+from repro.observability.metrics import percentile
 from repro.observability.serve_obs import RollingHistogram
 
 #: Headline load shape: enough capacity to prove 100+ concurrent jobs,
@@ -65,12 +66,6 @@ def _request(i: int, sleep_s: float) -> dict:
     return {"workload": "sleeper",
             "scenario": "custom:benchmarks.bench_serve_load:sleeper_job",
             "seed": i, "extra": {"sleep_s": sleep_s}}
-
-
-def _percentile(values, q: float) -> float:
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(q * len(ordered))))
-    return ordered[rank]
 
 
 def run_load(n: int = N_SUBMISSIONS, max_concurrent: int = MAX_CONCURRENT,
@@ -130,8 +125,8 @@ def run_load(n: int = N_SUBMISSIONS, max_concurrent: int = MAX_CONCURRENT,
         "total_wall_s": total_wall_s,
         "submissions_per_sec": n / submit_wall_s,
         "completed_jobs_per_sec": accepted / total_wall_s,
-        "admission_p50_ms": _percentile(latencies, 0.50) * 1e3,
-        "admission_p99_ms": _percentile(latencies, 0.99) * 1e3,
+        "admission_p50_ms": percentile(latencies, 0.50) * 1e3,
+        "admission_p99_ms": percentile(latencies, 0.99) * 1e3,
         "admission_max_ms": max(latencies) * 1e3,
         "profiled": profile,
         "admission_histogram": {

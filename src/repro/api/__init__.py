@@ -5,7 +5,8 @@ One shared :mod:`repro.api.schemas` module defines every JSON payload
 :mod:`repro.api.service` owns the long-lived cluster and admission
 queue; :mod:`repro.api.app` exposes it over ASGI;
 :mod:`repro.api.testclient` drives it in-process and
-:mod:`repro.api.server` over real sockets.
+:mod:`repro.api.server`, the one stdlib HTTP server, over real
+sockets.
 
 Heavy members are imported lazily so ``from repro.api import schemas``
 (the CLI's only hard need) never drags in the service stack.

@@ -3,11 +3,9 @@
 The control plane is written against the bare `ASGI 3.0
 <https://asgi.readthedocs.io/>`_ protocol rather than FastAPI, so the
 baked-in environment (stdlib + numpy) can run and test it with zero new
-dependencies. The app still speaks standard ASGI, so with the optional
-``[serve]`` extra installed it runs unmodified under uvicorn (and the
-same routes could be mounted in a FastAPI app); without it,
-:mod:`repro.api.server` serves it over a stdlib threaded HTTP server
-and :mod:`repro.api.testclient` drives it in-process.
+dependencies. :mod:`repro.api.server` serves it over a stdlib threaded
+HTTP server, the only server the repo ships, and
+:mod:`repro.api.testclient` drives it in-process.
 
 Pieces: :class:`Request` (query/body/JSON parsing), :class:`Response` /
 :class:`JSONResponse` (the latter always emits a
@@ -170,15 +168,17 @@ class SSEResponse:
     pre-encoded frames (see :func:`sse_frame`).
 
     The generator is cancelled as soon as the client disconnects, so a
-    server never leaks a subscription past its consumer.
+    server never leaks a subscription past its consumer. The response
+    sets no ``connection`` header: the stdlib bridge then closes the
+    socket after the last frame, which is how a client sees the stream
+    end.
     """
 
     def __init__(self, frames: AsyncIterator[bytes]) -> None:
         self.frames = frames
         self.status = 200
         self.headers = [("content-type", "text/event-stream"),
-                        ("cache-control", "no-cache"),
-                        ("connection", "keep-alive")]
+                        ("cache-control", "no-cache")]
 
     async def send(self, receive: Receive, send: Send) -> None:
         await send({

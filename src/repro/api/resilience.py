@@ -41,6 +41,7 @@ hash-derived, never drawn.
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -319,13 +320,14 @@ def run_chaos(plan: str = "throttle_storm", seed: int = 0,
     Phases (all wall-clock timed into the report):
 
     1. **Load** — submit ``n_jobs`` small spec jobs (deterministic
-       sparkpi specs, seeds ``0..n-1``) plus pooled arrivals so
-       simulated time advances for the armed
-       :class:`~repro.simulation.faults.FaultPlan`.
+       sparkpi specs, seeds ``0..n-1``); every fourth is a pooled
+       arrival on the shared cluster, whose executors the storm's
+       faults target.
     2. **Storm** — arm the named chaos plan against the shared cluster
-       and hammer the Lambda bridge with ``lambda_probes`` scale
-       requests; under a throttle storm the breaker must open (VM-only
-       admission) and, once the storm lifts, recover to closed.
+       (its faults apply and lift on host-clock windows) and hammer
+       the Lambda bridge with ``lambda_probes`` scale requests; under a
+       throttle storm the breaker must open (VM-only admission) and,
+       once the storm lifts, recover to closed.
     3. **Kill** — mark ``kill_workers`` of the spec jobs for an
        injected :class:`WorkerCrashError` on their first execution;
        the retry layer must bring every one of them to ``completed``.
@@ -513,22 +515,38 @@ def run_chaos(plan: str = "throttle_storm", seed: int = 0,
 
 
 def _crash_restart_recovery(cfg, seed: int) -> Dict[str, Any]:
-    """kill -9 + restart: journaled queued jobs must recover exactly
-    once. Returns recovery-time/count metrics for the report."""
+    """kill -9 + restart: the restart must run exactly the jobs the
+    journal still owes, each once, and never one it journaled as
+    finished. Returns recovery-time/count metrics for the report."""
     from repro.api import schemas
+    from repro.api.journal import JOURNAL_NAME, _replay
     from repro.api.service import ServeRuntime
 
+    def request(i: int) -> Dict[str, Any]:
+        return {"workload": "sparkpi", "scenario": "spark_R_vm",
+                "seed": 200 + seed + i}
+
     first = ServeRuntime(cfg).start()
-    ids = []
     try:
-        for i in range(4):
-            ids.append(first.submit(
-                {"workload": "sparkpi", "scenario": "spark_R_vm",
-                 "seed": 200 + seed + i}).job_id)
+        # One job journaled finished before the crash, then more jobs
+        # than there are running slots, so some are still owed.
+        done_id = first.submit(request(0)).job_id
+        done = first.wait_for(done_id, timeout=120.0)
+        assert done.state == schemas.JOB_COMPLETED, done.error
+        ids = [done_id] + [first.submit(request(i)).job_id
+                           for i in range(1, cfg.max_concurrent + 5)]
     finally:
         # As close to kill -9 as an in-process harness gets: no drain,
         # no checkpoint, journal handle dropped mid-flight.
         first.hard_stop()
+
+    # What the journal owes, read without opening (and so compacting)
+    # it: recovery of the next incarnation is what is under test.
+    traces, _ = _replay(os.path.join(cfg.state_dir, JOURNAL_NAME))
+    assert set(ids) <= set(traces), "an acknowledged job is not journaled"
+    owed = [job_id for job_id in ids if not traces[job_id].finished]
+    assert done_id not in owed, "the journal lost a finished job"
+    assert owed, "every job finished before the crash; nothing to recover"
 
     t0 = time.monotonic()
     second = ServeRuntime(cfg).start()
@@ -536,17 +554,18 @@ def _crash_restart_recovery(cfg, seed: int) -> Dict[str, Any]:
         assert second.drain(timeout=240.0), "recovered jobs did not drain"
         recovery_wall_s = time.monotonic() - t0
         finals = second.jobs()
-        recovered = [s for s in finals if s.job_id in ids]
-        assert len(finals) == len(ids) == len(recovered), (
-            f"duplicate or missing jobs after restart: "
-            f"{[s.job_id for s in finals]}")
-        terminal = [s for s in recovered
+        # Exactly the owed jobs, each once; so never the finished one.
+        assert [s.job_id for s in finals] == owed, (
+            f"restart ran {[s.job_id for s in finals]}, "
+            f"journal owed {owed}")
+        terminal = [s for s in finals
                     if s.state in (schemas.JOB_COMPLETED,
                                    schemas.JOB_FAILED)]
-        assert len(terminal) == len(ids), "recovered job left non-terminal"
+        assert len(terminal) == len(owed), "recovered job left non-terminal"
         return {
             "journaled_jobs": len(ids),
-            "recovered_jobs": len(recovered),
+            "finished_before_crash": len(ids) - len(owed),
+            "recovered_jobs": len(finals),
             "duplicates": 0,
             "recovery_wall_s": round(recovery_wall_s, 6),
         }

@@ -10,7 +10,6 @@ through, so the two surfaces can never drift:
 - :class:`JobRequest` — what a client submits (``POST /jobs``);
 - :class:`JobStatus` — one job's lifecycle + results (``GET /jobs/{id}``
   and, for completed spec jobs, the embedded RunRecord dict);
-- :class:`ExecutorInfo` / :class:`PoolStats` — live cluster surfaces;
 - :class:`PlanCandidate` — one ranked SplitPlanner entry;
 - :class:`ErrorBody` — structured errors (including 503 backpressure);
 - :class:`ResponseEnvelope` — the versioned wrapper every payload rides
@@ -453,39 +452,6 @@ def looks_like_job_status(data: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cluster surfaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExecutorInfo:
-    """One live executor of the shared pool (``GET /executors``)."""
-
-    executor_id: str
-    kind: str          # "vm" | "lambda"
-    state: str         # ExecutorState name, lowercase
-    host: Optional[str] = None
-    running_tasks: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class PoolStats:
-    """One scheduler pool's live stats (``GET /pools``)."""
-
-    name: str
-    mode: str
-    weight: int
-    min_share: int
-    apps: int
-    running_tasks: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-# ---------------------------------------------------------------------------
 # Planner
 # ---------------------------------------------------------------------------
 
@@ -599,6 +565,6 @@ __all__: Tuple[str, ...] = (
     "FAILURE_CODES", "FailureCause",
     "SchemaError", "ResponseEnvelope", "envelope", "is_envelope",
     "unwrap_record", "JobRequest", "JobStatus", "looks_like_job_status",
-    "ExecutorInfo", "PoolStats", "PlanCandidate", "plan_payload",
+    "PlanCandidate", "plan_payload",
     "ErrorBody", "dumps", "to_jsonable", "parse_any_document",
 )

@@ -1,21 +1,19 @@
 """Serving the control plane over real sockets.
 
-:func:`run` is what ``repro serve`` calls: it prefers uvicorn when the
-optional ``[serve]`` extra is installed (the app is plain ASGI 3.0, so
-uvicorn runs it unmodified) and otherwise falls back to
-:func:`make_server` — a stdlib ``ThreadingHTTPServer`` bridging each
-request onto the ASGI app via a private event loop. The bridge buffers
-single-shot JSON responses (emitting ``Content-Length``) and streams
-multi-part bodies (SSE) chunk-by-chunk with immediate flushes, closing
-the connection at end-of-stream as HTTP/1.0 clients expect.
+:func:`run` is what ``repro serve`` calls. It serves the app on
+:func:`make_server`, the one server this repo ships: a stdlib
+``ThreadingHTTPServer`` bridging each request onto the ASGI app via a
+private event loop. The bridge buffers single-shot JSON responses
+(emitting ``Content-Length``) and streams multi-part bodies (SSE)
+chunk-by-chunk with immediate flushes, closing the connection at
+end-of-stream as HTTP/1.0 clients expect.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 from urllib.parse import unquote, urlsplit
 
 __all__ = ["make_server", "run"]
@@ -138,18 +136,8 @@ def make_server(app, host: str = "127.0.0.1",
     return server
 
 
-def run(app, host: str = "127.0.0.1", port: int = 8000,
-        prefer_uvicorn: bool = True) -> None:
-    """Serve ``app`` until interrupted: uvicorn when the ``[serve]``
-    extra is installed, the stdlib bridge otherwise."""
-    if prefer_uvicorn:
-        try:
-            import uvicorn
-        except ImportError:
-            uvicorn = None
-        if uvicorn is not None:
-            uvicorn.run(app, host=host, port=port, log_level="warning")
-            return
+def run(app, host: str = "127.0.0.1", port: int = 8000) -> None:
+    """Serve ``app`` on the stdlib bridge until interrupted."""
     server = make_server(app, host=host, port=port)
     try:
         server.serve_forever()

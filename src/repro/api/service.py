@@ -63,8 +63,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from queue import Empty, Full, Queue
+from dataclasses import dataclass
+from queue import Full, Queue
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.api import schemas
@@ -83,7 +83,6 @@ from repro.api.schemas import (
     JOB_FAILED,
     JOB_QUEUED,
     JOB_RUNNING,
-    MODE_POOLED,
     MODE_SPEC,
     FailureCause,
     JobRequest,
@@ -302,10 +301,6 @@ class ServeConfig:
     #: Simulated seconds advanced per driver step — the granularity at
     #: which new pooled arrivals interleave with running apps.
     sim_step_s: float = 1.0
-    #: Event-ring capacity for replay/snapshots.
-    events_buffer: int = 4096
-    #: Workload whose worker instance type sizes the pool VMs.
-    worker_itype: Optional[str] = None
     #: Serve state directory; enables the crash-safe job journal
     #: (None = in-memory only, nothing survives a restart).
     state_dir: Optional[str] = None
@@ -337,7 +332,6 @@ class ServeConfig:
     #: families on /metrics.
     profile: bool = False
     profile_interval_s: float = 0.005
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_concurrent <= 0:
@@ -459,7 +453,7 @@ class ServeRuntime:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.hub = EventHub(maxlen=self.config.events_buffer)
+        self.hub = EventHub()
         self.started_at = time.time()
         self._t0 = time.monotonic()
 
@@ -497,6 +491,7 @@ class ServeRuntime:
         self._crash_budget = 0
         self._crash_next_submissions = 0
         self._chaos_windows: List[_ChaosWindow] = []
+        self._injector = None               # built on the first plan
         self._draining = False
         self._drained = threading.Event()
 
@@ -591,14 +586,15 @@ class ServeRuntime:
         from repro.cluster.pools import PoolConfig, SchedulerPools
         from repro.cluster.runtime import ClusterRuntime
         from repro.spark.config import SparkConf
+        from repro.workloads.registry import make_workload
 
         cfg = self.config
         self.cluster = ClusterRuntime(cfg.seed, trace_enabled=False)
         self.cluster.bus.subscribe(self.hub)
         self.pools = SchedulerPools([PoolConfig("default", mode=cfg.mode)])
         self.pool = ExecutorPool(self.cluster, SparkConf(), self.pools)
-        itype = cfg.worker_itype or self._default_itype()
-        self.pool.provision_vm_cores(cfg.pool_cores, itype)
+        self.pool.provision_vm_cores(
+            cfg.pool_cores, make_workload("sparkpi").spec.worker_itype)
         if cfg.pool_style == "hybrid_segue" and cfg.lambda_cores > 0:
             self.pool.invoke_lambda_executors(cfg.lambda_cores)
         self.manager = AppManager(self.cluster, self.pool, self.pools,
@@ -705,11 +701,6 @@ class ServeRuntime:
                                   recovered=True,
                                   prior_attempts=rec.attempts)
             self._pump_locked()
-
-    @staticmethod
-    def _default_itype() -> str:
-        from repro.workloads.registry import make_workload
-        return make_workload("sparkpi").spec.worker_itype
 
     def _now(self) -> float:
         """Wall seconds since server start (the serve-event clock)."""
@@ -1147,9 +1138,10 @@ class ServeRuntime:
         - ``plan`` — a named plan from
           :data:`repro.simulation.faults.CHAOS_PLANS` (with optional
           ``start_s``/``duration_s``/``factor`` overrides), or
-          ``faults`` — raw FaultSpec dicts. Windows run on the *host*
-          clock (the serve plane's native clock); spec-mode jobs take
-          sim-clock FaultPlans through their own ``faults`` field.
+          ``faults`` — raw FaultSpec dicts, applied by the batch
+          ``FaultInjector`` on *host*-clock windows (the serve plane's
+          native clock); spec-mode jobs take sim-clock FaultPlans
+          through their own ``faults`` field.
         - ``kill_workers`` — crash the next N spec-job executions at
           the worker boundary (exercises the retry path).
         - ``crash_next_submissions`` — crash the first execution of the
@@ -1205,13 +1197,22 @@ class ServeRuntime:
                             if self.breaker is not None else None)}
 
     def _arm_chaos_plan(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        from repro.simulation.faults import FaultPlan, chaos_plan
+        from repro.simulation.faults import (FaultInjector, FaultPlan,
+                                             chaos_plan)
         if "plan" in payload:
             kwargs = {k: payload[k] for k in ("duration_s", "factor")
                       if payload.get(k) is not None}
             plan = chaos_plan(str(payload["plan"]), **kwargs)
         else:
             plan = FaultPlan.coerce(payload["faults"])
+        with self._sim_lock:
+            if self._injector is None:
+                # No plan and no trace sink: windows call apply() and
+                # /events stays as it was.
+                self._injector = FaultInjector(
+                    self.cluster.env, self.cluster.rng, None).attach(
+                        scheduler=self.pool.scheduler,
+                        provider=self.cluster.provider)
         start_s = float(payload.get("start_s", 0.0))
         now = time.monotonic()
         with self._lock:
@@ -1235,7 +1236,8 @@ class ServeRuntime:
                     and w.lift_at is not None and now >= w.lift_at]
         for window in due:
             window.applied = True
-            self._apply_chaos_fault(window)
+            with self._sim_lock:
+                window.undo = self._injector.apply(window.fault)
         for window in lift:
             window.lifted = True
             if window.undo is not None:
@@ -1244,56 +1246,6 @@ class ServeRuntime:
         with self._lock:
             self._chaos_windows = [w for w in self._chaos_windows
                                    if not (w.applied and w.lifted)]
-
-    def _apply_chaos_fault(self, window: _ChaosWindow) -> None:
-        """Service-level interpretation of one FaultSpec (host-clock
-        windows; victim choice stays on the cluster's seeded streams)."""
-        from repro.simulation import faults as F
-        fault = window.fault
-        with self._sim_lock:
-            provider = self.cluster.provider
-            if fault.kind == F.KIND_LAMBDA_THROTTLE:
-                previous = provider.concurrency_limit
-                provider.concurrency_limit = fault.limit
-
-                def undo(prev=previous):
-                    provider.concurrency_limit = prev
-                window.undo = undo
-            elif fault.kind == F.KIND_EXECUTOR_KILL:
-                scheduler = self.pool.scheduler
-                candidates = [ex for ex in scheduler.registered_executors
-                              if F.match_executor(fault.target, ex)]
-                for ex in self._pick_seeded(candidates, fault.count):
-                    scheduler.decommission_executor(
-                        ex, graceful=False, reason="chaos: executor_kill")
-            elif fault.kind == F.KIND_SPOT_REVOCATION:
-                candidates = [vm for vm in provider.running_vms
-                              if F.match_vm(fault.target, vm)]
-                for vm in self._pick_seeded(candidates, fault.count):
-                    vm.terminate()
-            elif fault.kind == F.KIND_STRAGGLER:
-                scheduler = self.pool.scheduler
-                candidates = [ex for ex in scheduler.registered_executors
-                              if F.match_executor(fault.target, ex)]
-                victims = self._pick_seeded(candidates, fault.count)
-                for ex in victims:
-                    ex.cpu_slowdown = fault.factor
-
-                def undo(victims=victims):
-                    for ex in victims:
-                        ex.cpu_slowdown = 1.0
-                window.undo = undo
-            # Storage brownouts and probabilistic invoke failures have
-            # no service-level surface (the shared pool mounts no
-            # storage services); spec jobs take them via request.faults.
-
-    def _pick_seeded(self, candidates: List, count: int) -> List:
-        from repro.simulation.faults import SELECT_STREAM
-        if count >= len(candidates):
-            return list(candidates)
-        chosen = self.cluster.rng.stream(SELECT_STREAM).permutation(
-            len(candidates))[:count]
-        return [candidates[i] for i in sorted(int(i) for i in chosen)]
 
     def _stall_driver(self, stall_s: float) -> None:
         with self._sim_lock:

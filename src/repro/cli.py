@@ -406,9 +406,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: start the control plane over a long-lived
-    shared cluster (see DESIGN.md, "Control plane"). Uses uvicorn when
-    the ``[serve]`` extra is installed, a stdlib HTTP server
-    otherwise."""
+    shared cluster (see DESIGN.md, "Control plane") on the stdlib HTTP
+    server."""
     from repro.api.app import create_app
     from repro.api.server import run
     from repro.api.service import ServeConfig

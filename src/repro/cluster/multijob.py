@@ -38,8 +38,7 @@ byte-identical to pre-planner records.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 from repro.cluster.apps import AppManager, ClusterApp
 from repro.cluster.pool import ExecutorPool
@@ -47,21 +46,13 @@ from repro.cluster.pools import FAIR, POOL_MODES, PoolConfig, SchedulerPools
 from repro.cluster.runtime import ClusterRuntime
 from repro.experiments.spec import MULTIJOB_SCENARIO
 from repro.observability.instrumentation import attribute_costs
+from repro.observability.metrics import percentile
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.records import RunRecord
     from repro.experiments.spec import ExperimentSpec
 
 POOL_STYLES = ("vm", "hybrid_segue")
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Deterministic nearest-rank percentile (no interpolation)."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def _params(spec: "ExperimentSpec") -> Dict[str, object]:

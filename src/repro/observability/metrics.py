@@ -17,12 +17,17 @@ Naming scheme (see DESIGN.md, "Observability"):
 
 Histograms snapshot as ``<name>.count/.sum/.min/.max/.mean`` — enough
 for breakdown tables without carrying raw samples in every record.
+
+:func:`nearest_rank` is the repo's one quantile rank rule, and
+:func:`percentile` applies it to raw samples; the serve plane's
+rolling windows apply it to bucket counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 
 @dataclass
@@ -77,6 +82,19 @@ class Histogram:
 
 
 Metric = Union[Counter, Gauge, Histogram]
+
+
+def nearest_rank(q: float, n: int) -> int:
+    """1-based rank of quantile ``q`` among ``n`` ordered samples:
+    ``ceil(q * n)``, clamped to ``[1, n]`` (no interpolation)."""
+    return min(max(1, math.ceil(q * n)), n)
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``values``; NaN when empty."""
+    if not values:
+        return float("nan")
+    return sorted(values)[nearest_rank(q, len(values)) - 1]
 
 
 class MetricsRegistry:

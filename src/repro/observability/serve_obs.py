@@ -28,7 +28,8 @@ same treatment, as four composable pieces the
   rates against configurable availability/latency objectives
   (burn rate = observed bad fraction / error budget; 1.0 = burning
   exactly the budget), surfaced in ``/readyz`` (``slo_burn_ok``) and
-  as ``serve.slo.*`` metric families.
+  as ``serve.slo.*`` metric families. Its good/bad windows are
+  :class:`RollingHistogram` instances with one bound each.
 - **Profiling hooks** — :class:`SamplingProfiler`, a statistical
   sampler (stdlib ``sys._current_frames``; off by default, enabled by
   ``repro serve --profile`` / ``repro run --profile``) that attributes
@@ -73,6 +74,7 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    nearest_rank,
 )
 
 __all__ = [
@@ -583,12 +585,13 @@ class RollingHistogram:
                     sum(self._slice_sums))
 
     def quantile(self, q: float) -> float:
-        """Upper-bound quantile estimate over the window (0 when
-        empty; the top bound when the sample lands in overflow)."""
+        """Upper-bound quantile estimate over the window: the bound of
+        the bucket holding the nearest-rank sample (0 when empty; the
+        top bound when that sample lands in overflow)."""
         counts, total, _ = self.window_counts()
         if total == 0:
             return 0.0
-        rank = max(1, int(q * total + 0.999999))
+        rank = nearest_rank(q, total)
         running = 0
         for i, c in enumerate(counts):
             running += c
@@ -639,49 +642,6 @@ class SLOConfig:
             raise ValueError("max_burn_rate must be positive")
 
 
-class _GoodBadWindow:
-    """Rolling good/bad event counts (same ring scheme as
-    RollingHistogram, two integers per slice)."""
-
-    def __init__(self, window_s: float, slices: int,
-                 clock: Callable[[], float]) -> None:
-        self._clock = clock
-        self._slice_s = window_s / slices
-        self._good = [0] * slices
-        self._bad = [0] * slices
-        self._current = 0
-        self._current_started = clock()
-        self._lock = threading.Lock()
-        self.total_good = 0
-        self.total_bad = 0
-
-    def _advance_locked(self, now: float) -> None:
-        elapsed = now - self._current_started
-        if elapsed < self._slice_s:
-            return
-        steps = min(len(self._good), int(elapsed / self._slice_s))
-        for _ in range(steps):
-            self._current = (self._current + 1) % len(self._good)
-            self._good[self._current] = 0
-            self._bad[self._current] = 0
-        self._current_started = now
-
-    def record(self, good: bool) -> None:
-        with self._lock:
-            self._advance_locked(self._clock())
-            if good:
-                self._good[self._current] += 1
-                self.total_good += 1
-            else:
-                self._bad[self._current] += 1
-                self.total_bad += 1
-
-    def window(self) -> Tuple[int, int]:
-        with self._lock:
-            self._advance_locked(self._clock())
-            return sum(self._good), sum(self._bad)
-
-
 class SLOTracker:
     """Per-window burn rates against the configured objectives.
 
@@ -695,22 +655,31 @@ class SLOTracker:
                  slices: int = 6,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.config = config or SLOConfig()
-        self._availability = _GoodBadWindow(self.config.window_s, slices,
-                                            clock)
-        self._latency = _GoodBadWindow(self.config.window_s, slices,
-                                       clock)
+        # Each window is a one-bound RollingHistogram: bucket 0 counts
+        # the good events (value <= bound), the overflow bucket the bad.
+        # Availability observes 0.0 (good) or 1.0 (bad) against 0.0.
+        self._availability = RollingHistogram(
+            self.config.window_s, slices, buckets=(0.0,), clock=clock)
+        self._latency = RollingHistogram(
+            self.config.window_s, slices,
+            buckets=(self.config.latency_p99_s,), clock=clock)
 
     # -- feeds -------------------------------------------------------------
 
     def record_admission(self, accepted: bool, latency_s: float) -> None:
-        self._availability.record(accepted)
+        self._availability.observe(0.0 if accepted else 1.0)
         if accepted:
-            self._latency.record(latency_s <= self.config.latency_p99_s)
+            self._latency.observe(latency_s)
 
     def record_job_outcome(self, ok: bool) -> None:
-        self._availability.record(ok)
+        self._availability.observe(0.0 if ok else 1.0)
 
     # -- reads -------------------------------------------------------------
+
+    @staticmethod
+    def _good_bad(window: RollingHistogram) -> Tuple[int, int]:
+        counts, _, _ = window.window_counts()
+        return counts[0], counts[1]
 
     @staticmethod
     def _burn(good: int, bad: int, target: float) -> float:
@@ -720,8 +689,8 @@ class SLOTracker:
         return (bad / total) / (1.0 - target)
 
     def burn_rates(self) -> Dict[str, float]:
-        a_good, a_bad = self._availability.window()
-        l_good, l_bad = self._latency.window()
+        a_good, a_bad = self._good_bad(self._availability)
+        l_good, l_bad = self._good_bad(self._latency)
         cfg = self.config
         return {
             "availability": self._burn(a_good, a_bad,
@@ -738,8 +707,8 @@ class SLOTracker:
                    default=0.0) <= self.config.max_burn_rate
 
     def snapshot(self) -> Dict[str, Any]:
-        a_good, a_bad = self._availability.window()
-        l_good, l_bad = self._latency.window()
+        a_good, a_bad = self._good_bad(self._availability)
+        l_good, l_bad = self._good_bad(self._latency)
         burns = self.burn_rates()
         return {
             "window_s": self.config.window_s,

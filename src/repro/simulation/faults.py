@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -253,21 +254,6 @@ class FaultPlan:
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [fault.to_dict() for fault in self.faults]
 
-    def shifted(self, dt: float) -> "FaultPlan":
-        """A copy with every ``at_s`` trigger moved ``dt`` seconds later.
-
-        Batch runs arm plans at simulated time zero, but the long-lived
-        serve cluster injects chaos mid-flight — shifting lets a plan
-        authored relative to "now" land relative to the cluster's
-        current ``env.now``.
-        """
-        if not dt:
-            return self
-        return FaultPlan(tuple(
-            dataclasses.replace(f, at_s=f.at_s + dt)
-            if f.at_s is not None else f
-            for f in self.faults))
-
     def __iter__(self) -> Iterator[FaultSpec]:
         return iter(self.faults)
 
@@ -391,12 +377,14 @@ def match_storage(target: str, service) -> bool:
 class FaultInjector:
     """Arms a :class:`FaultPlan` against one live simulation.
 
-    ``attach`` wires the injector to the run's task scheduler (as an
-    observer, for event-count triggers and executor targeting), cloud
-    provider (throttles and invoke failures) and storage services
-    (brownouts), then starts a kernel process per time trigger. Every
-    fired fault is appended to :attr:`injected` and recorded under the
-    ``"fault"`` trace category.
+    ``attach`` wires the injector to the run's task scheduler (executor
+    targeting, plus an observer registration when a fault waits on an
+    event-count trigger), cloud provider (throttles and invoke
+    failures) and storage services (brownouts), then starts a kernel
+    process per time trigger. Every fired fault is appended to
+    :attr:`injected` and recorded under the ``"fault"`` trace category.
+    :meth:`apply` is the one interpreter of a fault's effect, shared by
+    batch runs and the live serve plane's host-clock chaos windows.
     """
 
     def __init__(self, env: "Environment", rng: "RandomStreams",
@@ -418,8 +406,6 @@ class FaultInjector:
         self.scheduler = scheduler
         self.provider = provider
         self.storages = list(storages)
-        if scheduler is not None and self not in scheduler.observers:
-            scheduler.observers.append(self)
         invoke_faults = [f for f in self.plan
                          if f.kind == KIND_LAMBDA_INVOKE_FAILURE]
         if invoke_faults and provider is not None:
@@ -431,6 +417,9 @@ class FaultInjector:
                 self.env.process(self._fire_later(fault))
             else:
                 self._event_armed.append(fault)
+        if (self._event_armed and scheduler is not None
+                and self not in scheduler.observers):
+            scheduler.observers.append(self)
         return self
 
     # -- scheduler-observer callbacks (event-count triggers) ---------------
@@ -466,14 +455,27 @@ class FaultInjector:
         self._fire(fault)
 
     def _fire(self, fault: FaultSpec) -> None:
+        lift = self.apply(fault)
+        if lift is not None and fault.duration_s is not None:
+            self.env.process(self._lift_later(fault.duration_s, lift))
+
+    def _lift_later(self, delay: float, lift: Callable):
+        yield self.env.timeout(delay)
+        lift()
+
+    def apply(self, fault: FaultSpec) -> Optional[Callable]:
+        """Put one fault's effect in force now; return the callable
+        that lifts it, or None when there is nothing to lift. Invoke
+        failures are per-invocation draws armed by :meth:`attach`, so
+        applying one does nothing."""
         handler = {
             KIND_EXECUTOR_KILL: self._kill_executors,
             KIND_SPOT_REVOCATION: self._revoke_vms,
             KIND_LAMBDA_THROTTLE: self._throttle_lambdas,
             KIND_STORAGE_BROWNOUT: self._brownout,
             KIND_STRAGGLER: self._slow_down,
-        }[fault.kind]
-        handler(fault)
+        }.get(fault.kind)
+        return handler(fault) if handler is not None else None
 
     def _pick(self, candidates: List, count: int) -> List:
         """Seeded victim choice among matching candidates (order kept)."""
@@ -503,38 +505,38 @@ class FaultInjector:
             self._log(fault, EV_VM_REVOKED, vm=vm.name)
             vm.terminate()
 
-    def _throttle_lambdas(self, fault: FaultSpec) -> None:
+    def _throttle_lambdas(self, fault: FaultSpec) -> Optional[Callable]:
         provider = self.provider
         if provider is None:
-            return
+            return None
         previous = provider.concurrency_limit
         provider.concurrency_limit = fault.limit
         self._log(fault, EV_THROTTLE_START, limit=fault.limit)
-        if fault.duration_s is not None:
-            def lift(env):
-                yield env.timeout(fault.duration_s)
-                provider.concurrency_limit = previous
-                self._log(fault, EV_THROTTLE_END)
-            self.env.process(lift(self.env))
 
-    def _brownout(self, fault: FaultSpec) -> None:
+        def lift() -> None:
+            provider.concurrency_limit = previous
+            self._log(fault, EV_THROTTLE_END)
+        return lift
+
+    def _brownout(self, fault: FaultSpec) -> Optional[Callable]:
         targets = [s for s in self.storages
                    if match_storage(fault.target, s)]
         for service in targets:
             service.degrade(fault.factor)
             self._log(fault, EV_BROWNOUT_START, storage=service.name,
                       factor=fault.factor)
-        if fault.duration_s is not None and targets:
-            def lift(env):
-                yield env.timeout(fault.duration_s)
-                for service in targets:
-                    service.restore()
-                    self._log(fault, EV_BROWNOUT_END, storage=service.name)
-            self.env.process(lift(self.env))
+        if not targets:
+            return None
 
-    def _slow_down(self, fault: FaultSpec) -> None:
+        def lift() -> None:
+            for service in targets:
+                service.restore()
+                self._log(fault, EV_BROWNOUT_END, storage=service.name)
+        return lift
+
+    def _slow_down(self, fault: FaultSpec) -> Optional[Callable]:
         if self.scheduler is None:
-            return
+            return None
         candidates = [ex for ex in self.scheduler.registered_executors
                       if match_executor(fault.target, ex)]
         victims = self._pick(candidates, fault.count)
@@ -542,14 +544,15 @@ class FaultInjector:
             executor.cpu_slowdown = fault.factor
             self._log(fault, EV_STRAGGLER_START,
                       executor=executor.executor_id, factor=fault.factor)
-        if fault.duration_s is not None and victims:
-            def lift(env):
-                yield env.timeout(fault.duration_s)
-                for executor in victims:
-                    executor.cpu_slowdown = 1.0
-                    self._log(fault, EV_STRAGGLER_END,
-                              executor=executor.executor_id)
-            self.env.process(lift(self.env))
+        if not victims:
+            return None
+
+        def lift() -> None:
+            for executor in victims:
+                executor.cpu_slowdown = 1.0
+                self._log(fault, EV_STRAGGLER_END,
+                          executor=executor.executor_id)
+        return lift
 
     def _make_invoke_gate(self, faults: List[FaultSpec]):
         """Build the provider's per-invocation failure hook."""

@@ -229,6 +229,75 @@ def test_throttle_storm_opens_then_recovers_breaker():
 
 
 # ---------------------------------------------------------------------------
+# Host-clock fault windows on the shared cluster
+# ---------------------------------------------------------------------------
+
+#: Per-kind parameters of the all-kinds plan below (each fault fires at
+#: arm time and carries a 0.3 s host-clock window).
+_LIVE_FAULT_PARAMS = {
+    "executor_kill": {"target": "vm", "count": 2},
+    "spot_revocation": {},
+    "lambda_invoke_failure": {"probability": 1.0},
+    "lambda_throttle": {"limit": 0},
+    "storage_brownout": {"factor": 2.0},
+    "straggler": {"count": 2, "factor": 3.0},
+}
+
+
+def test_live_fault_plan_applies_every_kind_then_lifts():
+    service = ServeRuntime(_fast_config(
+        pool_style="hybrid_segue", lambda_cores=2)).start()
+    try:
+        scheduler = service.pool.scheduler
+        provider = service.cluster.provider
+        faults = [dict(kind=kind, at_s=0.0, duration_s=0.3, **params)
+                  for kind, params in _LIVE_FAULT_PARAMS.items()]
+        applied = service.inject_chaos({"faults": faults})["applied"]
+        assert applied == {"plan": "6 fault(s)", "faults": 6}
+
+        with service._sim_lock:
+            slowdowns = {ex.executor_id: ex.cpu_slowdown
+                         for ex in scheduler.registered_executors}
+            limit = provider.concurrency_limit
+            vm_states = {vm.name: vm.state.value for vm in provider.vms}
+            invoke_fault = provider.invoke_fault
+        # The seeded victim draw kills two of the four VM executors and
+        # slows the two survivors; the pool VM is revoked.
+        dead = [e for e in service.hub.snapshot(category="executor")
+                if e["name"] == "dead"]
+        assert [e["fields"]["executor"] for e in dead] \
+            == ["pool:vm-exec-2", "pool:vm-exec-3"]
+        # Kills go through the batch FaultInjector, so they carry its
+        # reason string.
+        assert {e["fields"]["reason"] for e in dead} \
+            == {"fault: executor_kill"}
+        assert slowdowns == {"pool:vm-exec-0": 3.0, "pool:vm-exec-1": 3.0}
+        assert limit == 0
+        assert vm_states == {"vm-0": "terminated"}
+        # The shared pool mounts no storage services and arms no
+        # per-invocation gate: brownouts and invoke failures are no-ops
+        # on a live server, and no fault event reaches the hub.
+        assert invoke_fault is None
+        assert service.hub.snapshot(category="fault") == []
+
+        # The reaper lifts the throttle and the slowdowns once the
+        # windows close.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with service._sim_lock:
+                slowdowns = {ex.executor_id: ex.cpu_slowdown
+                             for ex in scheduler.registered_executors}
+                limit = provider.concurrency_limit
+            if limit is None and set(slowdowns.values()) == {1.0}:
+                break
+            time.sleep(0.02)
+        assert slowdowns == {"pool:vm-exec-0": 1.0, "pool:vm-exec-1": 1.0}
+        assert limit is None
+    finally:
+        service.close()
+
+
+# ---------------------------------------------------------------------------
 # Journal: kill -9 + restart
 # ---------------------------------------------------------------------------
 

@@ -4,9 +4,9 @@ execute serially in-process or fanned out over worker processes."""
 
 import pytest
 
-from repro.cluster.multijob import percentile
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.experiments.runner import run_spec
+from repro.observability.metrics import percentile
 
 BURST = {"mix": "sparkpi,pagerank-small", "n_jobs": 4,
          "mean_interarrival_s": 20.0, "pool_cores": 8, "mode": "fair",

@@ -11,7 +11,9 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.observability.metrics import percentile
 from repro.observability.serve_obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricFamily,
@@ -270,6 +272,19 @@ def test_rolling_histogram_window_expiry():
     assert total == 0
     assert hist.total_count == 2
     assert hist.quantile(0.99) == 0.0  # empty window
+
+
+@given(samples=st.lists(st.sampled_from(DEFAULT_LATENCY_BUCKETS),
+                        min_size=1, max_size=400))
+@settings(max_examples=200, deadline=None)
+def test_rolling_histogram_quantile_is_nearest_rank(samples):
+    # Samples on the bucket bounds make the bucketed upper-bound
+    # estimate exact, so it must pick the same rank as percentile().
+    hist = RollingHistogram(window_s=60.0, clock=FakeClock())
+    for value in samples:
+        hist.observe(value)
+    for q in (0.50, 0.95, 0.99):
+        assert hist.quantile(q) == percentile(samples, q)
 
 
 def test_rolling_histogram_validates_config():
