@@ -66,9 +66,10 @@ bench-work:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python benchmarks/bench_work_counts.py
 
-# One open-loop burst against an in-process ServeRuntime plus the ASGI
-# test suite — smoke-tests the `repro serve` control plane
-# (see DESIGN.md, "Control plane").
+# One open-loop burst against an in-process ServeRuntime, the API smoke
+# tests through the in-process test client, and the socket tests against
+# the stdlib server `repro serve` runs — smoke-tests the `repro serve`
+# control plane (see DESIGN.md, "Control plane").
 serve-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		pytest tests/api benchmarks/bench_serve_load.py -m smoke -q

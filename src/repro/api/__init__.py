@@ -1,12 +1,12 @@
-"""The ``repro serve`` control plane: schemas, ASGI app, and runtime.
+"""The ``repro serve`` control plane: schemas, HTTP app, and runtime.
 
 One shared :mod:`repro.api.schemas` module defines every JSON payload
 (the CLI's ``--json`` outputs serialize through it too);
 :mod:`repro.api.service` owns the long-lived cluster and admission
-queue; :mod:`repro.api.app` exposes it over ASGI;
-:mod:`repro.api.testclient` drives it in-process and
-:mod:`repro.api.server`, the one stdlib HTTP server, over real
-sockets.
+queue; :mod:`repro.api.app` routes HTTP requests to it through the
+synchronous router in :mod:`repro.api.web`, whose ``App.handle`` is
+called in-process by :mod:`repro.api.testclient` and over real sockets
+by :mod:`repro.api.server`, the one stdlib HTTP server.
 
 Heavy members are imported lazily so ``from repro.api import schemas``
 (the CLI's only hard need) never drags in the service stack.

@@ -1,8 +1,10 @@
 """The control-plane HTTP application: routes over a ServeRuntime.
 
-:func:`create_app` builds the ASGI app ``repro serve`` exposes. Every
-response rides in a :class:`~repro.api.schemas.ResponseEnvelope`; the
-route table is the control-plane contract:
+:func:`create_app` builds the :class:`~repro.api.web.App` that
+``repro serve`` exposes. Handlers are plain functions of one
+:class:`~repro.api.web.Request`. Every response rides in a
+:class:`~repro.api.schemas.ResponseEnvelope`; the route table is the
+control-plane contract:
 
 - ``GET  /``           — service info (version, uptime, endpoints);
 - ``POST /jobs``       — submit a :class:`~repro.api.schemas.JobRequest`
@@ -44,26 +46,24 @@ route table is the control-plane contract:
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import queue
-from typing import Any, AsyncIterator, Dict, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.api import schemas
-from repro.api.asgi import (
-    ApiError,
-    App,
-    JSONResponse,
-    Request,
-    Response,
-    SSEResponse,
-    sse_frame,
-)
 from repro.api.service import (
     BackpressureError,
     ServeConfig,
     ServeRuntime,
     UnknownJobError,
+)
+from repro.api.web import (
+    ApiError,
+    App,
+    JSONResponse,
+    Request,
+    Response,
+    event_stream,
+    sse_frame,
 )
 
 __all__ = ["create_app"]
@@ -89,11 +89,12 @@ def _int_param(request: Request, name: str, default: int) -> int:
 
 def create_app(config: Optional[ServeConfig] = None,
                runtime: Optional[ServeRuntime] = None) -> App:
-    """Build the control-plane ASGI app.
+    """Build the control-plane app.
 
     Pass a pre-built ``runtime`` to share one across apps (tests);
-    otherwise one is created from ``config`` and owned by the app's
-    lifespan (started on lifespan/first request, closed on shutdown).
+    otherwise one is created from ``config``. Either way the app's
+    ``startup()`` starts it (the server, the test client, or the first
+    request calls that) and ``shutdown()`` closes it.
     """
     serve = runtime if runtime is not None else ServeRuntime(config)
     app = App(on_startup=serve.start, on_shutdown=serve.close)
@@ -101,14 +102,14 @@ def create_app(config: Optional[ServeConfig] = None,
     app.runtime = serve
 
     @app.get("/")
-    async def service_info(request: Request) -> JSONResponse:
+    def service_info(request: Request) -> JSONResponse:
         return JSONResponse(schemas.KIND_SERVICE_INFO, serve.service_info())
 
     # -- jobs --------------------------------------------------------------
 
     @app.post("/jobs")
-    async def submit_job(request: Request) -> JSONResponse:
-        payload = await request.json()
+    def submit_job(request: Request) -> JSONResponse:
+        payload = request.json()
         if not isinstance(payload, dict):
             raise ApiError(400, schemas.ERR_INVALID_REQUEST,
                            "request body must be a JSON object "
@@ -124,7 +125,7 @@ def create_app(config: Optional[ServeConfig] = None,
         return JSONResponse(schemas.KIND_JOB_STATUS, status, status=202)
 
     @app.get("/jobs")
-    async def list_jobs(request: Request) -> JSONResponse:
+    def list_jobs(request: Request) -> JSONResponse:
         statuses = serve.jobs()
         return JSONResponse(schemas.KIND_JOB_LIST, {
             "jobs": [s.to_dict() for s in statuses],
@@ -132,15 +133,12 @@ def create_app(config: Optional[ServeConfig] = None,
         })
 
     @app.get("/jobs/{job_id}")
-    async def job_status(request: Request) -> JSONResponse:
+    def job_status(request: Request) -> JSONResponse:
         job_id = request.path_params["job_id"]
         wait_s = _float_param(request, "wait")
         try:
             if wait_s is not None and wait_s > 0:
-                loop = asyncio.get_running_loop()
-                status = await loop.run_in_executor(
-                    None, functools.partial(serve.wait_for, job_id,
-                                            timeout=wait_s))
+                status = serve.wait_for(job_id, timeout=wait_s)
             else:
                 status = serve.job(job_id)
         except UnknownJobError:
@@ -151,18 +149,18 @@ def create_app(config: Optional[ServeConfig] = None,
     # -- cluster surfaces --------------------------------------------------
 
     @app.get("/executors")
-    async def executors(request: Request) -> JSONResponse:
+    def executors(request: Request) -> JSONResponse:
         return JSONResponse(schemas.KIND_EXECUTORS,
                             {"executors": serve.executors()})
 
     @app.get("/pools")
-    async def pools(request: Request) -> JSONResponse:
+    def pools(request: Request) -> JSONResponse:
         return JSONResponse(schemas.KIND_POOL_STATS, serve.pool_stats())
 
     # -- planner -----------------------------------------------------------
 
     @app.get("/plan")
-    async def plan(request: Request) -> JSONResponse:
+    def plan(request: Request) -> JSONResponse:
         workload = request.query.get("workload")
         if not workload:
             raise ApiError(400, schemas.ERR_INVALID_REQUEST,
@@ -182,11 +180,11 @@ def create_app(config: Optional[ServeConfig] = None,
     # -- health ------------------------------------------------------------
 
     @app.get("/healthz")
-    async def healthz(request: Request) -> JSONResponse:
+    def healthz(request: Request) -> JSONResponse:
         return JSONResponse(schemas.KIND_HEALTH, serve.healthz())
 
     @app.get("/readyz")
-    async def readyz(request: Request) -> JSONResponse:
+    def readyz(request: Request) -> JSONResponse:
         ready, checks = serve.readyz()
         if not ready:
             failing = sorted(k for k, ok in checks.items() if not ok)
@@ -199,7 +197,7 @@ def create_app(config: Optional[ServeConfig] = None,
     # -- observability -----------------------------------------------------
 
     @app.get("/metrics")
-    async def metrics(request: Request) -> Response:
+    def metrics(request: Request) -> Response:
         # Prometheus text exposition format 0.0.4 — deliberately not
         # wrapped in the JSON envelope (scrapers parse it directly).
         return Response(serve.metrics_text().encode("utf-8"),
@@ -207,7 +205,7 @@ def create_app(config: Optional[ServeConfig] = None,
                                      "charset=utf-8")
 
     @app.get("/trace/{job_id}")
-    async def trace(request: Request) -> JSONResponse:
+    def trace(request: Request) -> JSONResponse:
         job_id = request.path_params["job_id"]
         try:
             payload = serve.trace(job_id)
@@ -217,7 +215,7 @@ def create_app(config: Optional[ServeConfig] = None,
         return JSONResponse(schemas.KIND_TRACE, payload)
 
     @app.get("/dashboard")
-    async def dashboard(request: Request) -> Response:
+    def dashboard(request: Request) -> Response:
         from repro.observability.serve_obs import DASHBOARD_HTML
         return Response(DASHBOARD_HTML.encode("utf-8"),
                         content_type="text/html; charset=utf-8")
@@ -225,8 +223,8 @@ def create_app(config: Optional[ServeConfig] = None,
     # -- chaos -------------------------------------------------------------
 
     @app.post("/chaos")
-    async def chaos(request: Request) -> JSONResponse:
-        payload = await request.json()
+    def chaos(request: Request) -> JSONResponse:
+        payload = request.json()
         if not isinstance(payload, dict):
             raise ApiError(400, schemas.ERR_INVALID_REQUEST,
                            "request body must be a JSON object (a chaos "
@@ -241,7 +239,7 @@ def create_app(config: Optional[ServeConfig] = None,
     # -- events ------------------------------------------------------------
 
     @app.get("/events")
-    async def events(request: Request):
+    def events(request: Request):
         follow = request.query.get("follow", "1") not in ("0", "false", "no")
         category = request.query.get("category") or None
         if not follow:
@@ -265,27 +263,27 @@ def create_app(config: Optional[ServeConfig] = None,
                 raise ApiError(400, schemas.ERR_INVALID_REQUEST,
                                f"Last-Event-ID must be an integer "
                                f"sequence, got {after_raw!r}")
-        return SSEResponse(_event_stream(serve, replay=replay,
-                                         after_seq=after_seq,
-                                         category=category,
-                                         max_events=max_events,
-                                         idle_timeout_s=idle_timeout_s))
+        return event_stream(_event_stream(serve, replay=replay,
+                                          after_seq=after_seq,
+                                          category=category,
+                                          max_events=max_events,
+                                          idle_timeout_s=idle_timeout_s))
 
     return app
 
 
-async def _event_stream(serve: ServeRuntime, replay: int,
-                        category: Optional[str], max_events: int,
-                        idle_timeout_s: float,
-                        after_seq: Optional[int] = None
-                        ) -> AsyncIterator[bytes]:
+def _event_stream(serve: ServeRuntime, replay: int,
+                  category: Optional[str], max_events: int,
+                  idle_timeout_s: float, after_seq: Optional[int] = None
+                  ) -> Generator[bytes, None, None]:
     """SSE frames off the hub: replayed ring items, then live events.
 
-    Bounded by ``max_events`` (0 = unbounded) and by ``idle_timeout_s``
-    of silence, so a curl without ``--max-time`` still terminates.
+    Subscribes on the first ``next()``. Bounded by ``max_events``
+    (0 = unbounded) and by ``idle_timeout_s`` of silence, so a curl
+    without ``--max-time`` still terminates; closing the generator
+    early releases the subscription.
     """
     sub, backlog = serve.hub.subscribe(replay=replay, after_seq=after_seq)
-    loop = asyncio.get_running_loop()
     sent = 0
     try:
         for item in backlog:
@@ -299,8 +297,7 @@ async def _event_stream(serve: ServeRuntime, replay: int,
         poll_s = 0.1
         while idle < idle_timeout_s:
             try:
-                item = await loop.run_in_executor(
-                    None, functools.partial(sub.get, timeout=poll_s))
+                item = sub.get(timeout=poll_s)
             except queue.Empty:
                 idle += poll_s
                 continue

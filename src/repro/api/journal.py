@@ -48,7 +48,6 @@ OP_SUBMITTED = "submitted"
 OP_STARTED = "started"
 OP_FINISHED = "finished"
 OP_CHECKPOINTED = "checkpointed"
-JOURNAL_OPS = (OP_SUBMITTED, OP_STARTED, OP_FINISHED, OP_CHECKPOINTED)
 
 #: File name under the serve state dir.
 JOURNAL_NAME = "jobs.journal.jsonl"

@@ -18,7 +18,7 @@ through, so the two surfaces can never drift:
 Models are frozen-ish dataclasses with explicit validators (the repo
 idiom — see ExperimentSpec, FaultSpec, PoolConfig) rather than pydantic,
 so the schema layer adds no dependency beyond the standard library and
-works identically under the CLI, the ASGI app, and tests.
+works identically under the CLI, the HTTP app, and tests.
 
 Serialization is deterministic: :func:`dumps` sorts keys and uses
 Python's shortest float repr, so equal payloads are byte-identical —

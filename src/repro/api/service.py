@@ -519,7 +519,7 @@ class ServeRuntime:
     def start(self) -> "ServeRuntime":
         """Build the shared cluster, recover the journal, and start
         worker/driver/reaper threads. Idempotent; called by the app's
-        lifespan/startup hook."""
+        startup hook."""
         if self._started:
             return self
         self._started = True

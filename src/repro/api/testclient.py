@@ -1,23 +1,22 @@
-"""An in-process ASGI test client (no sockets, no new dependencies).
+"""An in-process test client (no sockets, no new dependencies).
 
-Drives any ASGI 3.0 app — in practice the control plane from
-:func:`repro.api.app.create_app` — over a private event loop, speaking
-the real ASGI protocol: lifespan startup/shutdown around the ``with``
-block, one ``http`` scope per request, a connected-client ``receive``
-(so SSE responses stream until their own bounds), and full capture of
-the response messages. The surface mirrors the common
-``client.get(...)`` / ``client.post(..., json=...)`` shape so tests read
-like httpx/TestClient code.
+Drives the control plane from :func:`repro.api.app.create_app` by
+calling :meth:`App.handle <repro.api.web.App.handle>` directly: the
+``with`` block runs the app's startup and shutdown hooks, each request
+is one :class:`~repro.api.web.Request`, and an SSE response's frames
+are read until the stream ends on its own bounds. The surface mirrors
+the common ``client.get(...)`` / ``client.post(..., json=...)`` shape
+so tests read like httpx/TestClient code.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json as _json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 from urllib.parse import urlencode, urlsplit
 
 from repro.api import schemas
+from repro.api.web import Request
 
 __all__ = ["TestClient", "TestResponse"]
 
@@ -25,15 +24,11 @@ __all__ = ["TestClient", "TestResponse"]
 class TestResponse:
     """One captured HTTP response."""
 
-    def __init__(self, messages: List[Dict[str, Any]]) -> None:
-        start = messages[0]
-        assert start["type"] == "http.response.start", start
-        self.status = start["status"]
-        self.headers: Dict[str, str] = {
-            k.decode("latin-1").lower(): v.decode("latin-1")
-            for k, v in start.get("headers", [])}
-        self.body = b"".join(m.get("body", b"") for m in messages[1:]
-                             if m["type"] == "http.response.body")
+    def __init__(self, status: int, headers: Dict[str, str],
+                 body: bytes) -> None:
+        self.status = status
+        self.headers = headers
+        self.body = body
 
     @property
     def text(self) -> str:
@@ -77,9 +72,10 @@ class TestResponse:
 
 
 class TestClient:
-    """Synchronous in-process client for an ASGI app.
+    """Synchronous in-process client for the control-plane app.
 
-    Use as a context manager to run the app's lifespan protocol::
+    Use as a context manager to run the app's startup and shutdown
+    hooks::
 
         with TestClient(create_app(config)) as client:
             r = client.post("/jobs", json={"workload": "sparkpi"})
@@ -91,40 +87,13 @@ class TestClient:
 
     def __init__(self, app) -> None:
         self.app = app
-        self._loop = asyncio.new_event_loop()
-        self._lifespan_in: Optional[asyncio.Queue] = None
-        self._lifespan_out: Optional[asyncio.Queue] = None
-        self._lifespan_task: Optional[asyncio.Task] = None
-
-    # -- lifespan ----------------------------------------------------------
 
     def __enter__(self) -> "TestClient":
-        self._lifespan_in = asyncio.Queue()
-        self._lifespan_out = asyncio.Queue()
-        scope = {"type": "lifespan", "asgi": {"version": "3.0",
-                                              "spec_version": "2.0"}}
-        self._lifespan_task = asyncio.ensure_future(
-            self.app(scope, self._lifespan_in.get, self._lifespan_out.put),
-            loop=self._loop)
-        self._lifespan_in.put_nowait({"type": "lifespan.startup"})
-        message = self._loop.run_until_complete(self._lifespan_out.get())
-        if message["type"] != "lifespan.startup.complete":
-            raise RuntimeError(f"app failed to start: {message}")
+        self.app.startup()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._lifespan_task is not None:
-            self._lifespan_in.put_nowait({"type": "lifespan.shutdown"})
-            self._loop.run_until_complete(self._lifespan_task)
-            self._lifespan_task = None
-        self.close()
-
-    def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        self._loop.run_until_complete(self._loop.shutdown_asyncgens())
-        self._loop.run_until_complete(self._loop.shutdown_default_executor())
-        self._loop.close()
+        self.app.shutdown()
 
     # -- requests ----------------------------------------------------------
 
@@ -137,45 +106,18 @@ class TestClient:
             extra = urlencode({k: str(v) for k, v in params.items()})
             query = f"{query}&{extra}" if query else extra
         body = b"" if json is None else schemas.dumps(json).encode("utf-8")
-        raw_headers = [(b"host", b"testserver"),
-                       (b"content-type", b"application/json"),
-                       (b"content-length",
-                        str(len(body)).encode("latin-1"))]
-        for key, value in (headers or {}).items():
-            raw_headers.append((key.lower().encode("latin-1"),
-                                str(value).encode("latin-1")))
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0", "spec_version": "2.3"},
-            "http_version": "1.1",
-            "method": method.upper(),
-            "scheme": "http",
-            "path": parts.path or "/",
-            "raw_path": (parts.path or "/").encode("utf-8"),
-            "query_string": query.encode("latin-1"),
-            "root_path": "",
-            "headers": raw_headers,
-            "client": ("testclient", 50000),
-            "server": ("testserver", 80),
-        }
-        messages: List[Dict[str, Any]] = []
-        delivered = False
-
-        async def receive() -> Dict[str, Any]:
-            nonlocal delivered
-            if not delivered:
-                delivered = True
-                return {"type": "http.request", "body": body,
-                        "more_body": False}
-            # The client stays connected; SSE streams end on their own
-            # bounds, and the pending watcher task is cancelled then.
-            await asyncio.get_running_loop().create_future()
-
-        async def send(message: Dict[str, Any]) -> None:
-            messages.append(message)
-
-        self._loop.run_until_complete(self.app(scope, receive, send))
-        return TestResponse(messages)
+        response = self.app.handle(Request(
+            method, parts.path or "/", query,
+            [(k, str(v)) for k, v in (headers or {}).items()], body))
+        body = response.body
+        if response.frames is not None:
+            try:
+                body = b"".join(response.frames)
+            finally:
+                response.frames.close()
+        return TestResponse(response.status,
+                            {k.lower(): v for k, v in response.headers},
+                            body)
 
     def get(self, url: str, params: Optional[Dict[str, Any]] = None,
             headers: Optional[Dict[str, str]] = None) -> TestResponse:

@@ -114,7 +114,6 @@ HDFS_REQUEST_LATENCY_CV = 0.30
 #: Default replication factor. The paper runs a single HDFS node colocated
 #: with the master, so experiments use replication=1.
 HDFS_DEFAULT_REPLICATION = 1
-HDFS_BLOCK_BYTES = 128 * MB
 
 # ---------------------------------------------------------------------------
 # JVM / executor model (§4.2 "smaller memory on Lambdas results in more

@@ -25,10 +25,6 @@ class InstanceType:
     price_per_hour: float
 
     @property
-    def memory_gb(self) -> float:
-        return self.memory_bytes / GB
-
-    @property
     def price_per_vcpu_hour(self) -> float:
         """Hourly price of a single core — Figure 1's VM curve uses this."""
         return self.price_per_hour / self.vcpus

@@ -191,14 +191,6 @@ class LambdaInstance:
         return max(0.0, end - self.invoke_time)
 
     @property
-    def time_running(self) -> float:
-        """Seconds since the container finished starting (0 if starting)."""
-        if self.running_time is None:
-            return 0.0
-        end = self.finish_time if self.finish_time is not None else self.env.now
-        return max(0.0, end - self.running_time)
-
-    @property
     def remaining_lifetime(self) -> float:
         """Seconds until the provider reaps this container."""
         return max(0.0, self.config.lifetime_s - (self.env.now - self.invoke_time))

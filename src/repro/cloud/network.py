@@ -60,10 +60,6 @@ class FairShareLink:
         return self._capacity
 
     @property
-    def active_transfers(self) -> int:
-        return len(self._active)
-
-    @property
     def bytes_moved(self) -> float:
         """Total bytes delivered since creation (for utilization stats)."""
         self._advance()

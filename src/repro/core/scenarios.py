@@ -185,7 +185,7 @@ class ScenarioResult:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable summary in the RunRecord schema (trace and
         job internals omitted; export the trace separately via
-        TraceRecorder.save_jsonl)."""
+        :func:`repro.observability.export.save_event_log`)."""
         return self.to_record().to_dict()
 
 

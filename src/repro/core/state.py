@@ -79,9 +79,6 @@ class ClusterState:
             out.append(record.executor)
         return out
 
-    def executor_records(self) -> List[ExecutorRecord]:
-        return list(self._records.values())
-
     @property
     def live_lambda_count(self) -> int:
         return len(self.live_executors(HostKind.LAMBDA))

@@ -57,7 +57,6 @@ from repro.observability.serve_obs import (
 from repro.observability.stage_metrics import (
     StageMetrics,
     dotted_stage_metrics,
-    executor_metrics_from_job,
     kind_metrics_from_job,
     stage_metrics_from_job,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "render_run_report",
     "StageMetrics",
     "dotted_stage_metrics",
-    "executor_metrics_from_job",
     "kind_metrics_from_job",
     "stage_metrics_from_job",
 ]

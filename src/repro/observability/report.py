@@ -12,9 +12,11 @@ Three inputs, one look:
   ``GET /jobs/{id}``: the job's lifecycle header plus, for completed
   spec-mode jobs, the embedded RunRecord rendered in full.
 
-Rows may arrive bare or wrapped in the versioned
-:class:`~repro.api.schemas.ResponseEnvelope`; sniffing handles both
-(bare RunRecord rows warn — they are the pre-envelope export shape).
+JobStatus documents may arrive bare or wrapped in the versioned
+:class:`~repro.api.schemas.ResponseEnvelope`; sniffing handles both.
+RunRecord rows must be enveloped: a bare one (the pre-envelope export
+shape) raises :class:`~repro.api.schemas.SchemaError` naming the
+envelope format, which ``repro report`` prints as a one-line exit.
 
 All numbers are kept at full precision until the final ``format`` call —
 rounding is a rendering concern, never a serialization one.
@@ -370,7 +372,8 @@ def _render_row(row: Mapping[str, Any]) -> str:
             f"{schemas.KIND_EVENTS!r}")
     if schemas.looks_like_job_status(row):
         return render_job_status_report(row)
-    # Bare RunRecord row: the pre-envelope export shape (warns).
+    # A bare RunRecord row is the pre-envelope export shape:
+    # unwrap_record raises a SchemaError that names the envelope.
     return render_run_report(schemas.unwrap_record(row))
 
 

@@ -98,7 +98,6 @@ _TIMING_ATTRS = frozenset({
 })
 
 SPAN_HOST = "host"   # wall-clock span (the serve plane's native clock)
-SPAN_SIM = "sim"     # simulated-time span (merged timelines label lanes)
 
 STATUS_OPEN = "open"
 STATUS_OK = "ok"

@@ -114,11 +114,6 @@ def stage_metrics_from_job(job: "Job") -> Dict[str, StageMetrics]:
                               key=lambda a: str(a.spec.stage_id))
 
 
-def executor_metrics_from_job(job: "Job") -> Dict[str, StageMetrics]:
-    """Per-executor aggregates over the job's successful attempts."""
-    return aggregate_attempts(job.task_attempts, key=lambda a: a.executor_id)
-
-
 def kind_metrics_from_job(job: "Job") -> Dict[str, StageMetrics]:
     """Per-resource-kind ("vm" | "lambda") aggregates."""
     return aggregate_attempts(job.task_attempts, key=_kind_of)

@@ -9,8 +9,8 @@ Public surface:
 - :class:`~repro.simulation.kernel.Environment` — simulation clock and
   event loop.
 - :class:`~repro.simulation.events.Event`, :class:`Timeout`,
-  :class:`Process`, :class:`Condition` (``AllOf`` / ``AnyOf``),
-  :class:`Interrupt` — the event vocabulary.
+  :class:`Process`, :class:`AllOf`, :class:`Interrupt` — the event
+  vocabulary.
 - :class:`~repro.simulation.rng.RandomStreams` — reproducible named RNG
   streams.
 - :class:`~repro.simulation.tracing.TraceRecorder` — structured event
@@ -23,8 +23,6 @@ Public surface:
 
 from repro.simulation.events import (
     AllOf,
-    AnyOf,
-    Condition,
     Event,
     Interrupt,
     Process,
@@ -43,8 +41,6 @@ _LAZY_FAULT_EXPORTS = (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Condition",
     "Environment",
     "Event",
     "Interrupt",

@@ -120,11 +120,8 @@ class Event:
         self._value = event._value
         self.env.schedule(self, priority=NORMAL)
 
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
+    def __and__(self, other: "Event") -> "AllOf":
+        return AllOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
@@ -282,24 +279,18 @@ class _Interruption(Event):
         self.process._resume(self)
 
 
-class Condition(Event):
-    """Waits for a set of events according to an evaluation function.
+class AllOf(Event):
+    """Fires when all of ``events`` have fired successfully, and fails
+    with the first constituent that fails.
 
-    :class:`AllOf` and :class:`AnyOf` are the two concrete policies. The
-    condition's value is a dict mapping each *fired* constituent event to
-    its value, preserving creation order.
+    The value is a dict mapping each *fired* constituent event to its
+    value, preserving creation order.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -316,16 +307,6 @@ class Condition(Event):
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """True when every constituent has fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """True when at least one constituent has fired."""
-        return count > 0 or not events
 
     def _collect(self) -> dict:
         return {
@@ -345,23 +326,5 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
             self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires when all of ``events`` have fired successfully."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires when any of ``events`` has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

@@ -79,12 +79,6 @@ class Environment:
 
         return AllOf(self, events)
 
-    def any_of(self, events) -> Event:
-        """Condition that fires when any of ``events`` has fired."""
-        from repro.simulation.events import AnyOf
-
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and the run loop
     # ------------------------------------------------------------------

@@ -78,41 +78,5 @@ class TraceRecorder:
             out.append(rec)
         return out
 
-    def first_time(self, category: str, name: str) -> Optional[float]:
-        """Time of the first matching record, or None."""
-        for rec in self._records:
-            if rec.category == category and rec.name == name:
-                return rec.time
-        return None
-
-    def last_time(self, category: str, name: str) -> Optional[float]:
-        """Time of the last matching record, or None."""
-        result = None
-        for rec in self._records:
-            if rec.category == category and rec.name == name:
-                result = rec.time
-        return result
-
     def clear(self) -> None:
         self._records.clear()
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """Records as plain dicts (for JSON export or DataFrames).
-
-        The payload lives under a ``fields`` key so that a field named
-        ``time``/``category``/``name`` can never clobber the envelope.
-        """
-        return [{"time": r.time, "category": r.category, "name": r.name,
-                 "fields": dict(r.fields)} for r in self._records]
-
-    def save_jsonl(self, path: str) -> int:
-        """Write one JSON object per record to ``path``; returns the
-        record count. Keys are sorted so two same-seed runs produce
-        byte-identical files. The format loads cleanly into pandas/jq."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as handle:
-            for row in self.to_dicts():
-                handle.write(json.dumps(row, sort_keys=True, default=str)
-                             + "\n")
-        return len(self._records)

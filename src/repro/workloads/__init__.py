@@ -18,7 +18,6 @@ from repro.workloads.base import Workload, WorkloadSpec
 from repro.workloads.generators import (
     HeterogeneousWorkload,
     SyntheticWorkload,
-    chain_workload,
 )
 from repro.workloads.kmeans import KMeansWorkload
 from repro.workloads.pagerank import PageRankWorkload
@@ -41,6 +40,5 @@ __all__ = [
     "WORKLOADS",
     "Workload",
     "WorkloadSpec",
-    "chain_workload",
     "make_workload",
 ]

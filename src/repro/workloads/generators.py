@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.spark.rdd import RDD, RDDBuilder
 from repro.workloads.base import Workload, WorkloadSpec
@@ -111,33 +110,3 @@ class HeterogeneousWorkload(Workload):
         b = RDDBuilder()
         return b.shuffle(source, f"{self.label}-collect", partitions=1,
                          shuffle_bytes=64.0 * n, compute_seconds=0.01)
-
-
-def chain_workload(stage_core_seconds: Sequence[float],
-                   stage_shuffle_bytes: Sequence[float],
-                   parallelism_hint: int = 16,
-                   label: str = "chain") -> SyntheticWorkload:
-    """Build a non-uniform chain: stage i contributes
-    ``stage_core_seconds[i]`` of compute; boundary i moves
-    ``stage_shuffle_bytes[i]`` bytes. Convenience for ad-hoc DAGs."""
-    if len(stage_shuffle_bytes) != len(stage_core_seconds) - 1:
-        raise ValueError("need exactly one shuffle volume per boundary "
-                         "(stages - 1)")
-
-    class _Chain(SyntheticWorkload):
-        def build(self, parallelism: int):
-            b = RDDBuilder()
-            current = b.source(
-                f"{label}-0", partitions=parallelism,
-                compute_seconds=stage_core_seconds[0] / parallelism)
-            for i, nbytes in enumerate(stage_shuffle_bytes, start=1):
-                current = b.shuffle(
-                    current, f"{label}-{i}", partitions=parallelism,
-                    shuffle_bytes=nbytes,
-                    compute_seconds=stage_core_seconds[i] / parallelism)
-            return current
-
-    return _Chain(stages=len(stage_core_seconds),
-                  required_cores=parallelism_hint,
-                  available_cores=max(1, parallelism_hint // 4),
-                  label=label)

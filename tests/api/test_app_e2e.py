@@ -1,11 +1,11 @@
-"""End-to-end control-plane tests over the in-process ASGI client.
+"""End-to-end control-plane tests over the in-process test client.
 
-No sockets: the :class:`~repro.api.testclient.TestClient` speaks the
-real ASGI protocol (lifespan, http scopes, SSE streaming) against the
-app :func:`~repro.api.app.create_app` builds. Everything is
-seed-deterministic; the byte-match test pins the tentpole contract that
-a served spec job's results are identical to the same spec run through
-``repro run --json``.
+No sockets: the :class:`~repro.api.testclient.TestClient` calls
+``App.handle`` on the app :func:`~repro.api.app.create_app` builds,
+runs its startup and shutdown hooks, and reads SSE streams to their
+end. Everything is seed-deterministic; the byte-match test pins the
+contract that a served spec job's results are identical to the same
+spec run through ``repro run --json``.
 """
 
 import json

@@ -1,17 +1,21 @@
 """The control plane over a real socket, through the stdlib server.
 
-Every other API test drives the ASGI app in-process; this module runs
-``make_server`` on an ephemeral port and talks HTTP to it, so the bridge
-itself is under test: buffered JSON responses, a blocking ``?wait=``,
-the plain-text ``/metrics`` exposition, and an SSE stream that must end
-(the socket closes) after its last frame. Every request carries a read
-timeout, so a stream that never closes fails the test instead of
-hanging it.
+Every other API test calls ``App.handle`` in-process through the test
+client; this module runs ``make_server`` on an ephemeral port and talks
+HTTP to it, so the server itself is under test: buffered JSON responses
+and error envelopes with a ``Content-Length``, a blocking ``?wait=``,
+the plain-text ``/metrics`` exposition, an SSE stream that must end
+(the socket closes) after its last frame, and an SSE client that drops
+mid-stream. Every request carries a read timeout, so a stream that
+never closes fails the test instead of hanging it. ``make serve-smoke``
+runs the whole module.
 """
 
+import contextlib
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -19,14 +23,18 @@ from repro.api import schemas
 from repro.api.app import create_app
 from repro.api.server import make_server
 from repro.api.service import ServeConfig
+from repro.observability.categories import CAT_SERVE, EV_JOB_QUEUED
+from tests.api.test_admission import _gate, _request as _blocking_job
+
+pytestmark = pytest.mark.smoke
 
 #: Seconds a request may wait on the socket before the test fails.
 READ_TIMEOUT_S = 10.0
 
 
-@pytest.fixture(scope="module")
-def address():
-    app = create_app(ServeConfig(max_concurrent=2, seed=0, pool_cores=4))
+@contextlib.contextmanager
+def _serving(app):
+    """``app`` on an ephemeral port; yields the bound address."""
     server = make_server(app, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -39,14 +47,29 @@ def address():
         thread.join(timeout=5.0)
 
 
-def _request(address, method, path, body=None):
-    """(status, headers, body bytes) of one request, read to EOF."""
+@pytest.fixture(scope="module")
+def app():
+    return create_app(ServeConfig(max_concurrent=2, seed=0, pool_cores=4))
+
+
+@pytest.fixture(scope="module")
+def address(app):
+    with _serving(app) as bound:
+        yield bound
+
+
+def _request(address, method, path, body=None, raw=None):
+    """(status, headers, body bytes) of one request, read to EOF.
+
+    ``body`` is sent as JSON; ``raw`` bytes are sent as they are.
+    """
     host, port = address
     conn = http.client.HTTPConnection(host, port, timeout=READ_TIMEOUT_S)
     try:
-        payload = None if body is None else json.dumps(body)
+        payload = raw if raw is not None else (
+            None if body is None else json.dumps(body))
         headers = ({"Content-Type": "application/json"}
-                   if body is not None else {})
+                   if payload is not None else {})
         conn.request(method, path, body=payload, headers=headers)
         response = conn.getresponse()
         return (response.status,
@@ -99,3 +122,84 @@ def test_sse_stream_ends_after_its_last_frame(address):
     frames = [f for f in body.decode("utf-8").split("\n\n") if f]
     assert len(frames) == 3
     assert all(f.startswith("id: ") for f in frames)
+
+
+def test_dropped_sse_client_releases_its_subscription(app, address):
+    hub = app.runtime.hub
+    for i in range(2):
+        hub.record(float(i), CAT_SERVE, EV_JOB_QUEUED, job=f"drop-{i}")
+    host, port = address
+    conn = http.client.HTTPConnection(host, port, timeout=READ_TIMEOUT_S)
+    conn.request("GET", "/events?replay=2")
+    response = conn.getresponse()
+    assert response.status == 200
+    frames = 0
+    while frames < 2:
+        line = response.readline()
+        assert line, "the stream ended before its second frame"
+        if line == b"\n":
+            frames += 1
+    assert hub.stats()["subscribers"] == 1
+    response.close()
+    conn.close()
+
+    # The server learns of the close only when a write fails, so keep
+    # publishing: the stream must let go of its subscription.
+    deadline = time.monotonic() + READ_TIMEOUT_S
+    n = 2
+    while hub.stats()["subscribers"] > 0:
+        assert time.monotonic() < deadline, \
+            "a dropped SSE client kept its subscription"
+        hub.record(float(n), CAT_SERVE, EV_JOB_QUEUED, job=f"drop-{n}")
+        n += 1
+        time.sleep(0.05)
+
+
+def _assert_error(status, headers, body, want_status, want_code):
+    assert status == want_status
+    assert headers["content-length"] == str(len(body))
+    env = _envelope(body)
+    assert env.kind == schemas.KIND_ERROR
+    assert env.data["code"] == want_code
+    return env.data
+
+
+@pytest.mark.parametrize("method, path, raw, status, code, says", [
+    ("GET", "/no-such-route", None, 404, schemas.ERR_NOT_FOUND,
+     "no route for /no-such-route"),
+    ("GET", "/chaos", None, 405, schemas.ERR_INVALID_REQUEST,
+     "allowed: ['POST']"),
+    ("POST", "/jobs", b"{not json", 400, schemas.ERR_INVALID_REQUEST,
+     "not valid JSON"),
+], ids=["404-unknown-path", "405-wrong-method", "400-non-json"])
+def test_error_envelope(address, method, path, raw, status, code, says):
+    error = _assert_error(*_request(address, method, path, raw=raw),
+                          status, code)
+    assert says in error["message"]
+
+
+def test_backpressure_is_503_with_retry_after():
+    gate = _gate("socket503")
+    app = create_app(ServeConfig(max_concurrent=1, max_queue=1))
+    try:
+        with _serving(app) as address:
+            first, second = [
+                _request(address, "POST", "/jobs",
+                         _blocking_job(seed, "socket503"))
+                for seed in (0, 1)]
+            assert first[0] == second[0] == 202
+
+            status, headers, body = _request(
+                address, "POST", "/jobs", _blocking_job(2, "socket503"))
+            error = _assert_error(status, headers, body,
+                                  503, schemas.ERR_BACKPRESSURE)
+            assert headers["retry-after"] == str(
+                round(error["retry_after_s"]))
+
+            gate.set()
+            job_id = _envelope(first[2]).data["job_id"]
+            status, _, body = _request(address, "GET",
+                                       f"/jobs/{job_id}?wait=30")
+            assert _envelope(body).data["state"] == schemas.JOB_COMPLETED
+    finally:
+        gate.set()

@@ -8,14 +8,14 @@ resumes past the last sequence it saw via ``Last-Event-ID`` (or the
 ``?after=`` query form) with no duplicates and no gaps.
 """
 
-import asyncio
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro.api import schemas
 from repro.api.app import _event_stream, create_app
-from repro.api.asgi import SSEResponse
 from repro.api.service import EventHub, ServeConfig
 from repro.api.testclient import TestClient
 from repro.observability.categories import CAT_SERVE, EV_JOB_QUEUED
@@ -32,46 +32,29 @@ def _publish(hub: EventHub, n: int, t0: float = 0.0) -> None:
 
 def test_mid_stream_disconnect_releases_the_subscription():
     hub = EventHub()
-    serve = SimpleNamespace(hub=hub)
-    response = SSEResponse(_event_stream(
-        serve, replay=0, after_seq=None, category=None, max_events=0,
-        idle_timeout_s=5.0))
+    stream = _event_stream(
+        SimpleNamespace(hub=hub), replay=0, after_seq=None, category=None,
+        max_events=0, idle_timeout_s=5.0)
 
+    # The client reads two live frames; the first next() subscribes.
     frames = []
-    disconnected = asyncio.Event()
+    reader = threading.Thread(
+        target=lambda: frames.extend([next(stream), next(stream)]))
+    reader.start()
+    deadline = time.monotonic() + 5.0
+    while hub.stats()["subscribers"] == 0:
+        assert time.monotonic() < deadline, "the stream never subscribed"
+        time.sleep(0.01)
+    _publish(hub, 2)                # only once the stream is subscribed
+    reader.join(timeout=5.0)
+    assert not reader.is_alive()
+    assert [f.split(b"\n")[0] for f in frames] == [b"id: 1", b"id: 2"]
+    assert hub.stats()["subscribers"] == 1
 
-    async def receive():
-        # The transport's disconnect arrives once the client has seen
-        # two frames mid-stream.
-        await disconnected.wait()
-        return {"type": "http.disconnect"}
-
-    async def send(message):
-        frames.append(message)
-        bodies = [m for m in frames
-                  if m["type"] == "http.response.body" and m.get("body")]
-        if len(bodies) >= 2:
-            disconnected.set()
-
-    async def main():
-        task = asyncio.ensure_future(response.send(receive, send))
-        await asyncio.sleep(0.05)       # let the stream subscribe
-        assert hub.stats()["subscribers"] == 1
-        _publish(hub, 2)                # the frames the client does see
-        await asyncio.sleep(0.05)
-        _publish(hub, 1, t0=10.0)       # wakes the stream post-disconnect
-        await asyncio.wait_for(task, timeout=5.0)
-
-    asyncio.run(main())
-    # The handler noticed the disconnect, stopped streaming, and
-    # released the subscription — nothing leaks past the consumer.
+    # The client goes away mid-stream: both callers of App.handle close
+    # the frame generator then, and that releases the subscription.
+    stream.close()
     assert hub.stats()["subscribers"] == 0
-    bodies = [m for m in frames
-              if m["type"] == "http.response.body" and m.get("body")]
-    assert len(bodies) == 2
-    # No end-of-response frame: the stream was severed, not completed.
-    assert not any(m["type"] == "http.response.body"
-                   and not m.get("more_body", False) for m in frames)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,17 @@ def test_event_log_dicts_envelope_shape():
                      "fields": {"vm": "vm1", "itype": "m4.large"}}]
 
 
+def test_event_log_payload_cannot_clobber_envelope():
+    # A payload field named like an envelope key must survive intact.
+    trace = TraceRecorder()
+    trace.record_packed(2.0, "fault", "recovered",
+                        {"time": 99.0, "name": "victim"})
+    (row,) = event_log_dicts(trace)
+    assert row["time"] == 2.0
+    assert row["name"] == "recovered"
+    assert row["fields"] == {"time": 99.0, "name": "victim"}
+
+
 def test_event_log_roundtrip(tmp_path):
     result = _small_run()
     path = tmp_path / "events.jsonl"

@@ -1,7 +1,10 @@
 """Tests for ``repro report`` rendering and metric precision."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.core.scenarios import run_scenario
 from repro.experiments import ExperimentSpec, read_jsonl, write_jsonl
 from repro.observability.export import event_log_dicts, save_event_log
@@ -82,6 +85,21 @@ def test_render_report_file_autodetects_event_logs(tmp_path, hybrid):
     save_event_log(result.trace, str(path))
     text = render_report_file(str(path))
     assert "event census:" in text
+
+
+def test_report_cli_rejects_a_bare_run_record_row(tmp_path, hybrid):
+    # A pre-envelope row (a bare RunRecord dict) is not read: the CLI
+    # exits with one line that names the envelope format.
+    _spec, _result, record = hybrid
+    path = tmp_path / "bare.jsonl"
+    path.write_text(json.dumps(record.to_dict()) + "\n")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["report", str(path)])
+    message = exc_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"cannot render {path}: ")
+    assert "not a ResponseEnvelope row" in message
+    assert '"kind": "run_record"' in message
 
 
 def test_render_report_file_empty(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simulation import (
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     SimulationError,
@@ -237,21 +236,6 @@ def test_allof_waits_for_all():
     env.process(proc(env))
     env.run()
     assert results == [(3, ["a", "b"])]
-
-
-def test_anyof_fires_on_first():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(10, value="slow")
-        got = yield AnyOf(env, [t1, t2])
-        results.append((env.now, list(got.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert results == [(1, ["fast"])]
 
 
 def test_empty_allof_fires_immediately():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import AllOf, AnyOf, Environment, Interrupt
+from repro.simulation import AllOf, Environment, Interrupt
 
 
 def test_allof_fails_if_any_constituent_fails():
@@ -27,24 +27,27 @@ def test_allof_fails_if_any_constituent_fails():
     assert caught == [(2, "constituent died")]
 
 
-def test_anyof_success_wins_over_later_failure():
+def test_allof_late_failure_after_it_failed_is_defused():
     env = Environment()
-    gate = env.event()
-    results = []
+    first, second = env.event(), env.event()
+    caught = []
 
     def waiter(env):
-        fast = env.timeout(1, value="ok")
-        got = yield AnyOf(env, [fast, gate])
-        results.append(list(got.values()))
+        try:
+            yield AllOf(env, [first, second])
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
 
     def failer(env):
-        yield env.timeout(5)
-        gate.fail(RuntimeError("too late to matter"))
+        yield env.timeout(1)
+        first.fail(ValueError("first"))
+        yield env.timeout(4)
+        second.fail(RuntimeError("too late to matter"))
 
     env.process(waiter(env))
     env.process(failer(env))
     env.run()  # the late failure must not crash the run
-    assert results == [["ok"]]
+    assert caught == [(1, "first")]
 
 
 def test_condition_rejects_cross_environment_events():

@@ -93,15 +93,6 @@ def test_disabled_recorder_drops_records():
     assert len(trace) == 0
 
 
-def test_first_and_last_time():
-    trace = TraceRecorder()
-    trace.record(1.0, "x", "tick")
-    trace.record(5.0, "x", "tick")
-    assert trace.first_time("x", "tick") == 1.0
-    assert trace.last_time("x", "tick") == 5.0
-    assert trace.first_time("x", "missing") is None
-
-
 def test_record_fields_accessible():
     record = TraceRecord(1.0, "cat", "name", {"key": "value"})
     assert record.get("key") == "value"

@@ -1,46 +1,12 @@
-"""Tests for the export utilities (trace JSONL, scenario dicts)."""
+"""Tests for the scenario-result export (``ScenarioResult.to_dict``).
+
+The event-log export is tested in ``tests/observability/test_export.py``.
+"""
 
 import json
 
 from repro.core.scenarios import run_scenario
 from repro.experiments.spec import ExperimentSpec
-from repro.simulation import TraceRecorder
-
-
-def test_trace_to_dicts():
-    trace = TraceRecorder()
-    trace.record(1.5, "vm", "launch", vm="a", itype="m4.large")
-    rows = trace.to_dicts()
-    assert rows == [{"time": 1.5, "category": "vm", "name": "launch",
-                     "fields": {"vm": "a", "itype": "m4.large"}}]
-
-
-def test_trace_to_dicts_payload_cannot_clobber_envelope():
-    # A payload field named like an envelope key must survive intact.
-    from repro.simulation import TraceRecord
-
-    trace = TraceRecorder()
-    trace._records.append(TraceRecord(
-        2.0, "fault", "recovered", {"time": 99.0, "name": "victim"}))
-    (row,) = trace.to_dicts()
-    assert row["time"] == 2.0
-    assert row["name"] == "recovered"
-    assert row["fields"] == {"time": 99.0, "name": "victim"}
-
-
-def test_trace_save_jsonl_roundtrip(tmp_path):
-    result = run_scenario(ExperimentSpec("sparkpi", "ss_R_la"),
-                          keep_trace=True)
-    path = tmp_path / "trace.jsonl"
-    count = result.trace.save_jsonl(str(path))
-    assert count == len(result.trace)
-    lines = path.read_text().splitlines()
-    assert len(lines) == count
-    parsed = [json.loads(line) for line in lines]
-    assert all("time" in row and "category" in row for row in parsed)
-    # Times are in emission (and therefore chronological) order.
-    times = [row["time"] for row in parsed]
-    assert times == sorted(times)
 
 
 def test_scenario_result_to_dict_is_json_serializable():
