@@ -16,7 +16,8 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # One tiny ExperimentSpec per ported bench file, straight through the
-# ExperimentRunner — smoke-tests the figure suite in well under a minute.
+# ExperimentRunner, plus the ablation benches small enough to run whole
+# — smoke-tests the figure and ablation suite in well under a minute.
 bench-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/ -m smoke -q
 

@@ -13,13 +13,12 @@ and adds the standing cost of keeping the standbys up around the clock,
 which Lambdas do not pay.
 """
 
+import pytest
+
 from repro.analysis.reporting import format_table
-from repro.cloud import CloudProvider
 from repro.cloud.burstable import BURSTABLE_CATALOGUE, BurstableVM
-from repro.cloud.constants import SECONDS_PER_HOUR
-from repro.cloud.pricing import BillingMeter
+from repro.cluster.runtime import ClusterRuntime
 from repro.core import SplitServe
-from repro.simulation import Environment, RandomStreams
 from repro.workloads import SyntheticWorkload
 from benchmarks.conftest import run_once
 
@@ -32,39 +31,37 @@ STANDBY_COUNT = 6
 
 
 def _base_cluster(seed=0):
-    env = Environment()
-    rng = RandomStreams(seed)
-    provider = CloudProvider(env, rng)
+    runtime = ClusterRuntime(seed)
+    provider = runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
     master.allocate_cores(master.itype.vcpus)
-    ss = SplitServe(env, provider, rng, master_vm=master)
+    ss = SplitServe(runtime.env, provider, runtime.rng, master_vm=master)
     worker = provider.request_vm("m4.4xlarge", already_running=True)
     worker.allocate_cores(worker.itype.vcpus - 4)
-    return env, provider, ss
+    return runtime, ss
 
 
 def run_splitserve(seed=0):
-    env, provider, ss = _base_cluster(seed)
+    runtime, ss = _base_cluster(seed)
     workload = SyntheticWorkload(**WORKLOAD)
-    result = ss.run_job(workload.build(16), required_cores=16,
-                        max_vm_cores=4)
-    return result.duration, provider.meter.breakdown().get("lambda", 0.0)
+    result = ss.run_job(workload.build(runtime.lineage, 16),
+                        required_cores=16, max_vm_cores=4)
+    return result.duration, runtime.meter.breakdown().get("lambda", 0.0)
 
 
 def run_burscale(credits, seed=0):
-    env, provider, ss = _base_cluster(seed)
-    standbys = []
+    runtime, ss = _base_cluster(seed)
     for i in range(STANDBY_COUNT):
-        vm = BurstableVM.launch(env, f"standby-{i}", "t2.large",
-                                provider.rng, already_running=True,
+        vm = BurstableVM.launch(runtime.env, f"standby-{i}", "t2.large",
+                                runtime.rng, already_running=True,
                                 initial_credits=credits)
-        provider.vms.append(vm)
-        standbys.append(vm)
+        runtime.provider.vms.append(vm)
     workload = SyntheticWorkload(**WORKLOAD)
     # The launching facility naturally picks up the standby cores — no
     # Lambdas needed (max_vm_cores unrestricted).
-    result = ss.run_job(workload.build(16), required_cores=16)
+    result = ss.run_job(workload.build(runtime.lineage, 16),
+                        required_cores=16)
     # Standby economics: the pool exists around the clock; amortize one
     # hour of standby against this job.
     itype, _spec = BURSTABLE_CATALOGUE["t2.large"]
@@ -83,6 +80,7 @@ def run_all():
     }
 
 
+@pytest.mark.smoke
 def test_ablation_burstable_bridging(benchmark, emit):
     results = run_once(benchmark, run_all)
     rows = [[name, f"{t:.1f}", f"${c:.4f}"]

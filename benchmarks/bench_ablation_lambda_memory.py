@@ -7,10 +7,12 @@ shuffle job shows the paper's implicit choice of 1536 MB (one full vCPU)
 as the efficient operating point.
 """
 
+import pytest
+
 from repro.analysis.reporting import format_table
-from repro.cloud import CloudProvider, LambdaConfig
-from repro.cloud.pricing import BillingMeter
-from repro.simulation import Environment, RandomStreams
+from repro.cloud import LambdaConfig
+from repro.cluster.pool import invoke_lambda_executors
+from repro.cluster.runtime import ClusterRuntime
 from repro.spark import SparkConf, SparkDriver
 from repro.spark.shuffle import ExternalShuffleBackend
 from repro.storage import HDFS
@@ -25,38 +27,30 @@ WORKLOAD = dict(stages=3, core_seconds_per_stage=160.0,
 
 
 def run_memory(memory_mb: int, seed: int = 0):
-    env = Environment()
-    rng = RandomStreams(seed)
-    meter = BillingMeter()
-    provider = CloudProvider(env, rng, meter=meter)
+    runtime = ClusterRuntime(seed)
+    env, provider = runtime.env, runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
-    hdfs = HDFS(env, [master], rng, meter)
-    driver = SparkDriver(env, SparkConf(), rng,
+    hdfs = HDFS(env, [master], runtime.rng, runtime.meter)
+    driver = SparkDriver(env, SparkConf(), runtime.rng,
                          ExternalShuffleBackend(hdfs))
     lambdas = []
-    for _ in range(16):
-        fn = provider.invoke_lambda(LambdaConfig(memory_mb=memory_mb))
-        lambdas.append(fn)
-
-        def attach(env, fn=fn):
-            yield fn.ready
-            driver.add_lambda_executor(fn)
-
-        env.process(attach(env))
+    invoke_lambda_executors(runtime, driver, 16, lambdas,
+                            LambdaConfig(memory_mb=memory_mb))
     workload = SyntheticWorkload(**WORKLOAD)
-    job = driver.submit(workload.build(16))
+    job = driver.submit(workload.build(runtime.lineage, 16))
     env.run(until=job.done)
     for fn in lambdas:
         provider.release_lambda(fn)
         provider.bill_lambda_usage(fn)
-    return job.duration, meter.total()
+    return job.duration, runtime.meter.total()
 
 
 def run_sweep():
     return {mb: run_memory(mb) for mb in MEMORY_SWEEP_MB}
 
 
+@pytest.mark.smoke
 def test_ablation_lambda_memory(benchmark, emit):
     results = run_once(benchmark, run_sweep)
     rows = [[f"{mb} MB", f"{t:.1f}", f"${c:.4f}"]

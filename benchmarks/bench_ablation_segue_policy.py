@@ -22,10 +22,9 @@ below, keeping each (policy, knob) point declarative and fan-out-able.
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.cloud import CloudProvider
+from repro.cluster.runtime import ClusterRuntime
 from repro.core import SplitServe
 from repro.experiments import ExperimentRunner, ExperimentSpec
-from repro.simulation import Environment, RandomStreams
 from repro.spark import HostKind
 from repro.workloads import SyntheticWorkload
 from benchmarks.conftest import run_once
@@ -40,22 +39,23 @@ TIMEOUT_KNOB = f"{_HERE}:timeout_experiment"
 
 
 def build_ss(seed=0, conf=None, worker_cores=2):
-    env = Environment()
-    rng = RandomStreams(seed)
-    provider = CloudProvider(env, rng)
+    runtime = ClusterRuntime(seed)
+    provider = runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
     master.allocate_cores(master.itype.vcpus)
-    ss = SplitServe(env, provider, rng, conf=conf, master_vm=master)
+    ss = SplitServe(runtime.env, provider, runtime.rng, conf=conf,
+                    master_vm=master)
     worker = provider.request_vm("m4.4xlarge", already_running=True)
     worker.allocate_cores(worker.itype.vcpus - worker_cores)
-    return env, provider, ss
+    return runtime, ss
 
 
-def _submit(ss, spec):
+def _submit(runtime, ss, spec):
     workload = SyntheticWorkload(**dict(spec.workload_params))
     wspec = workload.spec
-    return ss.submit_job(workload.build(wspec.required_cores),
+    return ss.submit_job(workload.build(runtime.lineage,
+                                        wspec.required_cores),
                          required_cores=wspec.required_cores,
                          max_vm_cores=wspec.available_cores), workload
 
@@ -65,8 +65,9 @@ def decommission_experiment(spec):
     ``extra["at_s"]`` and measure the recovery penalty."""
     params = dict(spec.extra)
     graceful, at_s = bool(params["graceful"]), float(params["at_s"])
-    env, provider, ss = build_ss(seed=spec.seed, conf=spec.conf())
-    run, workload = _submit(ss, spec)
+    runtime, ss = build_ss(seed=spec.seed, conf=spec.conf())
+    env, meter = runtime.env, runtime.meter
+    run, workload = _submit(runtime, ss, spec)
 
     def decommission(env):
         yield env.timeout(at_s)
@@ -79,22 +80,22 @@ def decommission_experiment(spec):
     ss.finish_run(run)
     return {"workload": workload.name,
             "duration_s": run.job.duration,
-            "cost": provider.meter.total(),
-            "cost_breakdown": provider.meter.breakdown(),
+            "cost": meter.total(),
+            "cost_breakdown": meter.breakdown(),
             "metrics": {"failed_tasks": len(run.job.failed_attempts)}}
 
 
 def timeout_experiment(spec):
     """Custom experiment: one spark.lambda.executor.timeout setting
     (carried in the spec's conf_overrides)."""
-    env, provider, ss = build_ss(seed=spec.seed, conf=spec.conf())
-    run, workload = _submit(ss, spec)
-    env.run(until=run.job.done)
+    runtime, ss = build_ss(seed=spec.seed, conf=spec.conf())
+    run, workload = _submit(runtime, ss, spec)
+    runtime.env.run(until=run.job.done)
     ss.finish_run(run)
-    breakdown = provider.meter.breakdown()
+    breakdown = runtime.meter.breakdown()
     return {"workload": workload.name,
             "duration_s": run.job.duration,
-            "cost": provider.meter.total(),
+            "cost": runtime.meter.total(),
             "cost_breakdown": breakdown,
             "metrics": {"lambda_cost": breakdown.get("lambda", 0.0)}}
 

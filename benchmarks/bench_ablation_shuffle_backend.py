@@ -19,9 +19,8 @@ fees on the read path.
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.cloud import CloudProvider
-from repro.cloud.pricing import BillingMeter
-from repro.simulation import Environment, RandomStreams
+from repro.cluster.pool import invoke_lambda_executors
+from repro.cluster.runtime import ClusterRuntime
 from repro.spark import SparkConf, SparkDriver
 from repro.spark.shuffle import ExternalShuffleBackend
 from repro.storage import HDFS, S3, RedisStore, SQSQueue
@@ -35,10 +34,9 @@ WORKLOAD = dict(stages=4, core_seconds_per_stage=160.0,
 
 
 def run_with_backend(backend_name: str, seed: int = 0):
-    env = Environment()
-    rng = RandomStreams(seed)
-    meter = BillingMeter()
-    provider = CloudProvider(env, rng, meter=meter)
+    runtime = ClusterRuntime(seed)
+    env, rng, meter = runtime.env, runtime.rng, runtime.meter
+    provider = runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
     redis = None
@@ -77,16 +75,8 @@ def run_with_backend(backend_name: str, seed: int = 0):
     for _ in range(4):
         driver.add_vm_executor(worker)
     lambdas = []
-    for _ in range(12):
-        fn = provider.invoke_lambda()
-        lambdas.append(fn)
-
-        def attach(env, fn=fn):
-            yield fn.ready
-            driver.add_lambda_executor(fn)
-
-        env.process(attach(env))
-    job = driver.submit(workload.build(16))
+    invoke_lambda_executors(runtime, driver, 12, lambdas)
+    job = driver.submit(workload.build(runtime.lineage, 16))
     env.run(until=job.done)
     end = env.now
     meter.bill_vm("worker", worker.itype, 0.0, end, 4 / worker.itype.vcpus)
@@ -103,6 +93,7 @@ def run_ablation():
             for name in ("hdfs", "s3", "s3-2019", "sqs", "redis")}
 
 
+@pytest.mark.smoke
 def test_ablation_shuffle_backend(benchmark, emit):
     results = run_once(benchmark, run_ablation)
     rows = []

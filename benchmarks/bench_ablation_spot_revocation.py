@@ -36,7 +36,7 @@ def run_one(backend: str, revoke_at: float, seed: int = 2):
         stages=2, core_seconds_per_stage=80.0,
         shuffle_bytes_per_boundary=64 * 1024 * 1024,
         required_cores=4, available_cores=4)
-    job = cluster.driver.submit(workload.build(4))
+    job = cluster.driver.submit(workload.build(cluster.builder, 4))
     cluster.env.run(until=job.done)
     map_runs = sum(1 for a in job.task_attempts if a.spec.is_shuffle_map)
     return job.duration, map_runs

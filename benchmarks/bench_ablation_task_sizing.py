@@ -13,9 +13,12 @@ and (b) tasks sized to each executor kind's throughput, where everyone
 finishes together.
 """
 
+import pytest
+
 from repro.analysis.reporting import format_table
-from repro.cloud import CloudProvider, LambdaConfig
-from repro.simulation import Environment, RandomStreams
+from repro.cloud import LambdaConfig
+from repro.cluster.pool import invoke_lambda_executors
+from repro.cluster.runtime import ClusterRuntime
 from repro.spark import SparkConf, SparkDriver
 from repro.spark.shuffle import ExternalShuffleBackend
 from repro.storage import HDFS
@@ -29,30 +32,24 @@ TOTAL_CORE_SECONDS = 640.0
 
 
 def run_variant(uniform: bool, seed: int = 0) -> float:
-    env = Environment()
-    rng = RandomStreams(seed)
-    provider = CloudProvider(env, rng)
+    runtime = ClusterRuntime(seed)
+    env, provider = runtime.env, runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
-    hdfs = HDFS(env, [master], rng)
+    hdfs = HDFS(env, [master], runtime.rng)
     conf = SparkConf({"spark.sim.task.jitter": 0.0})
-    driver = SparkDriver(env, conf, rng, ExternalShuffleBackend(hdfs))
+    driver = SparkDriver(env, conf, runtime.rng, ExternalShuffleBackend(hdfs))
     worker = provider.request_vm("m4.4xlarge", already_running=True)
     for _ in range(VM_SLOTS):
         driver.add_vm_executor(worker)
-    for _ in range(LAMBDA_SLOTS):
-        fn = provider.invoke_lambda(LambdaConfig(memory_mb=LAMBDA_MEMORY_MB))
-
-        def attach(env, fn=fn):
-            yield fn.ready
-            driver.add_lambda_executor(fn)
-
-        env.process(attach(env))
+    invoke_lambda_executors(runtime, driver, LAMBDA_SLOTS, [],
+                            LambdaConfig(memory_mb=LAMBDA_MEMORY_MB))
     workload = HeterogeneousWorkload(
         total_core_seconds=TOTAL_CORE_SECONDS,
         vm_tasks=VM_SLOTS, lambda_tasks=LAMBDA_SLOTS,
         lambda_speed=LAMBDA_MEMORY_MB / 1536.0, uniform=uniform)
-    job = driver.submit(workload.build(VM_SLOTS + LAMBDA_SLOTS))
+    job = driver.submit(workload.build(runtime.lineage,
+                                       VM_SLOTS + LAMBDA_SLOTS))
     env.run(until=job.done)
     return job.duration
 
@@ -62,6 +59,7 @@ def run_both():
             "kind-sized tasks": run_variant(False)}
 
 
+@pytest.mark.smoke
 def test_ablation_task_sizing(benchmark, emit):
     results = run_once(benchmark, run_both)
     uniform, sized = (results["uniform tasks"],

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.cloud.instance_types import fewest_instances_for_cores
+from repro.cluster.pool import add_executors_on_vms, invoke_lambda_executors
 from repro.cluster.runtime import ClusterRuntime
 from repro.spark.application import SparkDriver
 from repro.spark.config import SparkConf
@@ -58,16 +59,8 @@ def _profile_lambda(workload: Workload, parallelism: int, seed: int,
 
     driver.task_scheduler.input_reader = read_input
     lambdas = []
-    for _ in range(parallelism):
-        fn = provider.invoke_lambda()
-        lambdas.append(fn)
-
-        def attach(env, fn=fn):
-            yield fn.ready
-            driver.add_lambda_executor(fn)
-
-        env.process(attach(env))
-    job = driver.submit(workload.build(parallelism))
+    invoke_lambda_executors(runtime, driver, parallelism, lambdas)
+    job = driver.submit(workload.build(runtime.lineage, parallelism))
     env.run(until=job.done)
     for fn in lambdas:
         provider.release_lambda(fn)
@@ -82,18 +75,12 @@ def _profile_vm(workload: Workload, parallelism: int, seed: int,
     env, provider = runtime.env, runtime.provider
     conf = conf if conf is not None else SparkConf()
     driver = SparkDriver(env, conf, runtime.rng, LocalShuffleBackend())
-    vms = []
-    remaining = parallelism
     # §5.1: "the fewest number of instances that provide the required
     # number of cores to minimize the inter-VM communication overhead".
-    for itype in fewest_instances_for_cores(parallelism):
-        vm = provider.request_vm(itype, already_running=True)
-        vms.append(vm)
-        take = min(remaining, itype.vcpus)
-        remaining -= take
-        for _ in range(take):
-            driver.add_vm_executor(vm)
-    job = driver.submit(workload.build(parallelism))
+    vms = [provider.request_vm(itype, already_running=True)
+           for itype in fewest_instances_for_cores(parallelism)]
+    add_executors_on_vms(driver, vms, parallelism)
+    job = driver.submit(workload.build(runtime.lineage, parallelism))
     env.run(until=job.done)
     end = env.now
     for vm in vms:

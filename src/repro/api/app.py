@@ -24,7 +24,8 @@ control-plane contract:
   the stream with the last N buffered events, a ``Last-Event-ID``
   header or ``?after=SEQ`` resumes a broken stream past the last seen
   sequence, ``?max_events=N`` / ``?idle_timeout_s=S`` bound the
-  stream, for curl and tests);
+  stream, for curl and tests; a ``: keepalive`` comment goes out after
+  each second without a frame);
 - ``GET  /healthz``    — liveness (the process is up; always 200 while
   serving);
 - ``GET  /readyz``     — readiness (driver thread alive, queue below
@@ -47,6 +48,7 @@ control-plane contract:
 from __future__ import annotations
 
 import queue
+import time
 from typing import Any, Dict, Generator, Optional
 
 from repro.api import schemas
@@ -67,6 +69,10 @@ from repro.api.web import (
 )
 
 __all__ = ["create_app"]
+
+#: SSE comment frame (clients ignore it); see :func:`_event_stream`.
+KEEPALIVE_FRAME = b": keepalive\n\n"
+KEEPALIVE_S = 1.0
 
 
 def _float_param(request: Request, name: str,
@@ -279,8 +285,11 @@ def _event_stream(serve: ServeRuntime, replay: int,
     """SSE frames off the hub: replayed ring items, then live events.
 
     Subscribes on the first ``next()``. Bounded by ``max_events``
-    (0 = unbounded) and by ``idle_timeout_s`` of silence, so a curl
-    without ``--max-time`` still terminates; closing the generator
+    (0 = unbounded) and by ``idle_timeout_s`` with no event frame
+    written (filtered-out events do not count), so a curl without
+    ``--max-time`` still terminates. Each ``KEEPALIVE_S`` without a
+    frame writes :data:`KEEPALIVE_FRAME`, so a client that went away is
+    found by a failed write even on a quiet hub; closing the generator
     early releases the subscription.
     """
     sub, backlog = serve.hub.subscribe(replay=replay, after_seq=after_seq)
@@ -293,21 +302,23 @@ def _event_stream(serve: ServeRuntime, replay: int,
             sent += 1
             if max_events and sent >= max_events:
                 return
-        idle = 0.0
         poll_s = 0.1
-        while idle < idle_timeout_s:
+        last_event = last_frame = time.perf_counter()
+        while time.perf_counter() - last_event < idle_timeout_s:
             try:
                 item = sub.get(timeout=poll_s)
             except queue.Empty:
-                idle += poll_s
-                continue
-            idle = 0.0
-            if category and item["category"] != category:
-                continue
-            yield _frame(item)
-            sent += 1
-            if max_events and sent >= max_events:
-                return
+                item = None
+            if item is not None and (not category
+                                     or item["category"] == category):
+                yield _frame(item)
+                sent += 1
+                if max_events and sent >= max_events:
+                    return
+                last_event = last_frame = time.perf_counter()
+            elif time.perf_counter() - last_frame >= KEEPALIVE_S:
+                yield KEEPALIVE_FRAME
+                last_frame = time.perf_counter()
     finally:
         serve.hub.unsubscribe(sub)
 

@@ -9,7 +9,8 @@
 as it comes, under ``Connection: close`` (HTTP/1.0), so the socket
 closing is how a client sees the stream end. When a write fails the
 client is gone, and the handler closes the frame generator, which
-releases its subscription.
+releases its subscription; a quiet stream writes a keepalive comment
+each second, so that write comes even when no event does.
 """
 
 from __future__ import annotations

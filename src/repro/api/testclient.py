@@ -49,12 +49,13 @@ class TestResponse:
 
     def sse_events(self) -> List[Dict[str, Any]]:
         """Parse a ``text/event-stream`` body into event dicts with
-        ``id``/``event`` strings and JSON-decoded ``data``."""
+        ``id``/``event`` strings and JSON-decoded ``data``; comment
+        lines (``: keepalive``) are skipped."""
         events = []
         for block in self.text.split("\n\n"):
             fields: Dict[str, List[str]] = {}
             for line in block.splitlines():
-                if ":" not in line:
+                if ":" not in line or line.startswith(":"):
                     continue
                 key, _, value = line.partition(":")
                 fields.setdefault(key.strip(), []).append(value.lstrip())

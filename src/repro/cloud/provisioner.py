@@ -9,7 +9,8 @@ It owns:
   warm (the paper's experiments run against a warmed pool; cold-start
   behaviour is reproducible by draining the pool);
 - the :class:`~repro.cloud.pricing.BillingMeter` for marginal-cost
-  accounting.
+  accounting, and the run's metrics registry, both handed in by the
+  world that owns them (:class:`~repro.cluster.runtime.ClusterRuntime`).
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from repro.cloud.lambda_fn import (
     LambdaInstance,
     LambdaThrottledError,
 )
-from repro.cloud.pricing import BillingMeter
 from repro.cloud.vm import VirtualMachine
 from repro.observability.categories import (
     CAT_PROVIDER,
     EV_LAMBDA_INVOKE_FAILED,
     EV_LAMBDA_THROTTLED,
 )
-from repro.observability.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cloud.pricing import BillingMeter
+    from repro.observability.metrics import MetricsRegistry
     from repro.simulation.kernel import Environment
     from repro.simulation.rng import RandomStreams
     from repro.simulation.tracing import TraceRecorder
@@ -46,18 +47,18 @@ class CloudProvider:
         self,
         env: "Environment",
         rng: "RandomStreams",
+        meter: "BillingMeter",
+        metrics: "MetricsRegistry",
         trace: Optional["TraceRecorder"] = None,
-        meter: Optional[BillingMeter] = None,
         warm_pool_size: int = 10_000,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.rng = rng
         self.trace = trace
-        self.meter = meter if meter is not None else BillingMeter()
-        #: ``cloud.*`` counters land here; scenario runtimes pass their
-        #: per-run registry so the counts reach RunRecord.metrics.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.meter = meter
+        #: ``cloud.*`` counters land here, so the counts reach
+        #: RunRecord.metrics.
+        self.metrics = metrics
         self.vms: List[VirtualMachine] = []
         self.lambdas: List[LambdaInstance] = []
         #: memory_mb -> list of sim-times at which a container went idle;

@@ -163,7 +163,8 @@ class AppManager:
                              app_id=app.app_id)
         driver.dag_scheduler.schedulable = app
         app.driver = driver
-        app.job = driver.submit(app.workload.build(app.parallelism))
+        app.job = driver.submit(app.workload.build(self.runtime.lineage,
+                                                   app.parallelism))
         env.process(self._watch(app))
 
     def _enforce_split(self, app: ClusterApp) -> None:

@@ -1,11 +1,10 @@
 """The executor-pool layer: one home for executor-attachment plumbing.
 
-Before this package, every scenario in ``core/scenarios.py`` carried its
-own copy of the VM-attach loop and the ``attach(env, vm=vm, take=take)``
-/ segue / Lambda-respawn closures. They live here now, shared by the
-thin scenario configurations and by :class:`ExecutorPool` — the
-cluster-owned capacity that concurrently admitted applications share
-through a :class:`~repro.cluster.pools.PooledTaskScheduler`.
+The VM-attach loop, background scale-out, the invoke-then-attach Lambda
+step and Qubole's Lambda respawn, shared by the scenarios, profiling,
+the stream simulators, the ablation benches and :class:`ExecutorPool` —
+the cluster-owned capacity that concurrently admitted applications
+share through a :class:`~repro.cluster.pools.PooledTaskScheduler`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from repro.spark.shuffle import LocalShuffleBackend
 from repro.spark.task_scheduler import SchedulerListener
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cloud.lambda_fn import LambdaInstance
+    from repro.cloud.lambda_fn import LambdaConfig, LambdaInstance
     from repro.cloud.vm import VirtualMachine
     from repro.cluster.pools import SchedulerPools
     from repro.cluster.runtime import ClusterRuntime
@@ -44,10 +43,10 @@ def add_executors_on_vms(target, vms, cores: int) -> List[Executor]:
     return executors
 
 
-def _attach_when_ready(vm: "VirtualMachine", take: int,
-                       on_ready: Callable[["VirtualMachine", int], None]):
-    yield vm.ready
-    on_ready(vm, take)
+def _once_ready(instance, then: Callable, *args):
+    """Process body: wait for a VM or Lambda to be usable, then act."""
+    yield instance.ready
+    then(*args)
 
 
 def request_cores(runtime: "ClusterRuntime", cores: int,
@@ -64,7 +63,7 @@ def request_cores(runtime: "ClusterRuntime", cores: int,
         vms_out.append(vm)
         take = min(remaining, itype.vcpus)
         remaining -= take
-        runtime.env.process(_attach_when_ready(vm, take, on_ready))
+        runtime.env.process(_once_ready(vm, on_ready, vm, take))
 
 
 def scale_out_after(runtime: "ClusterRuntime", detect_delay: Optional[float],
@@ -83,6 +82,26 @@ def scale_out_after(runtime: "ClusterRuntime", detect_delay: Optional[float],
         request_cores(runtime, cores, boot_delay, on_ready, vms_out)
 
     runtime.env.process(scale_out(runtime.env))
+
+
+def invoke_lambda_executors(runtime: "ClusterRuntime", target, count: int,
+                            lambdas: List["LambdaInstance"],
+                            config: Optional["LambdaConfig"] = None) -> int:
+    """Invoke ``count`` Lambda containers, appending each to ``lambdas``;
+    each registers an executor with ``target`` (anything with
+    ``add_lambda_executor``) once warm. A throttled or failed invocation
+    drops its slot; returns how many were dropped."""
+    from repro.cloud.lambda_fn import LambdaInvokeError
+    failed = 0
+    for _ in range(count):
+        try:
+            fn = runtime.provider.invoke_lambda(config)
+        except LambdaInvokeError:
+            failed += 1
+            continue
+        lambdas.append(fn)
+        runtime.env.process(_once_ready(fn, target.add_lambda_executor, fn))
+    return failed
 
 
 def attach_lambda_with_respawn(runtime: "ClusterRuntime", driver,
@@ -195,22 +214,10 @@ class ExecutorPool(SchedulerListener):
         add_executors_on_vms(self.factory, vms, cores)
 
     def invoke_lambda_executors(self, count: int) -> None:
-        """Invoke ``count`` Lambda containers; each registers an
-        executor when warm. Throttled invocations are counted and the
-        slot is dropped (the pool degrades to fewer executors)."""
-        from repro.cloud.lambda_fn import LambdaInvokeError
-        for _ in range(count):
-            try:
-                fn = self.runtime.provider.invoke_lambda()
-            except LambdaInvokeError:
-                self.failed_invocations += 1
-                continue
-            self.lambdas.append(fn)
-            self.runtime.env.process(self._attach_lambda(fn))
-
-    def _attach_lambda(self, fn: "LambdaInstance"):
-        yield fn.ready
-        self.factory.add_lambda_executor(fn)
+        """:func:`invoke_lambda_executors` onto the pool, counting the
+        dropped slots (the pool degrades to fewer executors)."""
+        self.failed_invocations += invoke_lambda_executors(
+            self.runtime, self.factory, count, self.lambdas)
 
     def segue_to_vms(self, cores: int, boot_delay_s: float) -> None:
         """Procure ``cores`` of VM capacity in the background; as each

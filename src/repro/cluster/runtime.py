@@ -1,21 +1,23 @@
-"""The cluster runtime: one object owning a simulated cluster's shared
-state for its whole lifetime.
+"""The cluster runtime: one object owning a simulated world's state for
+its whole lifetime.
 
-Extracted from ``scenarios._Runtime`` so that the same plumbing can back
-both a single §5.1 scenario run and a long-lived multi-application
-cluster (admission queue + scheduler pools). Construction order is load-
-bearing: the Environment, RandomStreams, bus subscribers, meter, and
-provider must come up in exactly this sequence for fixed-seed runs to
-stay byte-identical with the pre-refactor scenario driver.
+The same plumbing backs a single §5.1 scenario run, a long-lived
+multi-application cluster (admission queue + scheduler pools), the
+stream simulators, profiling, and the ablation benches. Construction
+order is load-bearing: the Environment, RandomStreams, bus subscribers,
+meter, and provider must come up in exactly this sequence for fixed-seed
+runs to stay byte-identical.
 
-This module is the only place in the codebase allowed to construct an
-:class:`~repro.simulation.Environment` or
-:class:`~repro.cloud.pricing.BillingMeter` directly (enforced by an AST
-lint test); everything else receives them through a ClusterRuntime.
+This module is the only place allowed to construct a world's
+``Environment``, ``RandomStreams``, ``BillingMeter``,
+``MetricsRegistry``, ``CloudProvider`` and ``RDDBuilder`` (enforced by
+an AST lint test); everything else receives them through a
+ClusterRuntime, so a run never depends on what ran before it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.cloud.instance_types import instance_type
@@ -26,16 +28,18 @@ from repro.observability.instrumentation import MetricsListener
 from repro.observability.metrics import MetricsRegistry
 from repro.simulation import Environment, RandomStreams, TraceRecorder
 from repro.simulation.faults import FaultPlan, FaultsInput
+from repro.spark.rdd import RDDBuilder
 
 
 class ClusterRuntime:
     """Shared plumbing for one simulated cluster.
 
     Owns the pieces every component needs a handle on — the event
-    kernel, seeded random streams, the provider, billing, telemetry —
-    and the marginal-cost billing helpers of §5.1. Scenario runs build
-    one per execution; the multi-application cluster keeps one alive
-    across many admitted jobs.
+    kernel, seeded random streams, the provider, billing, telemetry, the
+    lineage builder that numbers RDDs and shuffles — and the
+    marginal-cost billing helpers of §5.1. Scenario runs build one per
+    execution; the multi-application cluster keeps one alive across
+    many admitted jobs, whose lineages all come from its one builder.
     """
 
     def __init__(self, seed: int, trace_enabled: bool = False,
@@ -53,9 +57,10 @@ class ClusterRuntime:
         self.bus.subscribe(self.listener)
         self.trace = self.bus
         self.meter = BillingMeter()
-        self.provider = CloudProvider(self.env, self.rng, trace=self.bus,
-                                      meter=self.meter,
-                                      metrics=self.metrics)
+        self.provider = CloudProvider(self.env, self.rng, self.meter,
+                                      self.metrics, trace=self.bus)
+        #: Mints every RDD and shuffle id of this world's jobs.
+        self.lineage = RDDBuilder()
         self.fault_plan = FaultPlan.coerce(faults)
         self.injector = None
         self.recovery = None
@@ -81,14 +86,9 @@ class ClusterRuntime:
 
     def provision_worker_cores(self, cores: int, itype_name: str) -> List:
         """Pre-provisioned (already running) capacity holding ``cores``."""
-        vms = []
-        remaining = cores
         itype = instance_type(itype_name)
-        while remaining > 0:
-            vm = self.provider.request_vm(itype, already_running=True)
-            vms.append(vm)
-            remaining -= itype.vcpus
-        return vms
+        return [self.provider.request_vm(itype, already_running=True)
+                for _ in range(math.ceil(cores / itype.vcpus))]
 
     def bill_shared_cores(self, vm, cores_used: int, start: float,
                           end: float) -> None:

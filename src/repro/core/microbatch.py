@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.cloud.lambda_fn import LambdaConfig
+from repro.cluster.pool import invoke_lambda_executors
 from repro.cluster.runtime import ClusterRuntime
 from repro.spark.application import SparkDriver
 from repro.spark.config import SparkConf
-from repro.spark.rdd import RDD, RDDBuilder
+from repro.spark.rdd import RDD
 from repro.spark.shuffle import ExternalShuffleBackend
 from repro.storage import HDFS
 
@@ -113,7 +113,7 @@ class MicroBatchSimulator:
         self.batch_interval_s = batch_interval_s
         self.bridge = bridge
 
-        runtime = ClusterRuntime(seed)
+        runtime = self._runtime = ClusterRuntime(seed)
         self.env, self.rng = runtime.env, runtime.rng
         self.meter, self.provider = runtime.meter, runtime.provider
         master = self.provider.request_vm("m4.xlarge", name="master",
@@ -129,7 +129,7 @@ class MicroBatchSimulator:
     # ------------------------------------------------------------------
 
     def _batch_rdd(self, records: int, partitions: int) -> RDD:
-        b = RDDBuilder()
+        b = self._runtime.lineage
         ingest = b.source(
             "mb-ingest", partitions=partitions,
             compute_seconds=records * SECONDS_PER_RECORD / partitions)
@@ -170,15 +170,8 @@ class MicroBatchSimulator:
             for _ in range(vm_share):
                 driver.add_vm_executor(self._worker)
             lambdas = []
-            for _ in range(lambda_share):
-                fn = self.provider.invoke_lambda(LambdaConfig())
-                lambdas.append(fn)
-
-                def attach(env, fn=fn, driver=driver):
-                    yield fn.ready
-                    driver.add_lambda_executor(fn)
-
-                self.env.process(attach(self.env, fn))
+            invoke_lambda_executors(self._runtime, driver, lambda_share,
+                                    lambdas)
 
             job = driver.submit(self._batch_rdd(records, required))
             yield job.done

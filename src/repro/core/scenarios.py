@@ -36,7 +36,7 @@ across scenarios, and is not billed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.pool import (
     add_executors_on_vms,
@@ -246,7 +246,7 @@ def _vanilla(workload: Workload, runtime: ClusterRuntime, cores: int,
                 driver, [vm], take),
             vms_out=new_vms)
 
-    job = driver.submit(workload.build(spec.required_cores))
+    job = driver.submit(workload.build(runtime.lineage, spec.required_cores))
     _run_until_done(runtime, job)
     end = runtime.env.now
     for vm in vms:
@@ -293,7 +293,7 @@ def _qubole(workload: Workload, runtime: ClusterRuntime, scenario: str,
         runtime.env.process(attach_lambda_with_respawn(
             runtime, driver, fn, lambdas, job_holder))
 
-    job = driver.submit(workload.build(spec.required_cores))
+    job = driver.submit(workload.build(runtime.lineage, spec.required_cores))
     job_holder.append(job)
     _run_until_done(runtime, job)
     for fn in lambdas:
@@ -338,7 +338,7 @@ def _splitserve(workload: Workload, runtime: ClusterRuntime, vm_cores: int,
         worker_vms = runtime.provision_worker_cores(vm_cores,
                                                     spec.worker_itype)
 
-    run = ss.submit_job(workload.build(spec.required_cores),
+    run = ss.submit_job(workload.build(runtime.lineage, spec.required_cores),
                         required_cores=total,
                         max_vm_cores=vm_cores,
                         expected_duration_s=spec.slo_seconds,

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.tracing import TraceRecorder
     from repro.spark.dag_scheduler import Job
     from repro.spark.rdd import RDD
-    from repro.storage.base import StorageService
 
 
 @dataclass
@@ -42,38 +41,28 @@ class SplitServeRun:
 
 
 class SplitServe:
-    """SplitServe = enhanced master (driver) + the three facilities."""
+    """SplitServe = enhanced master (driver) + the three facilities.
+
+    ``master_vm`` is the world's master instance (a VM, paper footnote
+    3); the shuffle goes through the single HDFS node colocated on it.
+    """
 
     def __init__(
         self,
         env: "Environment",
         provider: "CloudProvider",
         rng: "RandomStreams",
+        master_vm: "VirtualMachine",
         conf: Optional[SparkConf] = None,
         trace: Optional["TraceRecorder"] = None,
-        shuffle_storage: Optional["StorageService"] = None,
-        master_vm: Optional["VirtualMachine"] = None,
         lambda_memory_mb: int = 1536,
     ) -> None:
         self.env = env
-        self.provider = provider
-        self.rng = rng
         self.conf = conf if conf is not None else SparkConf()
-        self.trace = trace
-
-        if master_vm is None:
-            # The master must itself be a VM (paper, footnote 3). The
-            # default mirrors the paper's setup: an m4.xlarge colocating
-            # master and the single HDFS node.
-            master_vm = provider.request_vm("m4.xlarge", name="master",
-                                            already_running=True)
         self.master_vm = master_vm
+        self.shuffle_storage = HDFS(env, [master_vm], rng, provider.meter)
 
-        if shuffle_storage is None:
-            shuffle_storage = HDFS(env, [master_vm], rng, provider.meter)
-        self.shuffle_storage = shuffle_storage
-
-        backend = ExternalShuffleBackend(shuffle_storage,
+        backend = ExternalShuffleBackend(self.shuffle_storage,
                                          per_pair_objects=False)
         self.driver = SparkDriver(env, self.conf, rng, backend, trace=trace)
         self.state = ClusterState(provider)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cloud.instance_types import instance_type
-from repro.cloud.lambda_fn import LambdaConfig
+from repro.cluster.pool import invoke_lambda_executors
 from repro.cluster.runtime import ClusterRuntime
 from repro.core.autoscaler import DemandPoint, ProvisioningPolicy
 from repro.spark.application import SparkDriver
@@ -126,7 +126,7 @@ class JobStreamSimulator:
         self.fleet_itype = instance_type(fleet_itype)
         self.control_interval_s = control_interval_s
 
-        runtime = ClusterRuntime(seed)
+        runtime = self._runtime = ClusterRuntime(seed)
         self.env, self.rng = runtime.env, runtime.rng
         self.meter, self.provider = runtime.meter, runtime.provider
         self._master = self.provider.request_vm("m4.xlarge", name="master",
@@ -235,15 +235,8 @@ class JobStreamSimulator:
             for _ in range(take):
                 driver.add_vm_executor(vm)
         lambdas = []
-        for _ in range(record.lambda_cores):
-            fn = self.provider.invoke_lambda(LambdaConfig())
-            lambdas.append(fn)
-
-            def attach(env, fn=fn, driver=driver):
-                yield fn.ready
-                driver.add_lambda_executor(fn)
-
-            self.env.process(attach(self.env, fn))
+        invoke_lambda_executors(self._runtime, driver, record.lambda_cores,
+                                lambdas)
 
         workload = SyntheticWorkload(
             stages=2,
@@ -252,7 +245,8 @@ class JobStreamSimulator:
             required_cores=self.job_cores,
             available_cores=max(1, record.vm_cores or 1),
             label=f"stream-job-{record.job_id}")
-        job = driver.submit(workload.build(self.job_cores))
+        job = driver.submit(workload.build(self._runtime.lineage,
+                                           self.job_cores))
         yield job.done
         record.finish_s = self.env.now
         for vm, take in claims:

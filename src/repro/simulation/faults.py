@@ -251,9 +251,6 @@ class FaultPlan:
                     f"got {type(item).__name__}")
         return cls(tuple(specs))
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [fault.to_dict() for fault in self.faults]
-
     def __iter__(self) -> Iterator[FaultSpec]:
         return iter(self.faults)
 

@@ -11,18 +11,7 @@ stages at state transfer boundaries").
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
-
-_rdd_ids = itertools.count()
-_shuffle_ids = itertools.count()
-
-
-def reset_id_counters() -> None:
-    """Reset global id counters (used by tests for determinism)."""
-    global _rdd_ids, _shuffle_ids
-    _rdd_ids = itertools.count()
-    _shuffle_ids = itertools.count()
+from typing import Callable, List, Sequence, Union
 
 
 class Dependency:
@@ -44,12 +33,13 @@ class ShuffleDependency(Dependency):
     partitions fetches ``total_bytes / R``.
     """
 
-    def __init__(self, parent: "RDD", total_bytes: float) -> None:
+    def __init__(self, shuffle_id: int, parent: "RDD",
+                 total_bytes: float) -> None:
         super().__init__(parent)
         if total_bytes < 0:
             raise ValueError(f"total_bytes must be non-negative, got {total_bytes}")
         self.total_bytes = float(total_bytes)
-        self.shuffle_id = next(_shuffle_ids)
+        self.shuffle_id = shuffle_id
 
     @property
     def bytes_per_map(self) -> float:
@@ -66,6 +56,8 @@ class RDD:
 
     Parameters
     ----------
+    rdd_id:
+        Minted by the world's :class:`RDDBuilder`.
     name:
         Human-readable label (shows up in traces and timelines).
     num_partitions:
@@ -86,6 +78,7 @@ class RDD:
 
     def __init__(
         self,
+        rdd_id: int,
         name: str,
         num_partitions: int,
         compute_seconds: ComputeModel = 0.0,
@@ -100,7 +93,7 @@ class RDD:
         if working_set_bytes < 0:
             raise ValueError(
                 f"working_set_bytes must be non-negative, got {working_set_bytes}")
-        self.rdd_id = next(_rdd_ids)
+        self.rdd_id = rdd_id
         self.name = name
         self.num_partitions = num_partitions
         self._compute = compute_seconds
@@ -166,38 +159,55 @@ class RDD:
 
 
 class RDDBuilder:
-    """Fluent helper workloads use to assemble lineage graphs.
+    """Mints every RDD and shuffle id of one world's lineage graphs.
+
+    A :class:`~repro.cluster.runtime.ClusterRuntime` holds one as
+    ``runtime.lineage`` and workloads build through it. The world owns
+    the counters, not each application: apps in a pooled world share
+    one task scheduler, whose map-output tracker and executor caches
+    key on these ids, so they must stay distinct across those apps.
 
     Example (two-stage map/reduce)::
 
-        b = RDDBuilder()
+        b = runtime.lineage
         source = b.source("input", partitions=16, compute_seconds=2.0)
         mapped = b.map(source, "mapped", compute_seconds=1.0)
         reduced = b.shuffle(mapped, "reduced", partitions=16,
                             shuffle_bytes=1e9, compute_seconds=0.5)
     """
 
+    def __init__(self) -> None:
+        self._rdd_counter = itertools.count()
+        self._shuffle_counter = itertools.count()
+
+    def _shuffle_dep(self, parent: RDD, nbytes: float) -> ShuffleDependency:
+        return ShuffleDependency(next(self._shuffle_counter), parent, nbytes)
+
     def source(self, name: str, partitions: int, compute_seconds: ComputeModel,
                working_set_bytes: float = 0.0, cache: bool = False,
-               input_bytes: float = 0.0) -> RDD:
+               input_bytes: float = 0.0, kind_preference=None) -> RDD:
         """A root RDD (reads ``input_bytes`` from the data source)."""
-        return RDD(name, partitions, compute_seconds,
+        return RDD(next(self._rdd_counter), name, partitions, compute_seconds,
                    working_set_bytes=working_set_bytes, cache=cache,
-                   input_bytes=input_bytes)
+                   input_bytes=input_bytes, kind_preference=kind_preference)
 
-    def map(self, parent: RDD, name: str, compute_seconds: ComputeModel = 0.0,
+    def map(self, parents: Union[RDD, Sequence[RDD]], name: str,
+            compute_seconds: ComputeModel = 0.0,
             working_set_bytes: float = 0.0, cache: bool = False) -> RDD:
-        """A narrow (pipelined) transformation of ``parent``."""
-        return RDD(name, parent.num_partitions, compute_seconds,
-                   deps=[NarrowDependency(parent)],
+        """A narrow (pipelined) transformation of one parent, or of
+        several co-partitioned ones (partition count from the first)."""
+        if isinstance(parents, RDD):
+            parents = [parents]
+        return RDD(next(self._rdd_counter), name, parents[0].num_partitions,
+                   compute_seconds, [NarrowDependency(p) for p in parents],
                    working_set_bytes=working_set_bytes, cache=cache)
 
     def shuffle(self, parent: RDD, name: str, partitions: int,
                 shuffle_bytes: float, compute_seconds: ComputeModel = 0.0,
                 working_set_bytes: float = 0.0, cache: bool = False) -> RDD:
         """A wide transformation: a stage boundary moving ``shuffle_bytes``."""
-        return RDD(name, partitions, compute_seconds,
-                   deps=[ShuffleDependency(parent, shuffle_bytes)],
+        return RDD(next(self._rdd_counter), name, partitions, compute_seconds,
+                   [self._shuffle_dep(parent, shuffle_bytes)],
                    working_set_bytes=working_set_bytes, cache=cache)
 
     def join(self, left: RDD, right: RDD, name: str, partitions: int,
@@ -205,7 +215,7 @@ class RDDBuilder:
              compute_seconds: ComputeModel = 0.0,
              working_set_bytes: float = 0.0) -> RDD:
         """A two-parent wide transformation (shuffled join)."""
-        return RDD(name, partitions, compute_seconds,
-                   deps=[ShuffleDependency(left, left_bytes),
-                         ShuffleDependency(right, right_bytes)],
+        return RDD(next(self._rdd_counter), name, partitions, compute_seconds,
+                   [self._shuffle_dep(left, left_bytes),
+                    self._shuffle_dep(right, right_bytes)],
                    working_set_bytes=working_set_bytes)

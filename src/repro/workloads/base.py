@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.spark.rdd import RDD
+from repro.spark.rdd import RDD, RDDBuilder
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,18 @@ class WorkloadSpec:
 
 
 class Workload(abc.ABC):
-    """A workload builds a fresh lineage graph per run.
+    """A workload builds a fresh lineage graph per job.
 
-    ``build`` must return a *new* RDD graph each call — lineage carries
-    run state (shuffle ids), so graphs are never reused across runs.
+    ``build`` returns a *new* RDD graph each call, made through the
+    world's ``lineage`` builder (``ClusterRuntime.lineage``), which
+    mints its RDD and shuffle ids: graphs are never reused across jobs,
+    and jobs sharing one task scheduler never share an id.
     """
 
     spec: WorkloadSpec
 
     @abc.abstractmethod
-    def build(self, parallelism: int) -> RDD:
+    def build(self, lineage: RDDBuilder, parallelism: int) -> RDD:
         """Construct the job's final RDD at the given parallelism."""
 
     @property

@@ -37,10 +37,10 @@ class SyntheticWorkload(Workload):
             worker_itype=self.worker_itype,
         )
 
-    def build(self, parallelism: int) -> RDD:
+    def build(self, lineage: RDDBuilder, parallelism: int) -> RDD:
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        b = RDDBuilder()
+        b = lineage
         per_task = self.core_seconds_per_stage / parallelism
         current = b.source("syn-0", partitions=parallelism,
                            compute_seconds=per_task,
@@ -87,10 +87,10 @@ class HeterogeneousWorkload(Workload):
             available_cores=max(1, self.vm_tasks),
             worker_itype="m4.4xlarge")
 
-    def build(self, parallelism: int) -> RDD:
+    def build(self, lineage: RDDBuilder, parallelism: int) -> RDD:
         n = self.vm_tasks + self.lambda_tasks
         if self.uniform:
-            source = RDDBuilder().source(
+            source = lineage.source(
                 f"{self.label}-work", partitions=n,
                 compute_seconds=self.total_core_seconds / n)
         else:
@@ -105,8 +105,8 @@ class HeterogeneousWorkload(Workload):
             def preference(p: int) -> str:
                 return "vm" if p < self.vm_tasks else "lambda"
 
-            source = RDD(f"{self.label}-work", n, compute_seconds=compute,
-                         kind_preference=preference)
-        b = RDDBuilder()
-        return b.shuffle(source, f"{self.label}-collect", partitions=1,
-                         shuffle_bytes=64.0 * n, compute_seconds=0.01)
+            source = lineage.source(f"{self.label}-work", partitions=n,
+                                    compute_seconds=compute,
+                                    kind_preference=preference)
+        return lineage.shuffle(source, f"{self.label}-collect", partitions=1,
+                               shuffle_bytes=64.0 * n, compute_seconds=0.01)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cloud.constants import GB
 from repro.spark.rdd import RDDBuilder
 from repro.workloads.base import Workload, WorkloadSpec
 
@@ -77,12 +76,10 @@ class KMeansWorkload(Workload):
     def cached_dataset_bytes(self) -> float:
         return self.points * CACHED_BYTES_PER_POINT
 
-    def build(self, parallelism: int):
+    def build(self, lineage: RDDBuilder, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        from repro.spark.rdd import RDD, NarrowDependency
-
-        b = RDDBuilder()
+        b = lineage
         p = parallelism
         per_part_cache = self.cached_dataset_bytes / p
         points = b.source(
@@ -97,13 +94,10 @@ class KMeansWorkload(Workload):
             # second iteration) on the previous centroids — MLlib ships
             # centroids by broadcast, which sequences the iterations just
             # as this narrow dependency does.
-            deps = [NarrowDependency(points)]
-            if centroids is not None:
-                deps.append(NarrowDependency(centroids))
-            assign = RDD(
-                f"assign{i}", p,
+            parents = [points] if centroids is None else [points, centroids]
+            assign = b.map(
+                parents, f"assign{i}",
                 compute_seconds=self.points * ASSIGN_SECONDS_PER_POINT / p,
-                deps=deps,
                 working_set_bytes=per_part_cache * 0.3)
             centroids = b.shuffle(
                 assign, f"centroids{i}", partitions=p,

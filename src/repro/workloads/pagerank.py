@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.spark.rdd import RDD, NarrowDependency, RDDBuilder, ShuffleDependency
+from repro.spark.rdd import RDD, RDDBuilder
 from repro.workloads.base import Workload, WorkloadSpec
 
 #: Calibrated per-page constants (reference-core seconds / bytes).
@@ -82,10 +82,10 @@ class PageRankWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def build(self, parallelism: int) -> RDD:
+    def build(self, lineage: RDDBuilder, parallelism: int) -> RDD:
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        b = RDDBuilder()
+        b = lineage
         p = parallelism
         links = b.source(
             "links", partitions=p,
@@ -97,15 +97,13 @@ class PageRankWorkload(Workload):
         ranks = b.map(links, "ranks0", compute_seconds=0.0)
         iter_shuffle = self.pages * ITER_SHUFFLE_BYTES_PER_PAGE
         for i in range(1, self.iterations + 1):
-            contribs = RDD(
-                f"contribs{i}", p,
+            contribs = b.map(
+                [links, ranks], f"contribs{i}",
                 compute_seconds=skewed_compute(
                     self.pages * ITER_SECONDS_PER_PAGE, p),
-                deps=[NarrowDependency(links), NarrowDependency(ranks)],
                 working_set_bytes=self.pages * LINKS_BYTES_PER_PAGE / (2 * p))
-            ranks = RDD(
-                f"ranks{i}", p, compute_seconds=0.0,
-                deps=[ShuffleDependency(contribs, iter_shuffle)])
+            ranks = b.shuffle(contribs, f"ranks{i}", partitions=p,
+                              shuffle_bytes=iter_shuffle)
         final = b.shuffle(
             ranks, "top-ranks", partitions=p,
             shuffle_bytes=self.pages * FINAL_SHUFFLE_BYTES_PER_PAGE,

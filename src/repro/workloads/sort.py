@@ -65,10 +65,10 @@ class SortWorkload(Workload):
     def is_sql(self) -> bool:
         return False
 
-    def build(self, parallelism: int):
+    def build(self, lineage: RDDBuilder, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        b = RDDBuilder()
+        b = lineage
         p = self.partitions if self.partitions is not None else parallelism
         gb = self.dataset_gb
         sampled = b.source(

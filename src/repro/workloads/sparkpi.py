@@ -40,10 +40,10 @@ class SparkPiWorkload(Workload):
             slo_seconds=60.0,  # "the job finished under 1 minute"
         )
 
-    def build(self, parallelism: int):
+    def build(self, lineage: RDDBuilder, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        b = RDDBuilder()
+        b = lineage
         p = parallelism
         darts_map = b.source(
             "throw-darts", partitions=p,

@@ -145,11 +145,11 @@ class TPCDSWorkload(Workload):
         to the Qubole S3 object-count model."""
         return True
 
-    def build(self, parallelism: int):
+    def build(self, lineage: RDDBuilder, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")
         scale = self.scale_factor / REFERENCE_SCALE_FACTOR
-        b = RDDBuilder()
+        b = lineage
         segments = self.profile.segments
         scan_parts = max(parallelism, int(SCAN_PARTITIONS * scale))
         first = segments[0]

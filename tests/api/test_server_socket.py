@@ -5,10 +5,12 @@ client; this module runs ``make_server`` on an ephemeral port and talks
 HTTP to it, so the server itself is under test: buffered JSON responses
 and error envelopes with a ``Content-Length``, a blocking ``?wait=``,
 the plain-text ``/metrics`` exposition, an SSE stream that must end
-(the socket closes) after its last frame, and an SSE client that drops
-mid-stream. Every request carries a read timeout, so a stream that
-never closes fails the test instead of hanging it. ``make serve-smoke``
-runs the whole module.
+(the socket closes) after its last frame or after its idle timeout
+with no frame written, and SSE clients that drop mid-stream or on a
+quiet hub. Every request carries a read timeout, so a stream that never
+closes fails the test instead of hanging it. SSE comment frames
+(``: keepalive``) carry no event and are skipped by every reader here.
+``make serve-smoke`` runs the whole module.
 """
 
 import contextlib
@@ -58,13 +60,14 @@ def address(app):
         yield bound
 
 
-def _request(address, method, path, body=None, raw=None):
+def _request(address, method, path, body=None, raw=None,
+             timeout=READ_TIMEOUT_S):
     """(status, headers, body bytes) of one request, read to EOF.
 
     ``body`` is sent as JSON; ``raw`` bytes are sent as they are.
     """
     host, port = address
-    conn = http.client.HTTPConnection(host, port, timeout=READ_TIMEOUT_S)
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         payload = raw if raw is not None else (
             None if body is None else json.dumps(body))
@@ -81,6 +84,19 @@ def _request(address, method, path, body=None, raw=None):
 
 def _envelope(body: bytes):
     return schemas.ResponseEnvelope.from_dict(json.loads(body))
+
+
+def _event_frames(body: bytes):
+    """The SSE frames of a body that carry an event (comments dropped)."""
+    return [f for f in body.decode("utf-8").split("\n\n")
+            if f and not f.startswith(":")]
+
+
+def _wait_until(condition, timeout_s, message):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.02)
 
 
 def test_service_info(address):
@@ -119,7 +135,7 @@ def test_sse_stream_ends_after_its_last_frame(address):
     assert status == 200
     assert headers["content-type"] == "text/event-stream"
     assert headers["connection"] == "close"
-    frames = [f for f in body.decode("utf-8").split("\n\n") if f]
+    frames = _event_frames(body)
     assert len(frames) == 3
     assert all(f.startswith("id: ") for f in frames)
 
@@ -134,11 +150,15 @@ def test_dropped_sse_client_releases_its_subscription(app, address):
     response = conn.getresponse()
     assert response.status == 200
     frames = 0
+    comment = False
     while frames < 2:
         line = response.readline()
         assert line, "the stream ended before its second frame"
         if line == b"\n":
-            frames += 1
+            frames += not comment
+            comment = False
+        elif line.startswith(b":"):
+            comment = True
     assert hub.stats()["subscribers"] == 1
     response.close()
     conn.close()
@@ -153,6 +173,58 @@ def test_dropped_sse_client_releases_its_subscription(app, address):
         hub.record(float(n), CAT_SERVE, EV_JOB_QUEUED, job=f"drop-{n}")
         n += 1
         time.sleep(0.05)
+
+
+def test_dropped_quiet_sse_client_releases_its_subscription():
+    # Nothing is published after the client goes: only the stream's
+    # keepalive write can find the closed socket.
+    app = create_app(ServeConfig(seed=0, pool_cores=2))
+    hub = app.runtime.hub
+    with _serving(app) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=READ_TIMEOUT_S)
+        conn.request("GET", "/events")
+        response = conn.getresponse()
+        assert response.status == 200
+        _wait_until(lambda: hub.stats()["subscribers"] == 1, 5.0,
+                    "the stream never subscribed")
+        response.close()
+        conn.close()
+        _wait_until(lambda: hub.stats()["subscribers"] == 0, 5.0,
+                    "a client that dropped a quiet stream kept its "
+                    "subscription")
+
+
+def test_filtered_sse_stream_ends_while_other_events_flow():
+    # Events the category filter drops must not hold the stream open:
+    # it ends idle_timeout_s after its last frame written, here none.
+    app = create_app(ServeConfig(seed=0, pool_cores=2))
+    hub = app.runtime.hub
+    stop = threading.Event()
+
+    def publish_serve_events():
+        # For at most 4 s, so a stream the noise holds open still ends.
+        until = time.monotonic() + 4.0
+        n = 0
+        while not stop.wait(0.02) and time.monotonic() < until:
+            hub.record(float(n), CAT_SERVE, EV_JOB_QUEUED, job=f"noise-{n}")
+            n += 1
+
+    publisher = threading.Thread(target=publish_serve_events, daemon=True)
+    with _serving(app) as address:
+        publisher.start()
+        try:
+            started = time.monotonic()
+            status, _, body = _request(
+                address, "GET", "/events?category=fault&idle_timeout_s=0.5",
+                timeout=5.0)
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            publisher.join(timeout=5.0)
+    assert not publisher.is_alive()
+    assert status == 200
+    assert _event_frames(body) == []
+    assert elapsed < 3.0
 
 
 def _assert_error(status, headers, body, want_status, want_code):

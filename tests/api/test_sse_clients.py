@@ -1,7 +1,8 @@
 """``GET /events`` under misbehaving clients.
 
 The SSE layer's contract when consumers fail: a mid-stream disconnect
-releases the subscription (no leaks, no stalled publishers), a slow
+releases the subscription (no leaks, no stalled publishers), a quiet
+stream writes keepalive comments that are not events, a slow
 consumer loses events to its *own* bounded buffer with deterministic
 drop accounting (never stalling the hub), and a reconnecting client
 resumes past the last sequence it saw via ``Last-Event-ID`` (or the
@@ -15,7 +16,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import schemas
-from repro.api.app import _event_stream, create_app
+from repro.api.app import (
+    KEEPALIVE_FRAME,
+    KEEPALIVE_S,
+    _event_stream,
+    create_app,
+)
 from repro.api.service import EventHub, ServeConfig
 from repro.api.testclient import TestClient
 from repro.observability.categories import CAT_SERVE, EV_JOB_QUEUED
@@ -36,10 +42,17 @@ def test_mid_stream_disconnect_releases_the_subscription():
         SimpleNamespace(hub=hub), replay=0, after_seq=None, category=None,
         max_events=0, idle_timeout_s=5.0)
 
-    # The client reads two live frames; the first next() subscribes.
+    # The client reads two live frames (skipping keepalive comments);
+    # the first next() subscribes.
     frames = []
-    reader = threading.Thread(
-        target=lambda: frames.extend([next(stream), next(stream)]))
+
+    def read_two():
+        while len(frames) < 2:
+            frame = next(stream)
+            if not frame.startswith(b":"):
+                frames.append(frame)
+
+    reader = threading.Thread(target=read_two)
     reader.start()
     deadline = time.monotonic() + 5.0
     while hub.stats()["subscribers"] == 0:
@@ -54,6 +67,28 @@ def test_mid_stream_disconnect_releases_the_subscription():
     # The client goes away mid-stream: both callers of App.handle close
     # the frame generator then, and that releases the subscription.
     stream.close()
+    assert hub.stats()["subscribers"] == 0
+
+
+def test_quiet_stream_keepalive_is_a_comment_not_an_event():
+    hub = EventHub()
+    stream = _event_stream(
+        SimpleNamespace(hub=hub), replay=0, after_seq=None, category=None,
+        max_events=1, idle_timeout_s=5.0)
+
+    # Nothing is published: after a quiet second the stream writes an
+    # SSE comment, whose write is what finds a client that went away.
+    started = time.monotonic()
+    assert next(stream) == KEEPALIVE_FRAME
+    assert time.monotonic() - started >= 0.9 * KEEPALIVE_S
+    assert KEEPALIVE_FRAME.startswith(b":")
+
+    # The keepalive did not count toward max_events=1: the next event
+    # is still delivered, and only then does the stream end.
+    _publish(hub, 1)
+    assert next(stream).split(b"\n")[0] == b"id: 1"
+    with pytest.raises(StopIteration):
+        next(stream)
     assert hub.stats()["subscribers"] == 0
 
 

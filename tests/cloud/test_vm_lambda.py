@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cloud import (
-    CloudProvider,
     LambdaConfig,
     LambdaState,
     VMState,
@@ -11,13 +10,12 @@ from repro.cloud import (
 )
 from repro.cloud.constants import LAMBDA_LIFETIME_S
 from repro.cloud.instance_types import fewest_instances_for_cores
-from repro.simulation import Environment, RandomStreams, TraceRecorder
+from repro.cluster.runtime import ClusterRuntime
 
 
-def make_provider(seed=0, trace=None):
-    env = Environment()
-    provider = CloudProvider(env, RandomStreams(seed), trace=trace)
-    return env, provider
+def make_provider(seed=0):
+    runtime = ClusterRuntime(seed)
+    return runtime.env, runtime.provider
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +258,8 @@ def test_billing_helpers():
 
 
 def test_trace_records_vm_and_lambda_events():
-    trace = TraceRecorder()
-    env = Environment()
-    provider = CloudProvider(env, RandomStreams(0), trace=trace)
+    runtime = ClusterRuntime(0, trace_enabled=True)
+    env, provider, trace = runtime.env, runtime.provider, runtime.recorder
     vm = provider.request_vm("m4.large", boot_delay_s=10)
     fn = provider.invoke_lambda()
     env.run(until=vm.ready)

@@ -227,7 +227,8 @@ def _run_pool_tree(configs, apps, orphans, cores):
                              task_scheduler=pool.scheduler,
                              app_id=f"orphan{len(orphan_jobs)}")
         orphan_jobs.append(driver.submit(
-            _synthetic(stages, tasks, seconds).build(tasks)))
+            _synthetic(stages, tasks, seconds).build(runtime.lineage,
+                                                     tasks)))
 
     for i, (stages, tasks, seconds, at) in enumerate(orphans):
         arrivals.append((at, len(apps) + i, submit_orphan,

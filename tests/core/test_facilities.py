@@ -2,29 +2,20 @@
 
 import pytest
 
-from repro.cloud import CloudProvider
+from repro.cluster.runtime import ClusterRuntime
 from repro.core import SplitServe
-from repro.spark import HostKind
-from repro.spark.rdd import RDDBuilder, reset_id_counters
-from repro.simulation import Environment, RandomStreams, TraceRecorder
-
-
-@pytest.fixture(autouse=True)
-def fresh_ids():
-    reset_id_counters()
+from repro.spark.rdd import RDDBuilder
 
 
 def make_splitserve(seed=0, conf=None, worker_cores=0,
                     worker_itype="m4.4xlarge"):
-    env = Environment()
-    rng = RandomStreams(seed)
-    trace = TraceRecorder()
-    provider = CloudProvider(env, rng, trace=trace)
+    runtime = ClusterRuntime(seed, trace_enabled=True)
+    env, provider = runtime.env, runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
     master.allocate_cores(master.itype.vcpus)
-    ss = SplitServe(env, provider, rng, conf=conf, trace=trace,
-                    master_vm=master)
+    ss = SplitServe(env, provider, runtime.rng, conf=conf,
+                    trace=runtime.trace, master_vm=master)
     workers = []
     remaining = worker_cores
     while remaining > 0:

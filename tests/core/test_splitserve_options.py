@@ -1,21 +1,17 @@
 """Tests for SplitServe facade options and LaunchOutcome details."""
 
-import pytest
-
-from repro.cloud import CloudProvider
+from repro.cluster.runtime import ClusterRuntime
 from repro.core import SplitServe
 from repro.spark.rdd import RDDBuilder
-from repro.simulation import Environment, RandomStreams
 
 
 def make(lambda_memory_mb=1536, worker_cores=0):
-    env = Environment()
-    rng = RandomStreams(0)
-    provider = CloudProvider(env, rng)
+    runtime = ClusterRuntime(0)
+    env, provider = runtime.env, runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
     master.allocate_cores(master.itype.vcpus)
-    ss = SplitServe(env, provider, rng, master_vm=master,
+    ss = SplitServe(env, provider, runtime.rng, master_vm=master,
                     lambda_memory_mb=lambda_memory_mb)
     if worker_cores:
         vm = provider.request_vm("m4.4xlarge", already_running=True)
@@ -37,14 +33,10 @@ def test_lambda_memory_option_flows_to_containers():
     assert all(ex.cpu_speed > 1.5 for ex in outcome.lambda_executors)
 
 
-def test_default_master_created_when_absent():
-    env = Environment()
-    rng = RandomStreams(0)
-    provider = CloudProvider(env, rng)
-    ss = SplitServe(env, provider, rng)
+def test_shuffle_storage_is_hdfs_on_the_master():
+    _env, _provider, ss = make()
     assert ss.master_vm.name == "master"
     assert ss.master_vm.is_running
-    # Shuffle storage defaults to HDFS on the master.
     assert ss.shuffle_storage.datanodes == [ss.master_vm]
 
 
@@ -68,16 +60,16 @@ def test_run_job_releases_vm_cores_after():
 def test_timeout_knob_drained_lambdas_are_billed_once():
     from repro.spark import SparkConf
 
-    env = Environment()
-    rng = RandomStreams(0)
-    provider = CloudProvider(env, rng)
+    runtime = ClusterRuntime(0)
+    provider = runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
     master.allocate_cores(master.itype.vcpus)
     worker = provider.request_vm("m4.xlarge", already_running=True)
     worker.allocate_cores(2)
     conf = SparkConf({"spark.lambda.executor.timeout": 10.0})
-    ss = SplitServe(env, provider, rng, conf=conf, master_vm=master)
+    ss = SplitServe(runtime.env, provider, runtime.rng, conf=conf,
+                    master_vm=master)
     ss.run_job(job(tasks=12, seconds=5.0), required_cores=4,
                max_vm_cores=2)
     # Two Lambdas were drained by the knob mid-job and later finish_run

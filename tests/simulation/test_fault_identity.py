@@ -37,7 +37,6 @@ from repro.observability.categories import (
     EV_THROTTLE_START,
     EV_VM_REVOKED,
 )
-from repro.spark.rdd import reset_id_counters
 
 #: (workload, scenario, seed, fault plan) per pinned run.
 CASES = {
@@ -88,14 +87,8 @@ PINNED = {
 
 
 def _faulted_run(case):
-    """(event-log bytes, canonical record JSON) of one pinned run.
-
-    RDD ids come from process-wide counters and appear in
-    ``cache_evict`` events, so they are reset first: the pin is what a
-    fresh ``repro run`` process writes, whatever ran before it here.
-    """
+    """(event-log bytes, canonical record JSON) of one pinned run."""
     workload, scenario, seed, plan = CASES[case]
-    reset_id_counters()
     with tempfile.TemporaryDirectory() as tmp:
         events = pathlib.Path(tmp) / "events.jsonl"
         record = pathlib.Path(tmp) / "record.jsonl"

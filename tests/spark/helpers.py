@@ -1,26 +1,22 @@
 """Shared mini-cluster builders for the Spark-engine tests."""
 
-from repro.cloud import CloudProvider, LambdaConfig
-from repro.cloud.pricing import BillingMeter
-from repro.simulation import Environment, RandomStreams, TraceRecorder
+from repro.cloud import LambdaConfig
+from repro.cluster.runtime import ClusterRuntime
 from repro.spark import LocalShuffleBackend, SparkConf, SparkDriver
-from repro.spark.rdd import RDDBuilder, reset_id_counters
 from repro.storage import HDFS
 from repro.spark.shuffle import ExternalShuffleBackend
 
 
 class MiniCluster:
-    """env + provider + driver + convenience executor creation."""
+    """A ``ClusterRuntime(seed)`` world + driver + convenience executor
+    creation. ``trace`` is the world's recorder (every event the
+    provider and driver publish)."""
 
-    def __init__(self, seed=0, conf=None, backend="local", trace=None,
-                 no_jitter=True):
-        reset_id_counters()
-        self.env = Environment()
-        self.rng = RandomStreams(seed)
-        self.trace = trace if trace is not None else TraceRecorder()
-        self.meter = BillingMeter()
-        self.provider = CloudProvider(self.env, self.rng, trace=self.trace,
-                                      meter=self.meter)
+    def __init__(self, seed=0, conf=None, backend="local", no_jitter=True):
+        self.runtime = ClusterRuntime(seed, trace_enabled=True)
+        self.env, self.rng = self.runtime.env, self.runtime.rng
+        self.trace = self.runtime.recorder
+        self.meter, self.provider = self.runtime.meter, self.runtime.provider
         conf = conf if conf is not None else SparkConf()
         if no_jitter:
             conf = conf.set("spark.sim.task.jitter", 0.0)
@@ -36,8 +32,8 @@ class MiniCluster:
         else:
             raise ValueError(f"unknown backend {backend}")
         self.driver = SparkDriver(self.env, self.conf, self.rng, shuffle,
-                                  trace=self.trace)
-        self.builder = RDDBuilder()
+                                  trace=self.runtime.trace)
+        self.builder = self.runtime.lineage
 
     def vm_executors(self, count, itype="m4.4xlarge"):
         vm = self.provider.request_vm(itype, already_running=True)

@@ -20,8 +20,9 @@ VIEWS = ("working_set_bytes", "cache_steps", "input_bytes_from",
 
 
 def built_stages(name, parallelism):
-    dag = MiniCluster().driver.dag_scheduler
-    final = make_workload(name).build(parallelism)
+    cluster = MiniCluster()
+    dag = cluster.driver.dag_scheduler
+    final = make_workload(name).build(cluster.builder, parallelism)
     return dag, DAGScheduler._collect_stages(dag._create_result_stage(final))
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.spark import SparkConf
+from repro.spark.rdd import RDDBuilder
 from repro.workloads import HeterogeneousWorkload
 
 from tests.spark.helpers import MiniCluster
@@ -31,7 +32,7 @@ def test_validation():
 
 def test_sized_tasks_carry_kind_preference():
     w = HeterogeneousWorkload(vm_tasks=2, lambda_tasks=3)
-    final = w.build(5)
+    final = w.build(RDDBuilder(), 5)
     source = final.deps[0].parent
     assert source.kind_preference(0) == "vm"
     assert source.kind_preference(2) == "lambda"
@@ -41,14 +42,14 @@ def test_sized_tasks_carry_kind_preference():
 
 def test_uniform_variant_has_no_preference():
     w = HeterogeneousWorkload(uniform=True, vm_tasks=2, lambda_tasks=3)
-    source = w.build(5).deps[0].parent
+    source = w.build(RDDBuilder(), 5).deps[0].parent
     assert source.kind_preference is None
     assert source.compute_seconds(0) == source.compute_seconds(4)
 
 
 def test_sized_tasks_land_on_matching_kind():
     cluster, workload = build_hybrid(uniform=False)
-    job = cluster.driver.submit(workload.build(6))
+    job = cluster.driver.submit(workload.build(cluster.builder, 6))
     cluster.env.run(until=job.done)
     for attempt in job.task_attempts:
         sized_for = attempt.spec.sized_for
@@ -60,11 +61,11 @@ def test_sized_tasks_land_on_matching_kind():
 
 def test_sized_beats_uniform_makespan():
     cluster_u, workload_u = build_hybrid(uniform=True)
-    job_u = cluster_u.driver.submit(workload_u.build(6))
+    job_u = cluster_u.driver.submit(workload_u.build(cluster_u.builder, 6))
     cluster_u.env.run(until=job_u.done)
 
     cluster_s, workload_s = build_hybrid(uniform=False)
-    job_s = cluster_s.driver.submit(workload_s.build(6))
+    job_s = cluster_s.driver.submit(workload_s.build(cluster_s.builder, 6))
     cluster_s.env.run(until=job_s.done)
     assert job_s.duration < job_u.duration
 
@@ -76,6 +77,6 @@ def test_kind_preference_relaxes_rather_than_deadlocks():
     cluster.vm_executors(2)
     workload = HeterogeneousWorkload(total_core_seconds=30.0,
                                      vm_tasks=1, lambda_tasks=3)
-    job = cluster.driver.submit(workload.build(4))
+    job = cluster.driver.submit(workload.build(cluster.builder, 4))
     cluster.env.run(until=job.done)
     assert not job.failed

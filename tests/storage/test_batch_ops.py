@@ -2,20 +2,15 @@
 
 import pytest
 
-from repro.cloud import CloudProvider
 from repro.cloud.constants import MB
-from repro.cloud.pricing import BillingMeter
+from repro.cluster.runtime import ClusterRuntime
 from repro.storage import HDFS, S3, SQSQueue
-from repro.simulation import Environment, RandomStreams
 
 
 @pytest.fixture
 def ctx():
-    env = Environment()
-    rng = RandomStreams(11)
-    meter = BillingMeter()
-    provider = CloudProvider(env, rng, meter=meter)
-    return env, rng, meter, provider
+    runtime = ClusterRuntime(11)
+    return runtime.env, runtime.rng, runtime.meter, runtime.provider
 
 
 def test_batch_write_counts_requests_once_each(ctx):
@@ -45,10 +40,10 @@ def test_batch_latency_paid_in_waves(ctx):
     start = env.now
     env.run(until=s3.batch_write(50, 0.0, parallelism=5))
     ten_waves = env.now - start
-    env2 = Environment()
-    s3b = S3(env2, RandomStreams(11), BillingMeter())
-    env2.run(until=s3b.batch_write(50, 0.0, parallelism=50))
-    one_wave = env2.now
+    other = ClusterRuntime(11)
+    s3b = S3(other.env, other.rng, other.meter)
+    other.env.run(until=s3b.batch_write(50, 0.0, parallelism=50))
+    one_wave = other.env.now
     assert ten_waves > 3 * one_wave
 
 

@@ -2,21 +2,16 @@
 
 import pytest
 
-from repro.cloud import CloudProvider
 from repro.cloud.constants import MB, MBPS
-from repro.cloud.pricing import BillingMeter
+from repro.cluster.runtime import ClusterRuntime
 from repro.storage import HDFS, S3, LocalDisk, RedisStore, SQSQueue
 from repro.storage.base import StorageKeyError
-from repro.simulation import Environment, RandomStreams
 
 
 @pytest.fixture
 def ctx():
-    env = Environment()
-    rng = RandomStreams(7)
-    meter = BillingMeter()
-    provider = CloudProvider(env, rng, meter=meter)
-    return env, rng, meter, provider
+    runtime = ClusterRuntime(7)
+    return runtime.env, runtime.rng, runtime.meter, runtime.provider
 
 
 def run_io(env, event):
@@ -258,8 +253,7 @@ def test_sqs_large_blob_pays_chunking_latency(ctx):
     env, rng, meter, provider = ctx
     sqs = SQSQueue(env, rng, meter)
     t_small = run_io(env, sqs.write("s", 1024))
-    env2 = Environment()
-    sqs2 = SQSQueue(env2, RandomStreams(7), BillingMeter())
-    done = sqs2.write("b", 50 * MB)
-    env2.run(until=done)
-    assert env2.now > t_small
+    other = ClusterRuntime(7)
+    sqs2 = SQSQueue(other.env, other.rng, other.meter)
+    other.env.run(until=sqs2.write("b", 50 * MB))
+    assert other.env.now > t_small

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud.constants import GB
 from repro.core.scenarios import run_scenario
 from repro.experiments.spec import ExperimentSpec
+from repro.spark.rdd import RDDBuilder
 from repro.workloads import SortWorkload
 
 
@@ -24,12 +25,12 @@ def test_validation():
     with pytest.raises(ValueError):
         SortWorkload(dataset_gb=0)
     with pytest.raises(ValueError):
-        SortWorkload().build(0)
+        SortWorkload().build(RDDBuilder(), 0)
 
 
 def test_shuffle_moves_the_whole_dataset():
     w = SortWorkload(dataset_gb=16)
-    final = w.build(32)
+    final = w.build(RDDBuilder(), 32)
     total_shuffle = sum(d.total_bytes for r in _all_rdds(final)
                         for d in r.shuffle_deps)
     assert total_shuffle == pytest.approx(16 * GB)
@@ -37,7 +38,7 @@ def test_shuffle_moves_the_whole_dataset():
 
 def test_two_stages():
     w = SortWorkload(dataset_gb=8)
-    final = w.build(32)
+    final = w.build(RDDBuilder(), 32)
     shuffles = {d.shuffle_id for r in _all_rdds(final)
                 for d in r.shuffle_deps}
     assert len(shuffles) == 1  # map stage + merge stage
@@ -45,7 +46,7 @@ def test_two_stages():
 
 def test_partition_override():
     w = SortWorkload(dataset_gb=8, partitions=256)
-    assert w.build(32).num_partitions == 256
+    assert w.build(RDDBuilder(), 32).num_partitions == 256
 
 
 def test_record_count_is_terasort_layout():

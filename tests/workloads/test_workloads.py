@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.spark.rdd import ShuffleDependency, reset_id_counters
+from repro.spark.rdd import RDDBuilder
 from repro.workloads import (
     KMeansWorkload,
     PageRankWorkload,
@@ -14,11 +14,6 @@ from repro.workloads import (
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.pagerank import skewed_compute
 from repro.workloads.tpcds import PRESENTED_QUERIES
-
-
-@pytest.fixture(autouse=True)
-def fresh_ids():
-    reset_id_counters()
 
 
 def count_stages(final_rdd):
@@ -71,12 +66,12 @@ def test_pagerank_has_six_stages():
     """Figure 7: PageRank has 6 execution stages."""
     w = PageRankWorkload()
     assert w.num_stages == 6
-    assert count_stages(w.build(16)) == 6
+    assert count_stages(w.build(RDDBuilder(), 16)) == 6
 
 
 def test_pagerank_links_cached():
     # The parsed link graph is persisted across iterations.
-    final = PageRankWorkload().build(16)
+    final = PageRankWorkload().build(RDDBuilder(), 16)
     assert "links" in {r.name for r in _all_rdds(final) if r.cached}
 
 
@@ -116,12 +111,12 @@ def test_pagerank_validation():
     with pytest.raises(ValueError):
         PageRankWorkload(iterations=0)
     with pytest.raises(ValueError):
-        PageRankWorkload().build(0)
+        PageRankWorkload().build(RDDBuilder(), 0)
 
 
 def test_pagerank_shuffle_scales_with_pages():
-    small = PageRankWorkload.small().build(8)
-    large = PageRankWorkload.large().build(8)
+    small = PageRankWorkload.small().build(RDDBuilder(), 8)
+    large = PageRankWorkload.large().build(RDDBuilder(), 8)
 
     def total_shuffle(rdd):
         return sum(d.total_bytes for r in _all_rdds(rdd)
@@ -147,7 +142,7 @@ def test_kmeans_paper_setup():
 
 def test_kmeans_stage_count():
     w = KMeansWorkload()
-    assert count_stages(w.build(16)) == w.num_stages == 6
+    assert count_stages(w.build(RDDBuilder(), 16)) == w.num_stages == 6
 
 
 def test_kmeans_points_cached_and_sized_for_one_lambda():
@@ -169,7 +164,7 @@ def test_kmeans_validation():
     with pytest.raises(ValueError):
         KMeansWorkload(points=0)
     with pytest.raises(ValueError):
-        KMeansWorkload().build(-1)
+        KMeansWorkload().build(RDDBuilder(), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +180,14 @@ def test_sparkpi_paper_setup():
 
 def test_sparkpi_negligible_shuffle():
     w = SparkPiWorkload()
-    final = w.build(64)
+    final = w.build(RDDBuilder(), 64)
     total = sum(d.total_bytes for r in _all_rdds(final)
                 for d in r.shuffle_deps)
     assert total < 1024 * 1024  # well under a megabyte
 
 
 def test_sparkpi_two_stages():
-    assert count_stages(SparkPiWorkload().build(64)) == 2
+    assert count_stages(SparkPiWorkload().build(RDDBuilder(), 64)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +216,21 @@ def test_tpcds_unknown_query_rejected():
 def test_tpcds_stage_count_matches_profile():
     for name in PRESENTED_QUERIES:
         w = TPCDSWorkload(name)
-        assert count_stages(w.build(32)) == w.profile.num_stages
+        assert (count_stages(w.build(RDDBuilder(), 32))
+                == w.profile.num_stages)
 
 
 def test_tpcds_shuffle_stages_use_sql_partitions():
     w = TPCDSWorkload("q16")
-    final = w.build(32)
+    final = w.build(RDDBuilder(), 32)
     assert final.num_partitions == 200
 
 
 def test_tpcds_scale_factor_scales_compute_and_shuffle():
     small = TPCDSWorkload("q16", scale_factor=8)
     large = TPCDSWorkload("q16", scale_factor=16)
-    s_rdd, l_rdd = small.build(32), large.build(32)
+    s_rdd = small.build(RDDBuilder(), 32)
+    l_rdd = large.build(RDDBuilder(), 32)
 
     def totals(rdd):
         rdds = _all_rdds(rdd)
@@ -259,7 +256,7 @@ def test_tpcds_q5_is_heaviest_shuffler():
 
 def test_synthetic_stage_count():
     w = SyntheticWorkload(stages=4)
-    assert count_stages(w.build(8)) == 4
+    assert count_stages(w.build(RDDBuilder(), 8)) == 4
 
 
 def test_synthetic_validation():
