@@ -11,33 +11,49 @@ moment across the job's lifetime, and compare total time and re-run map
 tasks for local vs HDFS shuffle.
 """
 
+import pytest
+
 from repro.analysis.reporting import format_table
 from repro.cloud.spot import SpotVM
+from repro.cluster.runtime import ClusterRuntime
+from repro.spark import LocalShuffleBackend, SparkConf, SparkDriver
+from repro.spark.shuffle import ExternalShuffleBackend
+from repro.storage import HDFS
 from repro.workloads.generators import SyntheticWorkload
 from benchmarks.conftest import run_once
-
-from tests.spark.helpers import MiniCluster
 
 #: Revocation moments across the job (maps finish ~20s, job ~41s).
 REVOKE_AT_SWEEP = (10.0, 25.0, 35.0)
 
 
 def run_one(backend: str, revoke_at: float, seed: int = 2):
-    cluster = MiniCluster(seed=seed, backend=backend)
-    stable = cluster.provider.request_vm("m4.xlarge", already_running=True)
+    runtime = ClusterRuntime(seed)
+    env, rng, provider = runtime.env, runtime.rng, runtime.provider
+    if backend == "local":
+        shuffle = LocalShuffleBackend()
+    else:
+        hdfs_vm = provider.request_vm("m4.xlarge", already_running=True,
+                                      name="hdfs-node")
+        shuffle = ExternalShuffleBackend(
+            HDFS(env, [hdfs_vm], rng, runtime.meter),
+            per_pair_objects=False)
+    # Task times without jitter, so the sweep isolates the revocation.
+    conf = SparkConf().set("spark.sim.task.jitter", 0.0)
+    driver = SparkDriver(env, conf, rng, shuffle, trace=runtime.trace)
+    stable = provider.request_vm("m4.xlarge", already_running=True)
     for _ in range(2):
-        cluster.driver.add_vm_executor(stable)
-    spot = SpotVM(cluster.env, "spot-0", "m4.xlarge", cluster.rng,
+        driver.add_vm_executor(stable)
+    spot = SpotVM(env, "spot-0", "m4.xlarge", rng,
                   revocation_at_s=revoke_at, already_running=True)
-    cluster.provider.vms.append(spot)
+    provider.vms.append(spot)
     for _ in range(2):
-        cluster.driver.add_vm_executor(spot)
+        driver.add_vm_executor(spot)
     workload = SyntheticWorkload(
         stages=2, core_seconds_per_stage=80.0,
         shuffle_bytes_per_boundary=64 * 1024 * 1024,
         required_cores=4, available_cores=4)
-    job = cluster.driver.submit(workload.build(cluster.builder, 4))
-    cluster.env.run(until=job.done)
+    job = driver.submit(workload.build(runtime.lineage, 4))
+    env.run(until=job.done)
     map_runs = sum(1 for a in job.task_attempts if a.spec.is_shuffle_map)
     return job.duration, map_runs
 
@@ -50,6 +66,7 @@ def run_sweep():
     return out
 
 
+@pytest.mark.smoke
 def test_ablation_spot_revocation(benchmark, emit):
     results = run_once(benchmark, run_sweep)
     rows = []

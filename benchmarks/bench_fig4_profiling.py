@@ -36,7 +36,8 @@ def run_profiles(kind, runner=None):
     flat = [spec for specs in by_size.values() for spec in specs]
     by_spec = dict(zip(flat, runner.run(flat, keep_errors=False)))
     return {label: [ProfilePoint(s.parallelism, by_spec[s].duration_s,
-                                 by_spec[s].cost, kind) for s in specs]
+                                 by_spec[s].cost, kind,
+                                 by_spec[s].failure_reason) for s in specs]
             for label, specs in by_size.items()}
 
 

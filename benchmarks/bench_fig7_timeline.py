@@ -6,9 +6,21 @@ The thin '+' marks are executor starts (the paper's thin red bars); 'S'
 on the stage axis marks when the segue commences (the blue bar).
 """
 
-from repro.analysis.timeline import build_timeline
+import pytest
+
+from repro.analysis.timeline import render_timeline
 from repro.core.scenarios import run_scenario
 from repro.experiments.spec import ExperimentSpec
+from repro.observability.export import event_log_dicts
+from repro.observability.spans import (
+    ROLE_EXECUTOR,
+    ROLE_SEGUE,
+    ROLE_STAGE,
+    ROLE_TASK,
+    STATUS_OK,
+    run_spans,
+    span_role,
+)
 from benchmarks.conftest import run_once
 
 
@@ -19,6 +31,16 @@ def run_fig7():
             for name in scenarios}
 
 
+def _executors(spans, kind):
+    return [s for s in spans if span_role(s) == ROLE_EXECUTOR
+            and s["attrs"]["kind"] == kind]
+
+
+def _of_role(spans, role):
+    return [s for s in spans if span_role(s) == role]
+
+
+@pytest.mark.smoke
 def test_fig7_timelines(benchmark, emit):
     results = run_once(benchmark, run_fig7)
     blocks = []
@@ -27,36 +49,35 @@ def test_fig7_timelines(benchmark, emit):
         "ss_hybrid": "(ii) SplitServe, 3 VM cores + 13 Lambdas",
         "ss_hybrid_segue": "(iii) as (ii), segue to VM cores at 45 s",
     }
-    timelines = {}
+    spans = {}
     for name, result in results.items():
-        timeline = build_timeline(result.trace)
-        timelines[name] = timeline
+        spans[name] = run_spans(event_log_dicts(result.trace))
         blocks.append(titles[name] + f"  (total {result.duration_s:.1f}s)\n"
-                      + timeline.render(width=64))
+                      + render_timeline(spans[name], width=64))
     emit("Figure 7 — PageRank execution timelines", "\n\n".join(blocks))
 
     # (i): 16 VM executors, no Lambdas, 6 stages.
-    vanilla = timelines["spark_R_vm"]
-    assert len(vanilla.executors_of_kind("vm")) == 16
-    assert len(vanilla.executors_of_kind("lambda")) == 0
-    assert len(vanilla.stage_boundaries) == 6
+    vanilla = spans["spark_R_vm"]
+    assert len(_executors(vanilla, "vm")) == 16
+    assert len(_executors(vanilla, "lambda")) == 0
+    assert len([s for s in _of_role(vanilla, ROLE_STAGE)
+                if s["status"] == STATUS_OK]) == 6
 
     # (ii): 3 VM + 13 Lambda executors, no segue.
-    hybrid = timelines["ss_hybrid"]
-    assert len(hybrid.executors_of_kind("vm")) == 3
-    assert len(hybrid.executors_of_kind("lambda")) == 13
-    assert hybrid.segue_time is None
+    hybrid = spans["ss_hybrid"]
+    assert len(_executors(hybrid, "vm")) == 3
+    assert len(_executors(hybrid, "lambda")) == 13
+    assert _of_role(hybrid, ROLE_SEGUE) == []
 
     # (iii): segue commences shortly after the 45 s core availability.
-    segue = timelines["ss_hybrid_segue"]
-    assert segue.segue_time is not None
-    assert 40 < segue.segue_time < 70
+    segue = spans["ss_hybrid_segue"]
+    [mark] = _of_role(segue, ROLE_SEGUE)
+    assert 40 < mark["start_s"] < 70
     # Replacement VM executors registered after the segue began.
-    late_vms = [e for e in segue.executors_of_kind("vm")
-                if e.registered_at >= 44.0]
-    assert late_vms
+    assert [e for e in _executors(segue, "vm") if e["start_s"] >= 44.0]
     # Lambdas stopped being used after draining: their last task ends
     # within a stage or two of the segue, well before the job's end.
-    lambda_ends = [e.tasks[-1].end for e in segue.executors_of_kind("lambda")
-                   if e.tasks]
+    lambdas = {e["span_id"] for e in _executors(segue, "lambda")}
+    lambda_ends = [t["end_s"] for t in _of_role(segue, ROLE_TASK)
+                   if t["parent_span_id"] in lambdas]
     assert max(lambda_ends) < results["ss_hybrid_segue"].duration_s

@@ -10,9 +10,11 @@ failure.
 Run:  python examples/pagerank_segue.py
 """
 
-from repro.analysis.timeline import build_timeline
+from repro.analysis.timeline import render_timeline
 from repro.core import run_scenario
 from repro.experiments import ExperimentSpec
+from repro.observability.export import event_log_dicts
+from repro.observability.spans import ROLE_SEGUE, run_spans, span_role
 
 
 def main() -> None:
@@ -25,13 +27,13 @@ def main() -> None:
     for scenario, title in setups:
         result = run_scenario(ExperimentSpec("pagerank", scenario),
                               keep_trace=True)
-        timeline = build_timeline(result.trace)
+        spans = run_spans(event_log_dicts(result.trace))
         print(f"\n{title} — finished in {result.duration_s:.1f}s, "
               f"cost ${result.cost:.4f}")
-        print(timeline.render(width=64))
-        if timeline.segue_time is not None:
+        print(render_timeline(spans, width=64))
+        for segue in (s for s in spans if span_role(s) == ROLE_SEGUE):
             lambda_spend = result.cost_breakdown.get("lambda", 0.0)
-            print(f"segue commenced at t={timeline.segue_time:.1f}s; "
+            print(f"segue commenced at t={segue['start_s']:.1f}s; "
                   f"Lambda spend ${lambda_spend:.4f}")
 
     print("\nKey observation: in (iii) every Lambda finishes its current "

@@ -2,8 +2,9 @@
 
 - :mod:`~repro.analysis.profiling` — the §5.1 offline-profiling harness
   (execution time + cost vs degree of parallelism; Figure 4's U-curves);
-- :mod:`~repro.analysis.timeline` — per-executor activity timelines
-  extracted from traces (Figure 7);
+- :mod:`~repro.analysis.timeline` — the Figure 7 per-executor activity
+  timeline, drawn from a run's spans
+  (:func:`repro.observability.spans.run_spans`);
 - :mod:`~repro.analysis.reporting` — plain-text renderers the benches
   use to print the paper's tables/figures as aligned rows/series.
 """
@@ -20,19 +21,17 @@ from repro.analysis.stats import (
     relative_change,
     summarize,
 )
-from repro.analysis.timeline import ExecutorSpan, TaskSpan, build_timeline
+from repro.analysis.timeline import render_timeline
 
 __all__ = [
-    "ExecutorSpan",
     "ProfilePoint",
     "SampleSummary",
-    "TaskSpan",
-    "build_timeline",
     "format_bar_chart",
     "format_series",
     "format_table",
     "coefficient_of_variation",
     "profile_workload",
     "relative_change",
+    "render_timeline",
     "summarize",
 ]

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.cloud.instance_types import fewest_instances_for_cores
 from repro.cluster.pool import add_executors_on_vms, invoke_lambda_executors
 from repro.cluster.runtime import ClusterRuntime
+from repro.simulation.kernel import SimulationError
 from repro.spark.application import SparkDriver
 from repro.spark.config import SparkConf
 from repro.spark.shuffle import ExternalShuffleBackend, LocalShuffleBackend
@@ -34,12 +35,17 @@ DEFAULT_PARALLELISM_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
 
 @dataclass(frozen=True)
 class ProfilePoint:
-    """One measured point of a profiling curve."""
+    """One measured point of a profiling curve.
+
+    A point whose job could not finish has a NaN duration, the cost
+    billed up to that moment, and a ``failure_reason``.
+    """
 
     parallelism: int
     duration_s: float
     cost: float
     executor_kind: str  # "lambda" | "vm"
+    failure_reason: Optional[str] = None
 
 
 def _profile_lambda(workload: Workload, parallelism: int, seed: int,
@@ -61,12 +67,22 @@ def _profile_lambda(workload: Workload, parallelism: int, seed: int,
     lambdas = []
     invoke_lambda_executors(runtime, driver, parallelism, lambdas)
     job = driver.submit(workload.build(runtime.lineage, parallelism))
-    env.run(until=job.done)
+    failure = None
+    try:
+        env.run(until=job.done)
+    except SimulationError:
+        # Nothing respawns a profile point's Lambdas: once every one has
+        # hit its lifetime cap, an unfinished job can never finish.
+        if job.done.triggered or driver.task_scheduler.executors:
+            raise
+        failure = (f"all {parallelism} Lambda executor(s) expired "
+                   f"before the job finished")
     for fn in lambdas:
         provider.release_lambda(fn)
         provider.bill_lambda_usage(fn)
-    return ProfilePoint(parallelism, job.duration, runtime.meter.total(),
-                        "lambda")
+    duration = job.duration if failure is None else float("nan")
+    return ProfilePoint(parallelism, duration, runtime.meter.total(),
+                        "lambda", failure)
 
 
 def _profile_vm(workload: Workload, parallelism: int, seed: int,
@@ -134,7 +150,9 @@ def profile_workload(
 
 
 def optimal_parallelism(points: Sequence[ProfilePoint]) -> ProfilePoint:
-    """The performance-optimal point (minimum duration) of a curve."""
-    if not points:
-        raise ValueError("no profile points")
-    return min(points, key=lambda p: p.duration_s)
+    """The performance-optimal point (minimum duration) of a curve;
+    failed points are skipped."""
+    finished = [p for p in points if p.failure_reason is None]
+    if not finished:
+        raise ValueError("no finished profile points")
+    return min(finished, key=lambda p: p.duration_s)

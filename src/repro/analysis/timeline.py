@@ -2,165 +2,68 @@
 
 Figure 7 compares PageRank execution timelines across three scenarios,
 marking when each executor starts being used (thin red bars) and when the
-segue commences (blue bar). This module reconstructs exactly that from a
-scenario's :class:`~repro.simulation.tracing.TraceRecorder`.
+segue commences (blue bar). :func:`render_timeline` draws exactly that
+from a run's spans (:func:`repro.observability.spans.run_spans`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Sequence
 
-from repro.observability.categories import (
-    CAT_DAG,
-    CAT_EXECUTOR,
-    CAT_SEGUE,
-    EV_DEAD,
-    EV_DRAINING,
-    EV_REGISTERED,
-    EV_SEGUE_TRIGGERED,
-    EV_STAGE_COMPLETE,
-    EV_TASK_END,
-    EV_TASK_START,
+from repro.observability.spans import (
+    ROLE_EXECUTOR,
+    ROLE_SEGUE,
+    ROLE_STAGE,
+    ROLE_TASK,
+    STATUS_OK,
+    span_role,
 )
-from repro.simulation.tracing import TraceRecorder
 
 
-@dataclass
-class TaskSpan:
-    """One task execution on one executor."""
+def render_timeline(spans: Sequence[Mapping[str, Any]],
+                    width: int = 72) -> str:
+    """ASCII rendering: one row per executor span, '#' where its tasks
+    ran and '+' at its registration if idle there.
 
-    task: str
-    start: float
-    end: float
-    state: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
-class ExecutorSpan:
-    """One executor's lifetime and its task activity."""
-
-    executor_id: str
-    kind: str  # "vm" | "lambda"
-    registered_at: float
-    decommissioned_at: Optional[float] = None
-    tasks: List[TaskSpan] = field(default_factory=list)
-
-    @property
-    def first_task_start(self) -> Optional[float]:
-        return self.tasks[0].start if self.tasks else None
-
-    @property
-    def busy_seconds(self) -> float:
-        return sum(t.duration for t in self.tasks)
-
-
-@dataclass
-class Timeline:
-    """The full Figure 7-style reconstruction for one run."""
-
-    executors: List[ExecutorSpan]
-    segue_time: Optional[float]
-    stage_boundaries: List[float]
-
-    def executors_of_kind(self, kind: str) -> List[ExecutorSpan]:
-        return [e for e in self.executors if e.kind == kind]
-
-    @property
-    def end_time(self) -> float:
-        ends = [t.end for e in self.executors for t in e.tasks]
-        return max(ends) if ends else 0.0
-
-    def render(self, width: int = 72) -> str:
-        """ASCII rendering: one row per executor, '#' where busy.
-
-        The '|' marks stage completions; 'S' on the axis marks the segue.
-        """
-        end = max(self.end_time, 1e-9)
-        scale = width / end
-        lines = []
-        header = f"{'executor':>14s} |" + "-" * width + "|"
-        lines.append(header)
-        for span in sorted(self.executors,
-                           key=lambda e: (e.kind, e.registered_at)):
-            row = [" "] * width
-            for task in span.tasks:
-                lo = min(width - 1, int(task.start * scale))
-                hi = min(width, max(lo + 1, int(task.end * scale)))
-                for i in range(lo, hi):
-                    row[i] = "#"
-            reg = min(width - 1, int(span.registered_at * scale))
-            if row[reg] == " ":
-                row[reg] = "+"
-            lines.append(f"{span.executor_id:>14s} |{''.join(row)}|")
-        axis = [" "] * width
-        for boundary in self.stage_boundaries:
-            axis[min(width - 1, int(boundary * scale))] = "|"
-        if self.segue_time is not None:
-            axis[min(width - 1, int(self.segue_time * scale))] = "S"
-        lines.append(f"{'stages':>14s} |{''.join(axis)}|")
-        lines.append(f"{'':>14s}  0{'':{width - 10}}{end:8.1f}s")
-        return "\n".join(lines)
-
-
-def build_timeline(trace: TraceRecorder) -> Timeline:
-    """Reconstruct per-executor activity from a run's trace.
-
-    Every ``task_start`` opens a span; ``task_end`` closes it. A span
-    still open when its executor dies (killed mid-task, Lambda lifetime
-    expiry) is closed at the executor's decommission time — falling back
-    to the trace's end — with state ``"lost"``, so faulted runs never
-    produce dangling spans.
+    The '|' marks stage completions; 'S' on the axis marks the segue.
     """
-    spans: Dict[str, ExecutorSpan] = {}
-    open_tasks: Dict[Tuple[str, str], float] = {}
-    last_time = 0.0
-    for rec in trace.select(category=CAT_EXECUTOR):
-        last_time = max(last_time, rec.time)
-        executor_id = rec.get("executor")
-        if rec.name == EV_REGISTERED:
-            spans[executor_id] = ExecutorSpan(
-                executor_id=executor_id,
-                kind=rec.get("kind", "vm"),
-                registered_at=rec.time)
-        elif rec.name in (EV_DRAINING, EV_DEAD) and executor_id in spans:
-            if spans[executor_id].decommissioned_at is None:
-                spans[executor_id].decommissioned_at = rec.time
-        elif rec.name == EV_TASK_START and executor_id in spans:
-            open_tasks[(executor_id, rec.get("task", "?"))] = rec.time
-        elif rec.name == EV_TASK_END and executor_id in spans:
-            task = rec.get("task", "?")
-            started = open_tasks.pop((executor_id, task), None)
-            duration = rec.get("duration", 0.0)
-            spans[executor_id].tasks.append(TaskSpan(
-                task=task,
-                start=started if started is not None
-                else rec.time - duration,
-                end=rec.time,
-                state=rec.get("state", "finished")))
-    # Close what the executors never finished: the in-flight work a
-    # kill/expiry destroyed still occupies timeline real estate.
-    for (executor_id, task), started in open_tasks.items():
-        span = spans.get(executor_id)
-        if span is None:
-            continue
-        end = span.decommissioned_at
-        if end is None:
-            end = last_time
-        span.tasks.append(TaskSpan(task=task, start=started,
-                                   end=max(started, end), state="lost"))
-    for span in spans.values():
-        span.tasks.sort(key=lambda t: (t.start, t.end, t.task))
-
-    segue_records = trace.select(category=CAT_SEGUE, name=EV_SEGUE_TRIGGERED)
-    if not segue_records:  # older traces: first drain approximates it
-        segue_records = trace.select(category=CAT_EXECUTOR, name=EV_DRAINING)
-    segue_time = segue_records[0].time if segue_records else None
-    boundaries = [rec.time for rec in trace.select(category=CAT_DAG,
-                                                   name=EV_STAGE_COMPLETE)]
-    return Timeline(executors=list(spans.values()), segue_time=segue_time,
-                    stage_boundaries=boundaries)
+    executors = []
+    tasks: Dict[str, List[Mapping[str, Any]]] = {}
+    boundaries = []
+    segue = None
+    end = 0.0
+    for span in spans:
+        role = span_role(span)
+        if role == ROLE_EXECUTOR:
+            executors.append(span)
+        elif role == ROLE_TASK:
+            tasks.setdefault(span["parent_span_id"], []).append(span)
+            end = max(end, span["end_s"])
+        elif role == ROLE_STAGE and span["status"] == STATUS_OK:
+            boundaries.append(span["end_s"])
+        elif role == ROLE_SEGUE:
+            segue = span["start_s"]
+    end = max(end, 1e-9)
+    scale = width / end
+    lines = [f"{'executor':>14s} |" + "-" * width + "|"]
+    for executor in sorted(executors,
+                           key=lambda e: (e["attrs"].get("kind", "vm"),
+                                          e["start_s"])):
+        row = [" "] * width
+        for task in tasks.get(executor["span_id"], ()):
+            lo = min(width - 1, int(task["start_s"] * scale))
+            hi = min(width, max(lo + 1, int(task["end_s"] * scale)))
+            for i in range(lo, hi):
+                row[i] = "#"
+        reg = min(width - 1, int(executor["start_s"] * scale))
+        if row[reg] == " ":
+            row[reg] = "+"
+        lines.append(f"{executor['name']:>14s} |{''.join(row)}|")
+    axis = [" "] * width
+    for boundary in boundaries:
+        axis[min(width - 1, int(boundary * scale))] = "|"
+    if segue is not None:
+        axis[min(width - 1, int(segue * scale))] = "S"
+    lines.append(f"{'stages':>14s} |{''.join(axis)}|")
+    lines.append(f"{'':>14s}  0{'':{width - 10}}{end:8.1f}s")
+    return "\n".join(lines)

@@ -47,9 +47,15 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.analysis.reporting import format_series, format_table, relative_to
-from repro.analysis.timeline import build_timeline
+from repro.analysis.timeline import render_timeline
 from repro.core.scenarios import SCENARIO_NAMES, run_scenario
 from repro.experiments import ExperimentRunner, ExperimentSpec, write_jsonl
+from repro.observability.export import (
+    event_log_dicts,
+    save_chrome_trace,
+    save_event_log,
+)
+from repro.observability.spans import event_marks, render_span_tree, run_spans
 from repro.simulation.faults import CHAOS_PLANS, FaultSpec
 from repro.workloads.base import Workload
 from repro.workloads.registry import WORKLOADS
@@ -184,18 +190,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         for res in results:
             if args.timeline and not res.failed and res.trace is not None:
                 print(f"\n--- timeline: {res.label(workload.spec)} ---")
-                print(build_timeline(res.trace).render())
+                print(render_timeline(run_spans(event_log_dicts(res.trace))))
         if wants_trace:
-            from repro.observability.export import (
-                save_chrome_trace,
-                save_event_log,
-            )
             trace = results[0].trace
             if args.events_out:
                 count = save_event_log(trace, args.events_out)
                 print(f"wrote {count} event(s) to {args.events_out}")
             if args.trace_out:
-                count = save_chrome_trace(trace, args.trace_out)
+                count = save_chrome_trace(
+                    run_spans(event_log_dicts(trace)), args.trace_out)
                 print(f"wrote {count} traceEvents to {args.trace_out} "
                       f"(load in https://ui.perfetto.dev)")
     else:
@@ -543,9 +546,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     the parent-linked span tree; ``--chrome-out`` additionally merges
     the host wall-clock spans with the trace-stamped sim events into
     one Chrome-trace timeline."""
-    from repro.observability.export import save_spans_chrome_trace
-    from repro.observability.serve_obs import render_span_tree
-
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
@@ -588,8 +588,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if sim_events:
         print(f"{len(sim_events)} sim event(s) stamped with this trace")
     if args.chrome_out:
-        n = save_spans_chrome_trace(spans, args.chrome_out,
-                                    sim_events=sim_events)
+        root = next(s for s in spans if s.get("parent_span_id") is None)
+        n = save_chrome_trace(spans + event_marks(sim_events, root),
+                              args.chrome_out)
         print(f"chrome trace ({n} records) written to {args.chrome_out} "
               f"(open in Perfetto / chrome://tracing)")
     if args.json:

@@ -3,13 +3,14 @@
 The three facilities of §4.2, implemented over the Spark-like engine and
 the cloud substrate:
 
-- :class:`~repro.core.state.ClusterState` — the system-wide VM/Lambda
-  state shared with the cost manager;
+- :class:`~repro.core.state.ClusterState` — the system-wide VM state:
+  which running VMs have free cores, most-free first;
 - :class:`~repro.core.launching.LaunchingFacility` — serve a job's R-core
   requirement from free VM cores plus Δ freshly launched Lambdas;
-- :class:`~repro.core.segue.SegueingFacility` — launch replacement VMs in
-  the background when the job will outlive the VM startup delay, and
-  gracefully drain Lambda-based executors onto them (no rollback);
+- :class:`~repro.core.segue.SegueingFacility` — when replacement VM
+  cores come up, gracefully drain Lambda-based executors onto them (no
+  rollback); whether to procure them at all is the cost manager's
+  §4.2 rule (SLO above the VM startup delay);
 - :class:`~repro.core.splitserve.SplitServe` — the facade wiring the
   facilities to a driver with HDFS-based shuffle (§4.3);
 - :mod:`~repro.core.cost_manager` — intra-job cost/performance estimates

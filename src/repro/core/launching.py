@@ -113,9 +113,8 @@ class LaunchingFacility:
         budget = cores if max_vm_cores is None else min(cores, max_vm_cores)
         for vm in self.state.vms_with_free_cores():
             while budget > 0 and vm.free_cores > 0:
-                executor = self.driver.add_vm_executor(vm)
-                self.state.record_executor(executor)
-                outcome.vm_executors.append(executor)
+                outcome.vm_executors.append(
+                    self.driver.add_vm_executor(vm))
                 budget -= 1
             if budget == 0:
                 break
@@ -158,9 +157,8 @@ class LaunchingFacility:
             self._slot_resolved(outcome, pending)
             return
         yield instance.ready
-        executor = self.driver.add_lambda_executor(instance)
-        self.state.record_executor(executor)
-        outcome.lambda_executors.append(executor)
+        outcome.lambda_executors.append(
+            self.driver.add_lambda_executor(instance))
         self._slot_resolved(outcome, pending)
 
     def _degrade_to_vm(self, outcome: LaunchOutcome) -> None:
@@ -168,7 +166,6 @@ class LaunchingFacility:
         core rather than stalling the job (graceful degradation)."""
         for vm in self.state.vms_with_free_cores():
             executor = self.driver.add_vm_executor(vm)
-            self.state.record_executor(executor)
             outcome.fallback_vm_executors.append(executor)
             self._record(EV_DEGRADED_TO_VM_CORE, vm=vm.name,
                          executor=executor.executor_id)
@@ -191,13 +188,11 @@ class LaunchingFacility:
         instance = executor.lambda_instance
         self.provider.release_lambda(instance)
         self.provider.bill_lambda_usage(instance)
-        self.state.record_release(executor)
 
     def release_vm_executor(self, executor: Executor) -> None:
         """Free the VM core an executor held (the VM itself stays up —
         inter-job policy decides its fate)."""
         executor.vm.release_cores(1)
-        self.state.record_release(executor)
 
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:

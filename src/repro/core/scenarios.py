@@ -340,9 +340,7 @@ def _splitserve(workload: Workload, runtime: ClusterRuntime, vm_cores: int,
 
     run = ss.submit_job(workload.build(runtime.lineage, spec.required_cores),
                         required_cores=total,
-                        max_vm_cores=vm_cores,
-                        expected_duration_s=spec.slo_seconds,
-                        segue=False)
+                        max_vm_cores=vm_cores)
 
     segue_vms: List = []
     if segue and procure > 0:

@@ -1,35 +1,26 @@
-"""The segueing facility (§4.2–4.3).
+"""The segueing facility (§4.2–4.3): the graceful hand-off.
 
-Two responsibilities:
+When replacement cores become available (a new VM booted, or cores
+freed on an existing VM), stop directing tasks to the Lambda-based
+executors and let them drain; killing them would mark tasks Failed and
+trigger Spark's execution rollback.
 
-1. **Background VM procurement** — "launches VMs in the background
-   matching the cores procured through any Lambdas that the launching
-   facility starts. These VMs are only launched if the job's expected
-   execution time (the SLO) exceeds the nominal VM start-up delay."
-2. **Graceful hand-off** — when replacement cores become available
-   (a new VM booted, or cores freed on an existing VM), stop directing
-   tasks to the Lambda-based executors and let them drain; killing them
-   would mark tasks Failed and trigger Spark's execution rollback.
+The replacement VMs themselves are procured by the caller (the §5.1
+scenarios go through :func:`repro.cluster.pool.scale_out_after`), and
+the §4.2 rule that VMs are worth procuring only when the SLO exceeds
+the VM startup delay lives in
+:meth:`repro.core.cost_manager.CostManager.plan`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.cloud.constants import VM_STARTUP_MEAN_S
-from repro.cloud.instance_types import fewest_instances_for_cores
-from repro.observability.categories import (
-    CAT_SEGUE,
-    EV_SEGUE_TRIGGERED,
-    EV_SEGUE_VMS_REQUESTED,
-)
-from repro.simulation.events import Event
+from repro.observability.categories import CAT_SEGUE, EV_SEGUE_TRIGGERED
 from repro.spark.executor import Executor, HostKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cloud.provisioner import CloudProvider
     from repro.cloud.vm import VirtualMachine
-    from repro.core.launching import LaunchingFacility
     from repro.simulation.kernel import Environment
     from repro.simulation.tracing import TraceRecorder
     from repro.spark.application import SparkDriver
@@ -41,56 +32,12 @@ class SegueingFacility:
     def __init__(
         self,
         env: "Environment",
-        provider: "CloudProvider",
         driver: "SparkDriver",
-        launching: "LaunchingFacility",
-        nominal_vm_startup_s: float = VM_STARTUP_MEAN_S,
         trace: Optional["TraceRecorder"] = None,
     ) -> None:
         self.env = env
-        self.provider = provider
         self.driver = driver
-        self.launching = launching
-        self.nominal_vm_startup_s = nominal_vm_startup_s
         self.trace = trace
-        self.requested_vms: List["VirtualMachine"] = []
-        #: Fires each time a segue (drain + replace) round completes.
-        self.segue_complete: Optional[Event] = None
-
-    # ------------------------------------------------------------------
-    # Decision + background procurement
-    # ------------------------------------------------------------------
-
-    def should_launch_vms(self, expected_duration_s: float) -> bool:
-        """§4.2: procuring VMs is futile for jobs shorter than the VM
-        startup delay."""
-        return expected_duration_s > self.nominal_vm_startup_s
-
-    def launch_background_vms(self, cores: int) -> List["VirtualMachine"]:
-        """Request the fewest instances covering ``cores`` and arrange a
-        segue onto each as it becomes ready."""
-        if cores <= 0:
-            raise ValueError(f"cores must be positive, got {cores}")
-        vms = []
-        remaining = cores
-        for itype in fewest_instances_for_cores(cores):
-            vm = self.provider.request_vm(itype)
-            take = min(remaining, itype.vcpus)
-            remaining -= take
-            vms.append(vm)
-            self.env.process(self._segue_when_ready(vm, take))
-        self.requested_vms.extend(vms)
-        self._record(EV_SEGUE_VMS_REQUESTED, cores=cores,
-                     vms=[vm.name for vm in vms])
-        return vms
-
-    def _segue_when_ready(self, vm: "VirtualMachine", cores: int):
-        yield vm.ready
-        self.segue_to_vm(vm, cores)
-
-    # ------------------------------------------------------------------
-    # The hand-off itself
-    # ------------------------------------------------------------------
 
     def segue_to_vm(self, vm: "VirtualMachine", cores: int) -> List[Executor]:
         """Replace up to ``cores`` Lambda-based executors with executors
@@ -103,9 +50,7 @@ class SegueingFacility:
         count = min(cores, vm.free_cores)
         replacements = []
         for _ in range(count):
-            executor = self.driver.add_vm_executor(vm)
-            self.launching.state.record_executor(executor)
-            replacements.append(executor)
+            replacements.append(self.driver.add_vm_executor(vm))
         # Drain one Lambda per replacement core (oldest first: they are
         # closest to their cost/GC cliff).
         drained = lambdas[:len(replacements)]
@@ -117,32 +62,13 @@ class SegueingFacility:
 
     def drain_lambda(self, executor: Executor) -> None:
         """Gracefully decommission one Lambda executor: the scheduler
-        stops offering it tasks; once idle it deregisters and its
-        container is released and billed."""
+        stops offering it tasks, and once idle it deregisters, which
+        fires the drained callback that releases and bills its
+        container (:class:`~repro.core.splitserve.SplitServe`)."""
         if executor.kind is not HostKind.LAMBDA:
             raise ValueError(f"{executor.executor_id} is not Lambda-based")
-        scheduler = self.driver.task_scheduler
-        scheduler.decommission_executor(executor, graceful=True)
-        # If decommission completed synchronously (executor was idle),
-        # the listener fired; either way ensure the container is released
-        # exactly once when the executor is gone.
-        if executor.executor_id not in scheduler.executors:
-            self._release_if_needed(executor)
-        else:
-            self.env.process(self._watch_drain(executor))
-
-    def _watch_drain(self, executor: Executor):
-        # Poll cheaply until the draining executor leaves the registry
-        # (its current task finished).
-        scheduler = self.driver.task_scheduler
-        while executor.executor_id in scheduler.executors:
-            yield self.env.timeout(0.5)
-        self._release_if_needed(executor)
-
-    def _release_if_needed(self, executor: Executor) -> None:
-        instance = executor.lambda_instance
-        if instance is not None and instance.finish_time is None:
-            self.launching.release_lambda_executor(executor)
+        self.driver.task_scheduler.decommission_executor(executor,
+                                                         graceful=True)
 
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:

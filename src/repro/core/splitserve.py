@@ -1,17 +1,16 @@
 """The SplitServe facade: one object wiring all three facilities.
 
 Mirrors §4.2's example flow: a job arrives needing R cores; the launching
-facility claims the r free VM cores and invokes Δ = R − r Lambdas; if the
-job's SLO exceeds the VM startup delay the segueing facility launches
-replacement VMs in the background and drains the Lambdas onto them as
-they become ready; shuffle flows through HDFS reachable by both executor
-kinds (§4.3).
+facility claims the r free VM cores and invokes Δ = R − r Lambdas; when
+replacement VM cores come up, the segueing facility drains the Lambdas
+onto them; shuffle flows through HDFS reachable by both executor kinds
+(§4.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.launching import LaunchingFacility, LaunchOutcome
 from repro.core.segue import SegueingFacility
@@ -37,7 +36,6 @@ class SplitServeRun:
 
     job: "Job"
     launch: LaunchOutcome
-    background_vms: List["VirtualMachine"]
 
 
 class SplitServe:
@@ -69,8 +67,7 @@ class SplitServe:
         self.launching = LaunchingFacility(
             env, provider, self.driver, self.state,
             lambda_memory_mb=lambda_memory_mb, trace=trace)
-        self.segueing = SegueingFacility(env, provider, self.driver,
-                                         self.launching, trace=trace)
+        self.segueing = SegueingFacility(env, self.driver, trace=trace)
         # Whenever the scheduler drains a Lambda executor — via the
         # spark.lambda.executor.timeout knob or a segue — return its
         # container to the provider and bill the usage.
@@ -88,25 +85,13 @@ class SplitServe:
         self,
         final_rdd: "RDD",
         required_cores: int,
-        expected_duration_s: Optional[float] = None,
         max_vm_cores: Optional[int] = None,
-        segue: bool = False,
     ) -> SplitServeRun:
-        """Launch executors per §4.2 and submit the job.
-
-        ``expected_duration_s`` is the SLO the inter-job manager conveys;
-        with ``segue=True`` and an SLO above the nominal VM startup
-        delay, background VMs are procured to absorb the Lambda share.
-        """
+        """Launch executors per §4.2 and submit the job."""
         launch = self.launching.acquire(required_cores,
                                         max_vm_cores=max_vm_cores)
-        background: List["VirtualMachine"] = []
-        lambda_cores = required_cores - launch.vm_cores
-        if (segue and lambda_cores > 0 and expected_duration_s is not None
-                and self.segueing.should_launch_vms(expected_duration_s)):
-            background = self.segueing.launch_background_vms(lambda_cores)
         job = self.driver.submit(final_rdd)
-        return SplitServeRun(job=job, launch=launch, background_vms=background)
+        return SplitServeRun(job=job, launch=launch)
 
     def run_job(self, final_rdd: "RDD", required_cores: int,
                 **kwargs) -> JobResult:

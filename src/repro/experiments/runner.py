@@ -76,6 +76,8 @@ def _dispatch(spec: ExperimentSpec) -> RunRecord:
         return RunRecord(
             spec=spec, workload=spec.make_workload().name,
             duration_s=point.duration_s, cost=point.cost,
+            failed=point.failure_reason is not None,
+            failure_reason=point.failure_reason,
             metrics={"parallelism": point.parallelism,
                      "executor_kind": point.executor_kind})
     if scenario == STREAM_SCENARIO:

@@ -9,8 +9,13 @@ The observability layer has four pieces:
 - :mod:`~repro.observability.metrics` — the deterministic
   :class:`MetricsRegistry` of counters/gauges/histograms, fed by
   :class:`MetricsListener` and direct cloud-layer instrumentation;
+- :mod:`~repro.observability.spans` — the one span record
+  (:class:`Span`, on the host or the sim clock), :func:`run_spans`
+  (a run's executor, task and stage spans and its segue and fault
+  marks, derived once from its event rows) and the span-tree helpers;
 - :mod:`~repro.observability.export` / ``report`` — JSONL event logs,
-  Chrome-trace (Perfetto) JSON, and the ``repro report`` renderer;
+  the Chrome-trace (Perfetto) JSON of any spans, and the
+  ``repro report`` renderer;
 - :mod:`~repro.observability.serve_obs` — the live serve plane:
   causal spans (``ServeTracer``), rolling-window histograms, SLO burn
   rates, Prometheus text exposition, and the sampling profiler.
@@ -28,8 +33,6 @@ from repro.observability.export import (
     load_event_log,
     save_chrome_trace,
     save_event_log,
-    save_spans_chrome_trace,
-    spans_chrome_trace,
 )
 from repro.observability.instrumentation import MetricsListener, attribute_costs
 from repro.observability.metrics import (
@@ -50,9 +53,13 @@ from repro.observability.serve_obs import (
     SLOConfig,
     SLOTracker,
     render_prometheus,
-    render_span_tree,
-    span_tree_fingerprint,
     trace_id_for_job,
+)
+from repro.observability.spans import (
+    Span,
+    render_span_tree,
+    run_spans,
+    span_tree_fingerprint,
 )
 from repro.observability.stage_metrics import (
     StageMetrics,
@@ -72,15 +79,15 @@ __all__ = [
     "load_event_log",
     "save_chrome_trace",
     "save_event_log",
-    "save_spans_chrome_trace",
-    "spans_chrome_trace",
     "RollingHistogram",
     "SamplingProfiler",
     "ServeTracer",
     "SLOConfig",
     "SLOTracker",
     "render_prometheus",
+    "Span",
     "render_span_tree",
+    "run_spans",
     "span_tree_fingerprint",
     "trace_id_for_job",
     "MetricsListener",

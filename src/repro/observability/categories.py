@@ -100,7 +100,6 @@ EV_SLOT_UNFILLED = "slot_unfilled"
 
 # segue
 EV_SEGUE_TRIGGERED = "triggered"
-EV_SEGUE_VMS_REQUESTED = "vms_requested"
 
 # cluster (multi-application admission)
 EV_APP_SUBMITTED = "app_submitted"
@@ -173,9 +172,7 @@ EVENTS: Dict[str, FrozenSet[str]] = {
     CAT_LAUNCHING: frozenset({
         EV_LAMBDA_INVOKE_FAILED, EV_DEGRADED_TO_VM_CORE, EV_SLOT_UNFILLED,
     }),
-    CAT_SEGUE: frozenset({
-        EV_SEGUE_TRIGGERED, EV_SEGUE_VMS_REQUESTED,
-    }),
+    CAT_SEGUE: frozenset({EV_SEGUE_TRIGGERED}),
     CAT_CLUSTER: frozenset({
         EV_APP_SUBMITTED, EV_APP_ADMITTED, EV_APP_COMPLETED, EV_APP_FAILED,
     }),

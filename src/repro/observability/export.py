@@ -1,39 +1,28 @@
 """Trace exporters: JSONL event logs and Chrome-trace (Perfetto) JSON.
 
-Two serialized views of the same event stream:
+Two serialized views:
 
 - the **event log** — one JSON object per :class:`TraceRecord`, payload
   namespaced under ``fields``, keys sorted — is the replayable,
   diff-able artifact (two same-seed runs produce byte-identical files);
 - the **Chrome trace** — the ``traceEvents`` JSON that
-  https://ui.perfetto.dev (or ``chrome://tracing``) renders — is the
-  human-facing Figure-7-style timeline: one process row per resource
-  kind, one thread lane per executor, complete ("X") slices per task,
-  and instant markers for stage/segue/fault milestones.
+  https://ui.perfetto.dev (or ``chrome://tracing``) renders — draws
+  span dicts (:mod:`repro.observability.spans`): a run's
+  :func:`~repro.observability.spans.run_spans` give the Figure-7-style
+  timeline (one process per executor kind, one lane per executor, task
+  slices, stage slices, segue and fault instants), and a served job's
+  host spans plus its stamped sim events give ``repro trace``'s view.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Union
 
-from repro.observability.categories import (
-    CAT_DAG,
-    CAT_EXECUTOR,
-    CAT_FAULT,
-    CAT_SEGUE,
-    EV_STAGE_COMPLETE,
-    EV_STAGE_SUBMITTED,
-    EV_TASK_END,
-)
+from repro.observability.spans import ROLE_EXECUTOR, SPAN_HOST, span_role
 from repro.simulation.tracing import TraceRecord, TraceRecorder
 
 TraceLike = Union[TraceRecorder, Iterable[TraceRecord]]
-
-#: Fixed process ids per resource kind, so lanes are stable across runs.
-_KIND_PIDS = {"vm": 1, "lambda": 2}
-#: Everything that is not a per-executor slice lands on this process.
-_CONTROL_PID = 0
 
 
 def _records(trace: TraceLike) -> List[TraceRecord]:
@@ -80,156 +69,88 @@ def load_event_log(path: str) -> List[Dict[str, Any]]:
 # Chrome trace (Perfetto)
 # ---------------------------------------------------------------------------
 
+#: Process ids, fixed so lanes are stable across runs: sim spans under a
+#: VM or Lambda executor, a run's other sim spans (stages, marks), serve
+#: spans on the host clock, and sim spans hung under a host span.
+_KIND_PIDS = {"vm": 1, "lambda": 2}
+_CONTROL_PID = 0
+_HOST_PID = 10
+_SIM_PID = 11
+_PROCESS_NAMES = {
+    1: "vm executors", 2: "lambda executors",
+    _CONTROL_PID: "control (sim clock)",
+    _HOST_PID: "serve (host wall clock)",
+    _SIM_PID: "cluster (sim clock)",
+}
+
+
 def _us(seconds: float) -> float:
     return seconds * 1e6
 
 
-def chrome_trace(trace: TraceLike) -> Dict[str, Any]:
-    """Project the event stream onto the Chrome-trace JSON schema.
+def _pid(span: Mapping[str, Any], root: Mapping[str, Any]) -> int:
+    if span["kind"] == SPAN_HOST:
+        return _HOST_PID
+    if root["kind"] == SPAN_HOST:
+        return _SIM_PID
+    if span_role(root) == ROLE_EXECUTOR:
+        return _KIND_PIDS.get(root["attrs"].get("kind"), _CONTROL_PID)
+    return _CONTROL_PID
 
-    Task slices are emitted from ``task_end`` records (whose ``duration``
-    field closes the span); stage, segue, and fault milestones become
-    global instant events.
+
+def chrome_trace(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Project span dicts, on either clock, onto the Chrome-trace schema.
+
+    A span with ``end_s > start_s`` becomes a complete ("X") slice, any
+    other span an instant (global when it has no parent). The process
+    comes from the clock and the executor kind; the thread (lane) from
+    the span's root: one lane per executor, per stage, per mark name,
+    and per served job. Host and sim seconds both start near zero, so a
+    served job's control-plane spans and its stamped sim events share
+    one timeline without rebasing either.
     """
+    by_id = {span["span_id"]: span for span in spans}
     events: List[Dict[str, Any]] = []
-    #: executor id -> tid, first-seen order within its kind.
-    tids: Dict[str, int] = {}
-    seen_pids = set()
-
-    def tid_for(executor: str, pid: int) -> int:
-        if executor not in tids:
-            tids[executor] = len(tids) + 1
-            events.append({"ph": "M", "name": "thread_name", "pid": pid,
-                           "tid": tids[executor],
-                           "args": {"name": executor}})
-        return tids[executor]
-
-    def pid_for(kind: str) -> int:
-        pid = _KIND_PIDS.get(kind, _CONTROL_PID)
-        if pid not in seen_pids:
-            seen_pids.add(pid)
-            events.append({"ph": "M", "name": "process_name", "pid": pid,
-                           "tid": 0,
-                           "args": {"name": f"{kind} executors"}})
-        return pid
-
-    for rec in _records(trace):
-        if rec.category == CAT_EXECUTOR and rec.name == EV_TASK_END:
-            duration = float(rec.get("duration", 0.0))
-            executor = str(rec.get("executor", "?"))
-            pid = pid_for(str(rec.get("kind", "vm")))
-            events.append({
-                "ph": "X",
-                "name": str(rec.get("task", "task")),
-                "cat": rec.category,
-                "ts": _us(rec.time - duration),
-                "dur": _us(duration),
-                "pid": pid,
-                "tid": tid_for(executor, pid),
-                "args": dict(rec.fields),
-            })
-        elif ((rec.category == CAT_DAG
-               and rec.name in (EV_STAGE_SUBMITTED, EV_STAGE_COMPLETE))
-              or rec.category in (CAT_SEGUE, CAT_FAULT)):
-            events.append({
-                "ph": "i",
-                "s": "g",
-                "name": f"{rec.category}:{rec.name}",
-                "cat": rec.category,
-                "ts": _us(rec.time),
-                "pid": _CONTROL_PID,
-                "tid": 0,
-                "args": dict(rec.fields),
-            })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def save_chrome_trace(trace: TraceLike, path: str) -> int:
-    """Write the Perfetto-loadable JSON; returns the event count."""
-    payload = chrome_trace(trace)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, default=str)
-    return len(payload["traceEvents"])
-
-
-# ---------------------------------------------------------------------------
-# Serve spans: host wall-clock + sim-time on one timeline
-# ---------------------------------------------------------------------------
-
-#: Serve-side spans (ServeTracer, host wall clock) render on this
-#: process row; sim-time events stamped with the job's trace id render
-#: on the next one. One Perfetto view, two clearly-labeled clocks.
-_HOST_SPAN_PID = 10
-_SIM_EVENT_PID = 11
-
-
-def spans_chrome_trace(spans: Sequence[Mapping[str, Any]],
-                       sim_events: Optional[
-                           Sequence[Mapping[str, Any]]] = None
-                       ) -> Dict[str, Any]:
-    """Merge a job's serve spans with its sim-time events.
-
-    ``spans`` are :class:`~repro.observability.serve_obs.Span` dicts
-    (host wall seconds since serve start); ``sim_events`` are hub
-    envelope dicts (``{time, category, name, fields}``, simulated
-    seconds) — events the driver stamped with the trace id via the
-    EventBus context. Both clocks start near zero, so one timeline
-    shows cause (wall-clock control plane, pid 10) above effect
-    (sim-time cluster activity, pid 11) without rebasing either.
-    """
-    events: List[Dict[str, Any]] = [
-        {"ph": "M", "name": "process_name", "pid": _HOST_SPAN_PID,
-         "tid": 0, "args": {"name": "serve (host wall clock)"}},
-    ]
-    tids: Dict[str, int] = {}
+    pids = set()
+    tids: Dict[tuple, int] = {}
     for span in spans:
-        trace_id = str(span.get("trace_id", "?"))
-        if trace_id not in tids:
-            tids[trace_id] = len(tids) + 1
-            events.append({"ph": "M", "name": "thread_name",
-                           "pid": _HOST_SPAN_PID, "tid": tids[trace_id],
-                           "args": {"name": f"trace {trace_id}"}})
-        tid = tids[trace_id]
+        root = span
+        for _ in spans:  # bounded: a parent cycle in a loaded file ends
+            parent = by_id.get(root.get("parent_span_id"))
+            if parent is None:
+                break
+            root = parent
+        pid = _pid(span, root)
+        if pid not in pids:
+            pids.add(pid)
+            events.append({"ph": "M", "name": "process_name", "pid": pid,
+                           "tid": 0, "args": {"name": _PROCESS_NAMES[pid]}})
+        lane = (pid, root["trace_id"], root["name"])
+        if lane not in tids:
+            tids[lane] = len(tids) + 1
+            events.append({"ph": "M", "name": "thread_name", "pid": pid,
+                           "tid": tids[lane],
+                           "args": {"name": str(root["name"])}})
         start = float(span.get("start_s") or 0.0)
         end = span.get("end_s")
-        args = {"span_id": span.get("span_id"),
-                "parent_span_id": span.get("parent_span_id"),
-                "status": span.get("status"),
-                **dict(span.get("attrs") or {})}
+        event = {"name": str(span["name"]), "cat": span["kind"],
+                 "ts": _us(start), "pid": pid, "tid": tids[lane],
+                 "args": {"span_id": span["span_id"],
+                          "parent_span_id": span.get("parent_span_id"),
+                          "status": span.get("status"),
+                          **dict(span.get("attrs") or {})}}
         if end is not None and float(end) > start:
-            events.append({"ph": "X", "name": str(span.get("name")),
-                           "cat": "trace", "ts": _us(start),
-                           "dur": _us(float(end) - start),
-                           "pid": _HOST_SPAN_PID, "tid": tid,
-                           "args": args})
+            event.update(ph="X", dur=_us(float(end) - start))
         else:
-            events.append({"ph": "i", "s": "t",
-                           "name": str(span.get("name")), "cat": "trace",
-                           "ts": _us(start), "pid": _HOST_SPAN_PID,
-                           "tid": tid, "args": args})
-    if sim_events:
-        events.append({"ph": "M", "name": "process_name",
-                       "pid": _SIM_EVENT_PID, "tid": 0,
-                       "args": {"name": "cluster (sim clock)"}})
-        for rec in sim_events:
-            events.append({
-                "ph": "i", "s": "t",
-                "name": f"{rec.get('category')}:{rec.get('name')}",
-                "cat": str(rec.get("category")),
-                "ts": _us(float(rec.get("time", 0.0))),
-                "pid": _SIM_EVENT_PID, "tid": 1,
-                "args": dict(rec.get("fields") or {}),
-            })
+            event.update(ph="i", s="t" if span.get("parent_span_id")
+                         else "g")
+        events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def save_spans_chrome_trace(spans: Sequence[Mapping[str, Any]],
-                            path: str,
-                            sim_events: Optional[
-                                Sequence[Mapping[str, Any]]] = None
-                            ) -> int:
-    """Write the merged serve-span timeline; returns the event count."""
-    payload = spans_chrome_trace(spans, sim_events)
+def save_chrome_trace(spans: Sequence[Mapping[str, Any]], path: str) -> int:
+    """Write the Perfetto-loadable JSON; returns the event count."""
+    payload = chrome_trace(spans)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, default=str)
     return len(payload["traceEvents"])

@@ -4,10 +4,12 @@ Three inputs, one look:
 
 - a **RunRecord** JSONL row — the richest view: cost split (FaaS vs
   IaaS vs storage), per-stage task metrics (from the ``stage.*`` dotted
-  telemetry), per-resource-kind utilization, and the stage critical
-  path;
-- an **event log** JSONL file — stage spans and executor utilization
-  reconstructed from the raw stream (no cost data rides on events);
+  telemetry) with the longest stage starred, and per-resource-kind
+  utilization;
+- an **event log** JSONL file — an event census, plus stage and
+  executor-utilization tables read off the run's spans
+  (:func:`~repro.observability.spans.run_spans`; no cost data rides on
+  events);
 - a **JobStatus** JSON document — a ``repro serve`` job curl'd from
   ``GET /jobs/{id}``: the job's lifecycle header plus, for completed
   spec-mode jobs, the embedded RunRecord rendered in full.
@@ -26,16 +28,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.observability.categories import (
-    CAT_DAG,
-    CAT_EXECUTOR,
-    CAT_SCHEDULER,
-    EV_DEAD,
-    EV_EXECUTOR_DRAINED,
-    EV_REGISTERED,
-    EV_STAGE_COMPLETE,
-    EV_STAGE_SUBMITTED,
-    EV_TASK_END,
+from repro.observability.spans import (
+    ROLE_EXECUTOR,
+    ROLE_STAGE,
+    ROLE_TASK,
+    STATUS_OK,
+    run_spans,
+    span_role,
 )
 
 #: Columns of the per-stage table, in display order: (telemetry field,
@@ -162,23 +161,23 @@ def render_run_report(record: Mapping[str, Any]) -> str:
                 ["metric", "value"],
                 [[k, planner[k]] for k in sorted(planner)]))
 
-    # -- per-stage breakdown + critical path ---------------------------
+    # -- per-stage breakdown + longest stage ---------------------------
     stages = _nested(metrics, "stage")
     if stages:
         order = sorted(stages, key=_stage_sort_key)
-        critical = max(order,
-                       key=lambda s: stages[s].get("duration_seconds", 0.0))
+        longest = max(order,
+                      key=lambda s: stages[s].get("duration_seconds", 0.0))
         stage_rows = []
         for stage_id in order:
             row: List[Any] = [stage_id]
             for field_name, _header in _STAGE_COLUMNS:
                 row.append(float(stages[stage_id].get(field_name, 0.0)))
-            row.append("*" if stage_id == critical else "")
+            row.append("*" if stage_id == longest else "")
             stage_rows.append(row)
         lines.append("")
-        lines.append("per-stage breakdown (* = critical path):")
+        lines.append("per-stage breakdown (* = longest stage):")
         lines.extend(_table(
-            ["stage"] + [h for _f, h in _STAGE_COLUMNS] + ["crit"],
+            ["stage"] + [h for _f, h in _STAGE_COLUMNS] + ["longest"],
             stage_rows))
 
     # -- per-kind utilization ------------------------------------------
@@ -223,8 +222,9 @@ def _share(part: float, total: float) -> str:
 
 def render_event_log_report(rows: List[Mapping[str, Any]]) -> str:
     """Render a report from envelope dicts (``{time, category, name,
-    fields}``). Stage spans and executor utilization come straight from
-    the stream; there is no cost data on events."""
+    fields}``): the event census counts rows; the stage and executor
+    utilization tables read the run's spans. There is no cost data on
+    events."""
     lines: List[str] = []
     if not rows:
         return "event log: empty"
@@ -242,59 +242,46 @@ def render_event_log_report(rows: List[Mapping[str, Any]]) -> str:
     lines.extend(_table(["event", "count"],
                         [[k, census[k]] for k in sorted(census)]))
 
-    # -- stage spans ----------------------------------------------------
+    # -- stages and executor utilization, from the spans ----------------
     submitted: Dict[str, float] = {}
     completed: Dict[str, float] = {}
     tasks_per_stage: Dict[str, int] = {}
     busy: Dict[str, float] = {}
-    opened: Dict[str, tuple] = {}
-    closed: Dict[str, float] = {}
-    for row in rows:
-        category, name = row.get("category"), row.get("name")
-        fields = row.get("fields") or {}
-        time = float(row.get("time", 0.0))
-        if category == CAT_DAG:
-            stage = str(fields.get("stage_id", fields.get("stage", "?")))
-            if name == EV_STAGE_SUBMITTED:
-                submitted.setdefault(stage, time)
-            elif name == EV_STAGE_COMPLETE:
-                completed[stage] = time
-        elif category == CAT_EXECUTOR:
-            if name == EV_TASK_END:
-                stage = str(fields.get("stage", "?"))
-                tasks_per_stage[stage] = tasks_per_stage.get(stage, 0) + 1
-                kind = str(fields.get("kind", "vm"))
-                busy[kind] = busy.get(kind, 0.0) + float(
-                    fields.get("duration", 0.0))
-            elif name == EV_REGISTERED:
-                executor = str(fields.get("executor", "?"))
-                opened.setdefault(
-                    executor, (time, str(fields.get("kind", "vm"))))
-            elif name == EV_DEAD:
-                closed[str(fields.get("executor", "?"))] = time
-        elif category == CAT_SCHEDULER and name == EV_EXECUTOR_DRAINED:
-            closed[str(fields.get("executor", "?"))] = time
+    lifetime: Dict[str, float] = {}
+    for span in run_spans(rows):
+        role, attrs = span_role(span), span["attrs"]
+        if role == ROLE_STAGE:
+            stage = str(attrs.get("stage_id", "?"))
+            submitted.setdefault(stage, span["start_s"])
+            if span["status"] == STATUS_OK:
+                completed[stage] = span["end_s"]
+        elif role == ROLE_TASK:
+            stage = str(attrs.get("stage", "?"))
+            tasks_per_stage[stage] = tasks_per_stage.get(stage, 0) + 1
+            kind = str(attrs.get("kind", "vm"))
+            busy[kind] = (busy.get(kind, 0.0)
+                          + span["end_s"] - span["start_s"])
+        elif role == ROLE_EXECUTOR:
+            kind = str(attrs.get("kind", "vm"))
+            lifetime[kind] = lifetime.get(kind, 0.0) + max(
+                0.0, span["end_s"] - span["start_s"])
 
     if submitted:
         stage_rows = []
         for stage in sorted(submitted, key=_stage_sort_key):
             done = completed.get(stage)
-            span = (done - submitted[stage]) if done is not None else None
             stage_rows.append([stage, tasks_per_stage.get(stage, 0),
                                submitted[stage],
                                done if done is not None else "open",
-                               span if span is not None else "-"])
+                               done - submitted[stage]
+                               if done is not None else "-"])
         lines.append("")
         lines.append("stages:")
         lines.extend(_table(
             ["stage", "tasks", "submitted", "completed", "span_s"],
             stage_rows))
 
-    if opened:
-        lifetime: Dict[str, float] = {}
-        for executor, (at, kind) in opened.items():
-            until = closed.get(executor, end_time)
-            lifetime[kind] = lifetime.get(kind, 0.0) + max(0.0, until - at)
+    if lifetime:
         util_rows = []
         for kind in sorted(lifetime):
             b = busy.get(kind, 0.0)

@@ -13,10 +13,9 @@ same treatment, as four composable pieces the
   clients and the dashboard see spans live), and the driver stamps
   active trace ids onto the sim's ``CAT_*`` events via the EventBus
   context (see :meth:`repro.observability.bus.EventBus.set_context`).
-  ``repro trace <job_id>`` renders the tree via
-  :func:`render_span_tree`; :func:`span_tree` /
-  :func:`span_tree_fingerprint` are the deterministic projection the
-  byte-identity tests compare (wall-clock fields excluded).
+  Its spans are :class:`~repro.observability.spans.Span` records on
+  the host clock; ``repro trace <job_id>`` renders the tree via
+  :func:`~repro.observability.spans.render_span_tree`.
 - **Live metrics exposition** — :class:`RollingHistogram` (a
   fixed-bucket, rolling-window aggregator with p50/p95/p99 readouts)
   and :func:`render_prometheus` /
@@ -57,7 +56,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -76,10 +74,24 @@ from repro.observability.metrics import (
     MetricsRegistry,
     nearest_rank,
 )
+from repro.observability.spans import (
+    SPAN_HOST,
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_RETRY,
+    Span,
+    orphan_spans,
+    render_span_tree,
+    span_tree,
+    span_tree_fingerprint,
+)
 
 __all__ = [
-    "Span", "ServeTracer", "trace_id_for_job", "span_tree",
-    "span_tree_fingerprint", "render_span_tree", "orphan_spans",
+    "ServeTracer", "trace_id_for_job",
+    # The span record and its tree helpers live in
+    # repro.observability.spans; re-exported for serve-side callers.
+    "Span", "span_tree", "span_tree_fingerprint", "render_span_tree",
+    "orphan_spans",
     "RollingHistogram", "DEFAULT_LATENCY_BUCKETS",
     "SLOConfig", "SLOTracker",
     "MetricSample", "MetricFamily", "prom_name", "render_prometheus",
@@ -90,21 +102,6 @@ __all__ = [
     "DASHBOARD_HTML",
 ]
 
-# Span attr/metric keys that carry wall-clock quantities; the
-# deterministic projections strip them.
-_TIMING_ATTRS = frozenset({
-    "queued_s", "backoff_s", "duration_s", "wall_s", "t", "retry_after_s",
-    "uptime_s", "append_s",
-})
-
-SPAN_HOST = "host"   # wall-clock span (the serve plane's native clock)
-
-STATUS_OPEN = "open"
-STATUS_OK = "ok"
-STATUS_ERROR = "error"
-STATUS_RETRY = "retry"
-
-
 def _short_hash(key: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
@@ -113,65 +110,6 @@ def trace_id_for_job(job_id: str) -> str:
     """Deterministic trace id: same job id ⇒ same trace, across runs
     and across server restarts (recovered jobs continue their trace)."""
     return _short_hash(f"trace:{job_id}")
-
-
-# ---------------------------------------------------------------------------
-# Spans
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Span:
-    """One node of a job's causal tree.
-
-    ``index`` is the span's birth order within its trace — ids are
-    derived from it, so a fixed operation sequence yields a
-    byte-identical tree. ``start_s``/``end_s`` are host wall seconds
-    (serve clock); the deterministic projection drops them.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_span_id: Optional[str]
-    name: str
-    index: int
-    kind: str = SPAN_HOST
-    start_s: float = 0.0
-    end_s: Optional[float] = None
-    status: str = STATUS_OPEN
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> Optional[float]:
-        if self.end_s is None:
-            return None
-        return self.end_s - self.start_s
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "name": self.name,
-            "index": self.index,
-            "kind": self.kind,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Span":
-        return cls(trace_id=str(data["trace_id"]),
-                   span_id=str(data["span_id"]),
-                   parent_span_id=data.get("parent_span_id"),
-                   name=str(data["name"]),
-                   index=int(data.get("index", 0)),
-                   kind=str(data.get("kind", SPAN_HOST)),
-                   start_s=float(data.get("start_s") or 0.0),
-                   end_s=data.get("end_s"),
-                   status=str(data.get("status", STATUS_OPEN)),
-                   attrs=dict(data.get("attrs") or {}))
 
 
 class ServeTracer:
@@ -405,101 +343,6 @@ class ServeTracer:
             if trace_id is None:
                 return []
             return [s.to_dict() for s in self._spans.get(trace_id, [])]
-
-
-# ---------------------------------------------------------------------------
-# Span-tree projection and rendering
-# ---------------------------------------------------------------------------
-
-def orphan_spans(spans: Sequence[Mapping[str, Any]]
-                 ) -> List[Mapping[str, Any]]:
-    """Spans whose parent id is neither None nor present in the set —
-    a complete trace has none."""
-    ids = {s["span_id"] for s in spans}
-    return [s for s in spans
-            if s.get("parent_span_id") is not None
-            and s["parent_span_id"] not in ids]
-
-
-def span_tree(spans: Sequence[Mapping[str, Any]],
-              include_times: bool = False) -> List[Dict[str, Any]]:
-    """Nest spans by parent link (children in birth order).
-
-    With ``include_times=False`` (the default) the projection is
-    deterministic: wall-clock attrs and start/end stamps are dropped,
-    so two same-sequence runs produce byte-identical trees.
-    """
-    nodes: Dict[str, Dict[str, Any]] = {}
-    for s in sorted(spans, key=lambda s: s["index"]):
-        attrs = {k: v for k, v in (s.get("attrs") or {}).items()
-                 if include_times or k not in _TIMING_ATTRS}
-        node: Dict[str, Any] = {
-            "name": s["name"], "status": s["status"], "kind": s["kind"],
-            "attrs": attrs, "children": [],
-        }
-        if include_times:
-            node["start_s"] = s.get("start_s")
-            node["end_s"] = s.get("end_s")
-        nodes[s["span_id"]] = node
-    roots: List[Dict[str, Any]] = []
-    for s in sorted(spans, key=lambda s: s["index"]):
-        node = nodes[s["span_id"]]
-        parent = s.get("parent_span_id")
-        if parent is not None and parent in nodes:
-            nodes[parent]["children"].append(node)
-        else:
-            roots.append(node)
-    return roots
-
-
-def span_tree_fingerprint(spans: Sequence[Mapping[str, Any]]) -> str:
-    """Canonical JSON of the deterministic tree projection — the
-    byte-identity surface the determinism tests compare."""
-    import json
-    return json.dumps(span_tree(spans, include_times=False),
-                      sort_keys=True)
-
-
-def render_span_tree(spans: Sequence[Mapping[str, Any]],
-                     include_times: bool = True) -> str:
-    """ASCII tree for ``repro trace`` (box-drawing, one span per line).
-
-    Raises ``ValueError`` when the trace has orphan spans — a broken
-    parent link is a tracing bug, not a rendering choice.
-    """
-    if not spans:
-        return "(no spans)"
-    orphans = orphan_spans(spans)
-    if orphans:
-        raise ValueError(
-            "orphan spans (parent link broken): "
-            + ", ".join(f"{s['name']}({s['span_id']})" for s in orphans))
-    trace_id = spans[0]["trace_id"]
-    lines = [f"trace {trace_id}"]
-
-    def _label(node: Mapping[str, Any]) -> str:
-        marker = "◆ " if (node.get("start_s") is not None
-                          and node.get("end_s") == node.get("start_s")
-                          ) else ""
-        out = f"{marker}{node['name']} [{node['status']}]"
-        if include_times and node.get("end_s") is not None \
-                and node.get("start_s") is not None \
-                and node["end_s"] > node["start_s"]:
-            out += f" {node['end_s'] - node['start_s']:.6f}s"
-        attrs = node.get("attrs") or {}
-        if attrs:
-            out += " " + " ".join(f"{k}={attrs[k]}" for k in sorted(attrs))
-        return out
-
-    def _walk(nodes: List[Dict[str, Any]], prefix: str) -> None:
-        for i, node in enumerate(nodes):
-            last = i == len(nodes) - 1
-            lines.append(prefix + ("└─ " if last else "├─ ")
-                         + _label(node))
-            _walk(node["children"], prefix + ("   " if last else "│  "))
-
-    _walk(span_tree(spans, include_times=True), "")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

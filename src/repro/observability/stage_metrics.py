@@ -3,7 +3,7 @@
 :class:`~repro.spark.task.TaskMetrics` carries the per-attempt
 breakdown; this module rolls attempts up per stage
 (:class:`StageMetrics`), per executor, and per resource kind — the
-groupings the paper's figures reason about (stage critical path,
+groupings the paper's figures reason about (stage spans,
 Lambda-vs-VM work split).
 """
 
@@ -37,8 +37,10 @@ class StageMetrics:
     records_in: int = 0
     records_out: int = 0
     cache_hits: int = 0
-    #: Wall-clock bounds of the group's activity (first launch → last
-    #: finish); the per-stage span feeds the critical-path table.
+    #: Sim-time bounds of the group's successful attempts (first launch
+    #: → last finish). They feed the hashed ``stage.*`` RunRecord
+    #: metrics (``duration_seconds``), so they stay beside the event-log
+    #: spans of :func:`repro.observability.spans.run_spans`.
     first_launch: float = field(default=float("inf"))
     last_finish: float = 0.0
 

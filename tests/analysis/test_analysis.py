@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.profiling import (
     ProfilePoint,
     optimal_parallelism,
+    profile_point,
     profile_workload,
 )
 from repro.analysis.reporting import (
@@ -15,14 +16,25 @@ from repro.analysis.reporting import (
     format_table,
     relative_to,
 )
-from repro.analysis.timeline import build_timeline
+from repro.analysis.timeline import render_timeline
 from repro.baselines.comparison import (
     COMPARISON_MATRIX,
     hybrid_systems,
     render_table1,
 )
 from repro.core.scenarios import run_scenario
+from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
+from repro.observability.export import event_log_dicts
+from repro.observability.spans import (
+    ROLE_EXECUTOR,
+    ROLE_SEGUE,
+    ROLE_STAGE,
+    ROLE_TASK,
+    STATUS_OK,
+    run_spans,
+    span_role,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,50 +87,79 @@ def test_optimal_parallelism():
         optimal_parallelism([])
 
 
+def test_optimal_parallelism_skips_failed_points():
+    points = [ProfilePoint(1, float("nan"), 0.5, "lambda", "expired"),
+              ProfilePoint(4, 30.0, 1.0, "lambda")]
+    assert optimal_parallelism(points).parallelism == 4
+    with pytest.raises(ValueError):
+        optimal_parallelism(points[:1])
+
+
+def test_profile_point_outliving_its_lambdas_fails_cleanly():
+    # One Lambda executor cannot finish K-means within its 15-minute
+    # lifetime, and nothing replaces it: a failed point, billed so far.
+    spec = ExperimentSpec("kmeans", "profile_lambda", seed=1, parallelism=1)
+    point = profile_point(spec)
+    assert math.isnan(point.duration_s)
+    assert point.cost > 0
+    assert "expired" in point.failure_reason
+    record = run_spec(spec)
+    assert record.failed and record.error is None
+    assert record.failure_reason == point.failure_reason
+    assert record.cost == point.cost
+
+
 # ---------------------------------------------------------------------------
 # Timeline (Figure 7 machinery)
 # ---------------------------------------------------------------------------
 
-def test_timeline_reconstructs_executors_and_stages():
-    result = run_scenario(ExperimentSpec("pagerank", "ss_hybrid"),
+def _run_spans(workload, scenario):
+    result = run_scenario(ExperimentSpec(workload, scenario),
                           keep_trace=True)
-    timeline = build_timeline(result.trace)
-    assert len(timeline.executors_of_kind("vm")) == 3
-    assert len(timeline.executors_of_kind("lambda")) == 13
+    return result, run_spans(event_log_dicts(result.trace))
+
+
+def _of_role(spans, role):
+    return [s for s in spans if span_role(s) == role]
+
+
+def test_timeline_reconstructs_executors_and_stages():
+    result, spans = _run_spans("pagerank", "ss_hybrid")
+    kinds = [e["attrs"]["kind"] for e in _of_role(spans, ROLE_EXECUTOR)]
+    assert kinds.count("vm") == 3
+    assert kinds.count("lambda") == 13
     # 6 PageRank stages completed.
-    assert len(timeline.stage_boundaries) == 6
-    assert timeline.end_time == pytest.approx(result.duration_s, rel=0.05)
+    stages = _of_role(spans, ROLE_STAGE)
+    assert [s["status"] for s in stages] == [STATUS_OK] * 6
+    end = max(t["end_s"] for t in _of_role(spans, ROLE_TASK))
+    assert end == pytest.approx(result.duration_s, rel=0.05)
 
 
 def test_timeline_segue_marker():
-    result = run_scenario(ExperimentSpec("pagerank", "ss_hybrid_segue"),
-                          keep_trace=True)
-    timeline = build_timeline(result.trace)
-    assert timeline.segue_time is not None
+    _result, spans = _run_spans("pagerank", "ss_hybrid_segue")
+    (segue,) = _of_role(spans, ROLE_SEGUE)
     # Figure 7: segue commences once cores free up at ~45s.
-    assert 40 < timeline.segue_time < 70
+    assert 40 < segue["start_s"] < 70
 
 
 def test_timeline_no_segue_marker_without_segue():
-    result = run_scenario(ExperimentSpec("sparkpi", "ss_R_vm"),
-                          keep_trace=True)
-    timeline = build_timeline(result.trace)
-    assert timeline.segue_time is None
+    _result, spans = _run_spans("sparkpi", "ss_R_vm")
+    assert _of_role(spans, ROLE_SEGUE) == []
 
 
 def test_timeline_render_ascii():
-    result = run_scenario(ExperimentSpec("sparkpi", "ss_R_la"),
-                          keep_trace=True)
-    text = build_timeline(result.trace).render(width=40)
+    _result, spans = _run_spans("sparkpi", "ss_R_la")
+    text = render_timeline(spans, width=40)
     assert "#" in text
     assert "stages" in text
 
 
 def test_executor_span_busy_seconds():
-    result = run_scenario(ExperimentSpec("sparkpi", "spark_R_vm"),
-                          keep_trace=True)
-    timeline = build_timeline(result.trace)
-    busy = sum(e.busy_seconds for e in timeline.executors)
+    _result, spans = _run_spans("sparkpi", "spark_R_vm")
+    tasks = _of_role(spans, ROLE_TASK)
+    executors = {e["span_id"] for e in _of_role(spans, ROLE_EXECUTOR)}
+    assert {t["parent_span_id"] for t in tasks} <= executors
+    busy = sum(t["end_s"] - t["start_s"] for t in tasks)
     assert busy > 0
 
 

@@ -42,7 +42,8 @@ def simple_job(tasks=8, seconds=5.0):
 
 def test_state_counts_free_cores():
     env, provider, ss, workers = make_splitserve(worker_cores=16)
-    assert ss.state.free_vm_cores() == 16  # master cores are claimed
+    free = sum(vm.free_cores for vm in ss.state.vms_with_free_cores())
+    assert free == 16  # master cores are claimed
 
 
 def test_state_orders_vms_most_free_first():
@@ -52,15 +53,6 @@ def test_state_orders_vms_most_free_first():
     a.allocate_cores(3)  # 1 free vs 16 free
     order = ss.state.vms_with_free_cores()
     assert order[0] is b
-
-
-def test_state_tracks_executor_records():
-    env, provider, ss, workers = make_splitserve(worker_cores=4)
-    outcome = ss.launching.acquire(4)
-    assert ss.state.live_vm_count == 4
-    assert ss.state.live_lambda_count == 0
-    ss.launching.release_vm_executor(outcome.vm_executors[0])
-    assert ss.state.live_vm_count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +105,6 @@ def test_release_lambda_bills_usage():
 # SegueingFacility
 # ---------------------------------------------------------------------------
 
-def test_should_launch_vms_only_beyond_startup_delay():
-    env, provider, ss, workers = make_splitserve()
-    assert not ss.segueing.should_launch_vms(30.0)
-    assert ss.segueing.should_launch_vms(500.0)
-
-
 def test_segue_replaces_lambdas_with_vm_executors():
     env, provider, ss, workers = make_splitserve(worker_cores=0)
     run = ss.submit_job(simple_job(tasks=16, seconds=20.0),
@@ -140,26 +126,6 @@ def test_segue_replaces_lambdas_with_vm_executors():
     assert kinds == {"lambda", "vm"}
     # No task was killed: graceful drain means zero failures.
     assert all(a.failure is None for a in run.job.task_attempts)
-
-
-def test_segue_background_vm_covers_lambda_cores():
-    env, provider, ss, workers = make_splitserve(worker_cores=0)
-    run = ss.submit_job(simple_job(tasks=32, seconds=30.0),
-                        required_cores=4,
-                        expected_duration_s=400.0, segue=True)
-    assert len(run.background_vms) == 1
-    env.run(until=run.job.done)
-    ss.finish_run(run)
-    assert not run.job.failed
-
-
-def test_no_background_vms_for_short_slo():
-    env, provider, ss, workers = make_splitserve(worker_cores=0)
-    run = ss.submit_job(simple_job(tasks=4, seconds=5.0),
-                        required_cores=4,
-                        expected_duration_s=20.0, segue=True)
-    assert run.background_vms == []
-    env.run(until=run.job.done)
 
 
 def test_drain_lambda_rejects_vm_executor():

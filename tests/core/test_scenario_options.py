@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.timeline import build_timeline
+from repro.observability.export import event_log_dicts
+from repro.observability.spans import ROLE_SEGUE, run_spans, span_role
 from repro.core.scenarios import run_scenario
 from repro.experiments.spec import ExperimentSpec
 
@@ -39,8 +40,10 @@ def test_segue_at_override_moves_the_segue():
                                         segue_at_s=20.0), keep_trace=True)
     late = run_scenario(ExperimentSpec("pagerank", "ss_hybrid_segue",
                                        segue_at_s=80.0), keep_trace=True)
-    t_early = build_timeline(early.trace).segue_time
-    t_late = build_timeline(late.trace).segue_time
+    t_early, t_late = (
+        next(s["start_s"] for s in run_spans(event_log_dicts(r.trace))
+             if span_role(s) == ROLE_SEGUE)
+        for r in (early, late))
     assert 18.0 < t_early < 35.0
     assert 78.0 < t_late < 95.0
 

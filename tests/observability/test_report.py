@@ -38,7 +38,7 @@ def test_render_run_report_sections(hybrid):
     assert "run: workload=sparkpi scenario=ss_hybrid seed=0" in text
     assert "cost split ($):" in text
     assert "IaaS (VM)" in text and "FaaS (Lambda)" in text
-    assert "per-stage breakdown (* = critical path):" in text
+    assert "per-stage breakdown (* = longest stage):" in text
     assert "*" in text
     assert "executor utilization:" in text
     assert "cloud counters:" in text
