@@ -41,8 +41,7 @@ def run_memory(memory_mb: int, seed: int = 0):
     job = driver.submit(workload.build(runtime.lineage, 16))
     env.run(until=job.done)
     for fn in lambdas:
-        provider.release_lambda(fn)
-        provider.bill_lambda_usage(fn)
+        fn.finish()
     return job.duration, runtime.meter.total()
 
 

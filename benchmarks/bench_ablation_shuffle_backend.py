@@ -81,8 +81,7 @@ def run_with_backend(backend_name: str, seed: int = 0):
     end = env.now
     meter.bill_vm("worker", worker.itype, 0.0, end, 4 / worker.itype.vcpus)
     for fn in lambdas:
-        provider.release_lambda(fn)
-        provider.bill_lambda_usage(fn)
+        fn.finish()
     if redis is not None:
         redis.bill_node_hours(end)
     return job.duration, meter.total(), meter.breakdown()

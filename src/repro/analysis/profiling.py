@@ -78,8 +78,7 @@ def _profile_lambda(workload: Workload, parallelism: int, seed: int,
         failure = (f"all {parallelism} Lambda executor(s) expired "
                    f"before the job finished")
     for fn in lambdas:
-        provider.release_lambda(fn)
-        provider.bill_lambda_usage(fn)
+        fn.finish()
     duration = job.duration if failure is None else float("nan")
     return ProfilePoint(parallelism, duration, runtime.meter.total(),
                         "lambda", failure)

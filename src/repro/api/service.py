@@ -1147,7 +1147,6 @@ class ServeRuntime:
         - ``crash_next_submissions`` — crash the first execution of the
           next N *submitted* jobs (marked under the admission lock, so
           the victims are deterministic even when slots are free).
-        - ``crash_job_ids`` — crash the next execution of these jobs.
         - ``stall_driver_s`` — hold the sim lock this long (a wedged
           driver); admission and job reads must keep answering.
         - ``scale_lambda`` — invoke N Lambda executors through the
@@ -1169,15 +1168,6 @@ class ServeRuntime:
             with self._lock:
                 self._crash_next_submissions += n
             applied["crash_next_submissions"] = n
-        if payload.get("crash_job_ids"):
-            marked = []
-            with self._lock:
-                for job_id in payload["crash_job_ids"]:
-                    job = self._jobs.get(str(job_id))
-                    if job is not None and not job.done.is_set():
-                        job.crash_attempts += 1
-                        marked.append(job.id)
-            applied["crash_job_ids"] = marked
         if payload.get("stall_driver_s"):
             stall_s = float(payload["stall_driver_s"])
             threading.Thread(target=self._stall_driver, args=(stall_s,),

@@ -15,7 +15,9 @@ depends on:
 - Fair-share bandwidth links used for both EBS and network contention
   (:mod:`repro.cloud.network`).
 - A :class:`~repro.cloud.provisioner.CloudProvider` facade that owns the
-  warm pool, the fleet, and the billing meter.
+  warm pool, the fleet, and the billing meter. It alone bills a Lambda
+  container: once, invocation → stop, when its function returns
+  (``LambdaInstance.finish()``) or the provider reaps it.
 """
 
 from repro.cloud.burstable import BURSTABLE_CATALOGUE, BurstableSpec, BurstableVM

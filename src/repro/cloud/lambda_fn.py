@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cloud.constants import (
     LAMBDA_COLD_START_CV,
@@ -101,6 +101,8 @@ class LambdaInstance:
     ``expired`` fires if the provider reaps the container at the lifetime
     cap while it is still running — work on it at that moment is lost,
     exactly the failure SplitServe's segueing is designed to pre-empt.
+    Either stop — :meth:`finish` or the reap — calls the provider's
+    ``on_stop`` hook once, which bills the container.
     """
 
     def __init__(
@@ -110,14 +112,17 @@ class LambdaInstance:
         config: LambdaConfig,
         rng: "RandomStreams",
         warm: bool,
+        on_stop: Callable[["LambdaInstance"], None],
         trace: Optional["TraceRecorder"] = None,
-        start_delay_s: Optional[float] = None,
     ) -> None:
         self.env = env
         self.name = name
         self.config = config
         self.warm_start = warm
         self._trace = trace
+        #: The provider's hook, called once when the container stops
+        #: (the function returned or the reaper took it).
+        self._on_stop = on_stop
         self.state = LambdaState.STARTING
         self.invoke_time = env.now
         self.running_time: Optional[float] = None
@@ -129,16 +134,14 @@ class LambdaInstance:
         self.net_link = FairShareLink(
             env, config.network_bytes_per_s, name=f"{name}/net")
 
-        if start_delay_s is None:
-            if warm:
-                start_delay_s = rng.lognormal_around(
-                    "lambda.warm_start", LAMBDA_WARM_START_MEAN_S,
-                    LAMBDA_WARM_START_CV)
-            else:
-                start_delay_s = rng.lognormal_around(
-                    "lambda.cold_start", LAMBDA_COLD_START_MEAN_S,
-                    LAMBDA_COLD_START_CV)
-        self.start_delay_s = start_delay_s
+        if warm:
+            start_delay_s = rng.lognormal_around(
+                "lambda.warm_start", LAMBDA_WARM_START_MEAN_S,
+                LAMBDA_WARM_START_CV)
+        else:
+            start_delay_s = rng.lognormal_around(
+                "lambda.cold_start", LAMBDA_COLD_START_MEAN_S,
+                LAMBDA_COLD_START_CV)
         env.process(self._lifecycle(start_delay_s))
         self._record(EV_INVOKED, warm=warm, start_delay=start_delay_s)
 
@@ -161,14 +164,17 @@ class LambdaInstance:
             self.finish_time = self.env.now
             self.expired.succeed(self)
             self._record(EV_EXPIRED)
+            self._on_stop(self)
 
     def finish(self) -> None:
-        """The function returned (the executor on it shut down cleanly)."""
+        """The function returned (the executor on it shut down cleanly).
+        A container that has already stopped is left as it is."""
         if self.state in (LambdaState.FINISHED, LambdaState.EXPIRED):
             return
         self.state = LambdaState.FINISHED
         self.finish_time = self.env.now
         self._record(EV_FINISHED)
+        self._on_stop(self)
 
     # ------------------------------------------------------------------
 

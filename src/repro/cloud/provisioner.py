@@ -1,7 +1,6 @@
 """The cloud-provider facade: VM fleet, Lambda warm pool, billing hooks.
 
-:class:`CloudProvider` is what the SplitServe launching facility talks to.
-It owns:
+:class:`CloudProvider` owns:
 
 - the VM fleet (request / terminate, with realistic provisioning delays);
 - the Lambda warm pool — containers of a given memory size that finished
@@ -11,6 +10,12 @@ It owns:
 - the :class:`~repro.cloud.pricing.BillingMeter` for marginal-cost
   accounting, and the run's metrics registry, both handed in by the
   world that owns them (:class:`~repro.cluster.runtime.ClusterRuntime`).
+
+It is the one owner of a Lambda container's bill. Every container it
+invokes stops once — its function returns (``LambdaInstance.finish()``)
+or the lifetime reaper takes it — and that stop bills invocation → stop
+and decides whether the container rejoins the warm pool. Callers only
+say that a function returned.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from repro.cloud.instance_types import InstanceType, instance_type
 from repro.cloud.lambda_fn import (
     LambdaConfig,
     LambdaInstance,
+    LambdaState,
     LambdaThrottledError,
 )
 from repro.cloud.vm import VirtualMachine
@@ -121,12 +127,12 @@ class CloudProvider:
         force_cold: bool = False,
     ) -> LambdaInstance:
         """Invoke one function; warm-start if the pool has a live container
-        of the same memory size.
+        of the same memory size. The container is billed when it stops;
+        a caller whose function is done calls its ``finish()``.
 
         Raises :class:`LambdaThrottledError` past the account concurrency
         limit, or whatever the injected ``invoke_fault`` hook returns —
-        callers own the retry policy (see
-        :class:`repro.core.launching.LaunchingFacility`).
+        callers own the retry policy.
         """
         if config is None:
             config = LambdaConfig()
@@ -153,15 +159,22 @@ class CloudProvider:
         self.metrics.counter("cloud.lambda.warm_starts" if warm
                              else "cloud.lambda.cold_starts").inc()
         instance = LambdaInstance(
-            self.env, name, config, self.rng, warm=warm, trace=self.trace)
+            self.env, name, config, self.rng, warm, self._stopped,
+            trace=self.trace)
         self.lambdas.append(instance)
         return instance
 
-    def release_lambda(self, instance: LambdaInstance) -> None:
-        """The function returned; its container rejoins the warm pool."""
-        instance.finish()
-        pool = self._warm_pool.setdefault(instance.config.memory_mb, [])
-        pool.append(self.env.now)
+    def _stopped(self, instance: LambdaInstance) -> None:
+        """A container's one stop: its function returned
+        (:meth:`LambdaInstance.finish`) or the reaper took it at the
+        lifetime cap. Bill invocation → stop (§5.1's marginal cost, in
+        GB-seconds); only a container whose function returned rejoins
+        the warm pool."""
+        self.meter.bill_lambda(instance.name, instance.config.memory_mb,
+                               instance.invoke_time, instance.finish_time)
+        if instance.state is LambdaState.FINISHED:
+            pool = self._warm_pool.setdefault(instance.config.memory_mb, [])
+            pool.append(self.env.now)
 
     def _take_warm(self, memory_mb: int) -> bool:
         """Pop one live warm container of this size, or consume one slot
@@ -201,13 +214,6 @@ class CloudProvider:
     # ------------------------------------------------------------------
     # Billing helpers
     # ------------------------------------------------------------------
-
-    def bill_lambda_usage(self, instance: LambdaInstance) -> float:
-        """Bill one finished (or still-running) function's full duration."""
-        end = (instance.finish_time if instance.finish_time is not None
-               else self.env.now)
-        return self.meter.bill_lambda(
-            instance.name, instance.config.memory_mb, instance.invoke_time, end)
 
     def bill_vm_usage(self, vm: VirtualMachine, cores_fraction: float = 1.0,
                       start: Optional[float] = None,

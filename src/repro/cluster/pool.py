@@ -1,8 +1,9 @@
 """The executor-pool layer: one home for executor-attachment plumbing.
 
 The VM-attach loop, background scale-out, the invoke-then-attach Lambda
-step and Qubole's Lambda respawn, shared by the scenarios, profiling,
-the stream simulators, the ablation benches and :class:`ExecutorPool` —
+step, Qubole's Lambda respawn and the pick of drainable Lambda
+executors, shared by the scenarios, profiling, the stream simulators,
+the ablation benches, the segueing facility and :class:`ExecutorPool` —
 the cluster-owned capacity that concurrently admitted applications
 share through a :class:`~repro.cluster.pools.PooledTaskScheduler`.
 """
@@ -15,7 +16,6 @@ from repro.cloud.instance_types import InstanceType, fewest_instances_for_cores
 from repro.spark.application import ExecutorFactory
 from repro.spark.executor import Executor, ExecutorState, HostKind
 from repro.spark.shuffle import LocalShuffleBackend
-from repro.spark.task_scheduler import SchedulerListener
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.lambda_fn import LambdaConfig, LambdaInstance
@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.runtime import ClusterRuntime
     from repro.spark.config import SparkConf
     from repro.spark.shuffle import ShuffleBackend
+    from repro.spark.task_scheduler import TaskScheduler
 
 
 def add_executors_on_vms(target, vms, cores: int) -> List[Executor]:
@@ -41,6 +42,15 @@ def add_executors_on_vms(target, vms, cores: int) -> List[Executor]:
     if cores > 0:
         raise RuntimeError(f"not enough VM capacity: {cores} cores short")
     return executors
+
+
+def registered_lambda_executors(
+        scheduler: "TaskScheduler") -> List[Executor]:
+    """The scheduler's registered (drainable) Lambda executors, oldest
+    registration first — its registry's dict order."""
+    return [ex for ex in scheduler.executors.values()
+            if ex.kind is HostKind.LAMBDA
+            and ex.state is ExecutorState.REGISTERED]
 
 
 def _once_ready(instance, then: Callable, *args):
@@ -128,14 +138,13 @@ def attach_lambda_with_respawn(runtime: "ClusterRuntime", driver,
             runtime, driver, replacement, lambdas, job_holder))
 
 
-class ExecutorPool(SchedulerListener):
+class ExecutorPool:
     """Cluster-owned executor capacity shared by all admitted apps.
 
     Owns the shared :class:`~repro.cluster.pools.PooledTaskScheduler`
     and the :class:`~repro.spark.application.ExecutorFactory` that mints
-    executors onto it, and acts as the scheduler's primary listener so
-    executor-level lifecycle events (drain completion, loss) are handled
-    by the pool rather than any one application's DAG scheduler.
+    executors onto it. Each application's DAG scheduler hears only its
+    own task sets.
     """
 
     def __init__(
@@ -153,7 +162,6 @@ class ExecutorPool(SchedulerListener):
         self.scheduler = PooledTaskScheduler(
             runtime.env, conf, runtime.rng, backend, pools,
             trace=runtime.trace)
-        self.scheduler.listener = self
         self.factory = ExecutorFactory(
             runtime.env, conf, runtime.rng, self.scheduler,
             trace=runtime.trace, id_prefix="pool:")
@@ -177,9 +185,7 @@ class ExecutorPool(SchedulerListener):
     @property
     def live_lambda_executors(self) -> int:
         """Registered (drainable) Lambda-backed executors right now."""
-        return sum(1 for e in self.scheduler.executors.values()
-                   if e.kind is HostKind.LAMBDA
-                   and e.state is ExecutorState.REGISTERED)
+        return len(registered_lambda_executors(self.scheduler))
 
     def executor_infos(self) -> List[Dict[str, object]]:
         """Live executor snapshot (id, kind, state, host, running
@@ -233,30 +239,14 @@ class ExecutorPool(SchedulerListener):
 
     def drain_lambda_executors(self, count: int) -> int:
         """Gracefully decommission up to ``count`` registered
-        Lambda-backed executors (each finishes its in-flight task, then
-        its container is released and billed via
-        :meth:`on_executor_drained`). Returns how many were told to
-        drain — fewer than ``count`` when the pool holds fewer live
-        Lambda executors."""
-        drained = 0
-        for executor in list(self.scheduler.executors.values()):
-            if drained == count:
-                break
-            if (executor.kind is HostKind.LAMBDA
-                    and executor.state is ExecutorState.REGISTERED):
-                self.scheduler.decommission_executor(executor, graceful=True)
-                drained += 1
-        return drained
-
-    # ------------------------------------------------------------------
-    # SchedulerListener (primary, executor-level callbacks)
-    # ------------------------------------------------------------------
-
-    def on_executor_drained(self, executor: Executor) -> None:
-        instance = getattr(executor, "lambda_instance", None)
-        if instance is not None and instance.finish_time is None:
-            self.runtime.provider.release_lambda(instance)
-            self.runtime.provider.bill_lambda_usage(instance)
+        Lambda-backed executors, oldest first (each finishes its
+        in-flight task; the scheduler then returns its container).
+        Returns how many were told to drain — fewer than ``count`` when
+        the pool holds fewer live Lambda executors."""
+        drained = registered_lambda_executors(self.scheduler)[:count]
+        for executor in drained:
+            self.scheduler.decommission_executor(executor, graceful=True)
+        return len(drained)
 
     # ------------------------------------------------------------------
     # Settlement
@@ -265,13 +255,12 @@ class ExecutorPool(SchedulerListener):
     def settle(self, end: float) -> None:
         """Marginal-cost billing at end of run: shared instances at
         their per-core share, pool-procured instances whole from
-        readiness, surviving Lambda containers released and billed."""
+        readiness; the functions on the pool's Lambdas return (the
+        provider bills each container once, at its stop)."""
         for vm in self.shared_vms:
             self.runtime.bill_shared_cores(
                 vm, self._shared_cores.get(vm.name, 0), 0.0, end)
         for vm in self.dedicated_vms:
             self.runtime.bill_dedicated_vm(vm, end)
         for fn in self.lambdas:
-            if fn.finish_time is None:
-                self.runtime.provider.release_lambda(fn)
-                self.runtime.provider.bill_lambda_usage(fn)
+            fn.finish()

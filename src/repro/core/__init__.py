@@ -3,10 +3,10 @@
 The three facilities of §4.2, implemented over the Spark-like engine and
 the cloud substrate:
 
-- :class:`~repro.core.state.ClusterState` — the system-wide VM state:
-  which running VMs have free cores, most-free first;
 - :class:`~repro.core.launching.LaunchingFacility` — serve a job's R-core
-  requirement from free VM cores plus Δ freshly launched Lambdas;
+  requirement from free VM cores (the system-wide VM state,
+  :func:`~repro.core.launching.vms_with_free_cores`: running VMs with
+  free cores, most-free first) plus Δ freshly launched Lambdas;
 - :class:`~repro.core.segue.SegueingFacility` — when replacement VM
   cores come up, gracefully drain Lambda-based executors onto them (no
   rollback); whether to procure them at all is the cost manager's
@@ -32,11 +32,9 @@ from repro.core.scenarios import (
 )
 from repro.core.segue import SegueingFacility
 from repro.core.splitserve import SplitServe
-from repro.core.state import ClusterState
 from repro.core.stream import JobRecord, JobStreamSimulator, StreamReport
 
 __all__ = [
-    "ClusterState",
     "CostManager",
     "ExecutionPlan",
     "InterJobAutoscaler",

@@ -31,7 +31,7 @@ from repro.spark.executor import Executor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.provisioner import CloudProvider
-    from repro.core.state import ClusterState
+    from repro.cloud.vm import VirtualMachine
     from repro.simulation.kernel import Environment
     from repro.simulation.tracing import TraceRecorder
     from repro.spark.application import SparkDriver
@@ -42,6 +42,16 @@ LAMBDA_INVOKE_MAX_ATTEMPTS = 4
 LAMBDA_RETRY_BASE_S = 0.5
 #: Backoff ceiling.
 LAMBDA_RETRY_CAP_S = 8.0
+
+
+def vms_with_free_cores(provider: "CloudProvider") -> List["VirtualMachine"]:
+    """§4.2's system-wide VM state, as the launching facility reads it:
+    running VMs with at least one unallocated core, most-free first
+    (pack new executors onto the emptiest instances to minimize
+    inter-VM shuffle, mirroring the paper's placement). Where executors
+    run is the task scheduler's registry."""
+    vms = [vm for vm in provider.running_vms if vm.free_cores > 0]
+    return sorted(vms, key=lambda vm: -vm.free_cores)
 
 
 @dataclass
@@ -83,14 +93,12 @@ class LaunchingFacility:
         env: "Environment",
         provider: "CloudProvider",
         driver: "SparkDriver",
-        state: "ClusterState",
         lambda_memory_mb: int = 1536,
         trace: "TraceRecorder" = None,
     ) -> None:
         self.env = env
         self.provider = provider
         self.driver = driver
-        self.state = state
         self.lambda_memory_mb = lambda_memory_mb
         self.trace = trace
 
@@ -111,7 +119,7 @@ class LaunchingFacility:
         outcome.all_registered = Event(self.env)
 
         budget = cores if max_vm_cores is None else min(cores, max_vm_cores)
-        for vm in self.state.vms_with_free_cores():
+        for vm in vms_with_free_cores(self.provider):
             while budget > 0 and vm.free_cores > 0:
                 outcome.vm_executors.append(
                     self.driver.add_vm_executor(vm))
@@ -164,7 +172,7 @@ class LaunchingFacility:
     def _degrade_to_vm(self, outcome: LaunchOutcome) -> None:
         """The Lambda pool is throttled/capped: fall back to a free VM
         core rather than stalling the job (graceful degradation)."""
-        for vm in self.state.vms_with_free_cores():
+        for vm in vms_with_free_cores(self.provider):
             executor = self.driver.add_vm_executor(vm)
             outcome.fallback_vm_executors.append(executor)
             self._record(EV_DEGRADED_TO_VM_CORE, vm=vm.name,
@@ -179,20 +187,6 @@ class LaunchingFacility:
         pending[0] -= 1
         if pending[0] == 0:
             outcome.all_registered.succeed(outcome)
-
-    # ------------------------------------------------------------------
-
-    def release_lambda_executor(self, executor: Executor) -> None:
-        """Return a drained Lambda executor's container to the provider
-        and bill its usage (marginal-cost accounting)."""
-        instance = executor.lambda_instance
-        self.provider.release_lambda(instance)
-        self.provider.bill_lambda_usage(instance)
-
-    def release_vm_executor(self, executor: Executor) -> None:
-        """Free the VM core an executor held (the VM itself stays up —
-        inter-job policy decides its fate)."""
-        executor.vm.release_cores(1)
 
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:

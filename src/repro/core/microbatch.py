@@ -179,8 +179,7 @@ class MicroBatchSimulator:
             for _ in range(vm_share):
                 self._worker.release_cores(1)
             for fn in lambdas:
-                self.provider.release_lambda(fn)
-                outcome.lambda_cost += self.provider.bill_lambda_usage(fn)
+                fn.finish()
             index += 1
 
     def run(self, horizon_s: float) -> StreamOutcome:
@@ -189,4 +188,5 @@ class MicroBatchSimulator:
         outcome = StreamOutcome(interval_s=self.batch_interval_s)
         done = self.env.process(self._run_stream(horizon_s, outcome))
         self.env.run(until=done)
+        outcome.lambda_cost = self.meter.breakdown().get("lambda", 0.0)
         return outcome

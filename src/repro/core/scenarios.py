@@ -297,8 +297,7 @@ def _qubole(workload: Workload, runtime: ClusterRuntime, scenario: str,
     job_holder.append(job)
     _run_until_done(runtime, job)
     for fn in lambdas:
-        runtime.provider.release_lambda(fn)
-        runtime.provider.bill_lambda_usage(fn)
+        fn.finish()
     return _finish(runtime, job, scenario, workload, keep_trace)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.cluster.pool import registered_lambda_executors
 from repro.observability.categories import CAT_SEGUE, EV_SEGUE_TRIGGERED
 from repro.spark.executor import Executor, HostKind
 
@@ -46,7 +47,7 @@ class SegueingFacility:
         Returns the replacement executors. Also used when cores free up
         on an *existing* VM (the Figure 7 timeline's blue-bar case).
         """
-        lambdas = self._drainable_lambda_executors()
+        lambdas = registered_lambda_executors(self.driver.task_scheduler)
         count = min(cores, vm.free_cores)
         replacements = []
         for _ in range(count):
@@ -62,9 +63,8 @@ class SegueingFacility:
 
     def drain_lambda(self, executor: Executor) -> None:
         """Gracefully decommission one Lambda executor: the scheduler
-        stops offering it tasks, and once idle it deregisters, which
-        fires the drained callback that releases and bills its
-        container (:class:`~repro.core.splitserve.SplitServe`)."""
+        stops offering it tasks, and once idle it deregisters and
+        returns its container (the provider bills it)."""
         if executor.kind is not HostKind.LAMBDA:
             raise ValueError(f"{executor.executor_id} is not Lambda-based")
         self.driver.task_scheduler.decommission_executor(executor,
@@ -73,10 +73,3 @@ class SegueingFacility:
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:
             self.trace.record(self.env.now, CAT_SEGUE, event, **fields)
-
-    def _drainable_lambda_executors(self) -> List[Executor]:
-        scheduler = self.driver.task_scheduler
-        lambdas = [ex for ex in scheduler.executors.values()
-                   if ex.kind is HostKind.LAMBDA
-                   and ex.state.value == "registered"]
-        return sorted(lambdas, key=lambda ex: ex.registered_time)

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.launching import LaunchingFacility, LaunchOutcome
 from repro.core.segue import SegueingFacility
-from repro.core.state import ClusterState
 from repro.spark.application import JobResult, SparkDriver
 from repro.spark.config import SparkConf
 from repro.spark.shuffle import ExternalShuffleBackend
@@ -63,21 +62,10 @@ class SplitServe:
         backend = ExternalShuffleBackend(self.shuffle_storage,
                                          per_pair_objects=False)
         self.driver = SparkDriver(env, self.conf, rng, backend, trace=trace)
-        self.state = ClusterState(provider)
         self.launching = LaunchingFacility(
-            env, provider, self.driver, self.state,
+            env, provider, self.driver,
             lambda_memory_mb=lambda_memory_mb, trace=trace)
         self.segueing = SegueingFacility(env, self.driver, trace=trace)
-        # Whenever the scheduler drains a Lambda executor — via the
-        # spark.lambda.executor.timeout knob or a segue — return its
-        # container to the provider and bill the usage.
-        self.driver.dag_scheduler.executor_drained_callback = (
-            self._on_executor_drained)
-
-    def _on_executor_drained(self, executor) -> None:
-        instance = getattr(executor, "lambda_instance", None)
-        if instance is not None and instance.finish_time is None:
-            self.launching.release_lambda_executor(executor)
 
     # ------------------------------------------------------------------
 
@@ -95,20 +83,20 @@ class SplitServe:
 
     def run_job(self, final_rdd: "RDD", required_cores: int,
                 **kwargs) -> JobResult:
-        """Submit, run to completion, release and bill Lambda executors."""
+        """Submit, run to completion, return the Lambda containers."""
         run = self.submit_job(final_rdd, required_cores, **kwargs)
         self.env.run(until=run.job.done)
         self.finish_run(run)
         return JobResult.from_job(run.job)
 
     def finish_run(self, run: SplitServeRun) -> None:
-        """Post-job cleanup: release surviving Lambda containers (billing
-        them) and free claimed VM cores."""
+        """Post-job cleanup: the functions on the job's Lambdas return
+        (the provider bills each container once, so one already drained
+        or reaped is left as it is), and the claimed VM cores are freed
+        (the VMs stay up — inter-job policy decides their fate)."""
         for executor in run.launch.lambda_executors:
-            if (executor.lambda_instance is not None
-                    and executor.lambda_instance.finish_time is None):
-                self.launching.release_lambda_executor(executor)
+            executor.lambda_instance.finish()
         for executor in (run.launch.vm_executors
                          + run.launch.fallback_vm_executors):
             if executor.vm.is_running and executor.vm.allocated_cores > 0:
-                self.launching.release_vm_executor(executor)
+                executor.vm.release_cores(1)

@@ -252,8 +252,7 @@ class JobStreamSimulator:
         for vm, take in claims:
             vm.release_cores(take)
         for fn in lambdas:
-            self.provider.release_lambda(fn)
-            self.provider.bill_lambda_usage(fn)
+            fn.finish()
 
     # ------------------------------------------------------------------
 

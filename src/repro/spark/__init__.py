@@ -13,12 +13,13 @@ SplitServe modifies (§4.3 of the paper names the real classes):
   ``TaskSetManager``);
 - executors with a JVM memory/GC pressure model
   (:mod:`repro.spark.executor`, :mod:`repro.spark.memory`);
-- the shuffle layer with pluggable backends: executor-local disk (vanilla
-  Spark dynamic allocation) or an external storage service (SplitServe's
-  HDFS, Qubole's S3, ...) (:mod:`repro.spark.shuffle`);
-- dynamic executor allocation (:mod:`repro.spark.allocation` — Spark's
-  ``ExecutorAllocationManager``);
+- the shuffle layer with pluggable backends: executor-local disk
+  (vanilla Spark) or an external storage service (SplitServe's HDFS,
+  Qubole's S3, ...) (:mod:`repro.spark.shuffle`);
 - the driver/application wrapper (:mod:`repro.spark.application`).
+
+Executors scale out through :mod:`repro.cluster.pool`
+(``scale_out_after``), not through Spark's dynamic allocation.
 """
 
 from repro.spark.application import JobResult, SparkDriver

@@ -16,14 +16,8 @@ DEFAULTS: Dict[str, Any] = {
     "spark.task.maxFailures": 4,
     "spark.locality.wait": 3.0,  # seconds; Spark default "3s"
     "spark.stage.maxConsecutiveAttempts": 4,
-    # Executors (one core per executor throughout the paper, §5.1).
-    "spark.executor.cores": 1,
+    # Executors.
     "spark.executor.memory.vm": 8 * 1024 ** 3,  # bytes per VM executor
-    # Dynamic allocation.
-    "spark.dynamicAllocation.enabled": True,
-    "spark.dynamicAllocation.schedulerBacklogTimeout": 1.0,
-    "spark.dynamicAllocation.sustainedSchedulerBacklogTimeout": 1.0,
-    "spark.dynamicAllocation.executorIdleTimeout": 60.0,
     # SplitServe's knob (§4.3): Lambda executors running longer than this
     # stop receiving new tasks and drain. None disables segueing.
     "spark.lambda.executor.timeout": None,
@@ -40,7 +34,6 @@ DEFAULTS: Dict[str, Any] = {
     "spark.speculation.interval": 1.0,
     # Simulation-model knobs.
     "spark.sim.task.jitter": 0.05,  # +/-5% uniform service-time jitter
-    "spark.sim.shuffle.fetch.parallelism": 5,  # like spark.reducer.maxReqsInFlight spirit
 }
 
 

@@ -153,14 +153,6 @@ class DAGScheduler(SchedulerListener):
         self._active_job: Optional[Job] = None
         self._max_stage_attempts = int(
             task_scheduler.conf.get("spark.stage.maxConsecutiveAttempts"))
-        #: Optional hook fired when an executor finishes draining —
-        #: SplitServe uses it to release (and bill) the Lambda container
-        #: behind a drained executor.
-        self.executor_drained_callback = None
-
-    def on_executor_drained(self, executor) -> None:
-        if self.executor_drained_callback is not None:
-            self.executor_drained_callback(executor)
 
     # ------------------------------------------------------------------
     # Job submission

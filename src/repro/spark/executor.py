@@ -107,7 +107,6 @@ class Executor:
         lambda_instance: Optional["LambdaInstance"] = None,
         memory_bytes: Optional[float] = None,
         trace: Optional["TraceRecorder"] = None,
-        task_setup_s: float = 0.0,
         cores: int = 1,
     ) -> None:
         if cores <= 0:
@@ -138,10 +137,6 @@ class Executor:
                 memory_bytes if memory_bytes is not None
                 else lambda_instance.config.memory_bytes)
 
-        #: Fixed setup cost before every task. Zero for resident Spark
-        #: executors; Qubole's Spark-on-Lambda pays a per-task executor
-        #: bootstrap because its functions relinquish after each task.
-        self.task_setup_s = float(task_setup_s)
         self.cores = int(cores)
         # Hot-path caches: the per-task jitter knob and the burstable-CPU
         # hook are fixed for the executor's lifetime; resolving them per
@@ -319,12 +314,6 @@ class Executor:
         spec = attempt.spec
         metrics = attempt.metrics
         try:
-            if self.task_setup_s > 0:
-                setup_start = self.env.now
-                yield self.env.timeout(self.rng.uniform_jitter(
-                    "task.setup", self.task_setup_s, 0.2))
-                metrics.deserialize_seconds = self.env.now - setup_start
-
             # ---- Fetch phase: pull shuffle inputs. ----
             fetch_start = self.env.now
             for shuffle_id, nbytes in spec.shuffle_reads:

@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.executor import Executor
     from repro.storage.base import StorageService
 
+#: Requests an executor keeps in flight against a shuffle storage service
+#: (in the spirit of ``spark.reducer.maxReqsInFlight``).
+FETCH_PARALLELISM = 5
+
 
 class FetchFailedError(RuntimeError):
     """A reducer could not fetch a map output (source lost).
@@ -153,9 +157,6 @@ class LocalShuffleBackend(ShuffleBackend):
 
     outputs_survive_executor_loss = False
 
-    def __init__(self, fetch_parallelism: int = 5) -> None:
-        self.fetch_parallelism = fetch_parallelism
-
     def write(self, executor, shuffle_id, map_partition, nbytes, num_reducers):
         # Spill the consolidated map output to the host's local disk.
         for link in executor.disk_links():
@@ -223,18 +224,17 @@ class ExternalShuffleBackend(ShuffleBackend):
 
     outputs_survive_executor_loss = True
 
-    def __init__(self, storage: "StorageService", per_pair_objects: bool = False,
-                 fetch_parallelism: int = 5) -> None:
+    def __init__(self, storage: "StorageService",
+                 per_pair_objects: bool = False) -> None:
         self.storage = storage
         self.per_pair_objects = per_pair_objects
-        self.fetch_parallelism = max(1, fetch_parallelism)
 
     def write(self, executor, shuffle_id, map_partition, nbytes, num_reducers):
         links = executor.net_links()
         count = max(1, num_reducers) if self.per_pair_objects else 1
         yield self.storage.batch_write(
             count, nbytes, via_links=links,
-            parallelism=self.fetch_parallelism,
+            parallelism=FETCH_PARALLELISM,
             key_prefix=f"shuffle{shuffle_id}/map{map_partition}")
 
     def fetch(self, executor, shuffle_id, reduce_partition, total_bytes,
@@ -247,7 +247,7 @@ class ExternalShuffleBackend(ShuffleBackend):
         # file, or a GET of this reducer's pair object).
         yield self.storage.batch_read(
             outputs, total_bytes, via_links=links,
-            parallelism=self.fetch_parallelism)
+            parallelism=FETCH_PARALLELISM)
 
 
 class QuboleS3ShuffleBackend(ExternalShuffleBackend):
@@ -268,10 +268,8 @@ class QuboleS3ShuffleBackend(ExternalShuffleBackend):
 
     def __init__(self, storage: "StorageService",
                  consistency_mean_s: float = 6.0,
-                 consistency_cap_s: float = 25.0,
-                 fetch_parallelism: int = 5) -> None:
-        super().__init__(storage, per_pair_objects=True,
-                         fetch_parallelism=fetch_parallelism)
+                 consistency_cap_s: float = 25.0) -> None:
+        super().__init__(storage, per_pair_objects=True)
         self.consistency_mean_s = consistency_mean_s
         self.consistency_cap_s = consistency_cap_s
 
@@ -297,4 +295,4 @@ class QuboleS3ShuffleBackend(ExternalShuffleBackend):
         links = executor.net_links()
         yield self.storage.batch_read(
             outputs, total_bytes, via_links=links,
-            parallelism=self.fetch_parallelism)
+            parallelism=FETCH_PARALLELISM)

@@ -156,13 +156,13 @@ class TaskMetrics:
     """Spark-style per-attempt breakdown, for analysis and timelines.
 
     Mirrors Spark's ``TaskMetrics`` where the simulation has a
-    counterpart: ``deserialize_seconds`` ≈ executorDeserializeTime (the
-    per-task bootstrap), ``fetch_seconds``/``write_seconds`` ≈ shuffle
+    counterpart: ``fetch_seconds``/``write_seconds`` ≈ shuffle
     read/write time (aliased below under the Spark names),
     ``gc_overhead_seconds`` is the GC proxy, ``scheduler_delay_seconds``
-    is runnable→launched wait. ``spill_seconds`` exists for schema
-    parity — this engine models memory pressure as GC slowdown, not
-    disk spill, so it stays 0 until a spill model lands.
+    is runnable→launched wait. ``deserialize_seconds``
+    (executorDeserializeTime) and ``spill_seconds`` exist for schema
+    parity and stay 0: no per-task bootstrap is modelled, and this
+    engine models memory pressure as GC slowdown, not disk spill.
     """
 
     launch_time: float = 0.0

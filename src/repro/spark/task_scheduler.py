@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SchedulerListener:
-    """Callbacks the DAG scheduler (and SplitServe) hook into."""
+    """Callbacks the DAG scheduler hooks into."""
 
     def on_task_finished(self, attempt: TaskAttempt) -> None:
         """A task attempt completed successfully."""
@@ -65,9 +65,6 @@ class SchedulerListener:
     def on_fetch_failed(self, taskset: "TaskSet", attempt: TaskAttempt,
                         error: FetchFailedError) -> None:
         """A reducer lost a shuffle input; stage-level recovery needed."""
-
-    def on_executor_drained(self, executor: Executor) -> None:
-        """A draining executor has gone idle and can be released."""
 
     def on_executor_lost(self, executor: Executor, reason: str) -> None:
         """An executor died (host gone or hard-killed)."""
@@ -281,7 +278,10 @@ class TaskScheduler:
         self.executors.pop(executor.executor_id, None)
         self._record(EV_EXECUTOR_DRAINED, executor=executor.executor_id,
                      kind=executor.kind.value)
-        self._notify("on_executor_drained", executor)
+        if executor.lambda_instance is not None:
+            # The function on a drained Lambda executor returns: the
+            # provider bills its container and takes it back warm.
+            executor.lambda_instance.finish()
 
     @property
     def registered_executors(self) -> List[Executor]:

@@ -98,7 +98,7 @@ def test_job_request_to_spec_validates_scenario():
 def test_job_request_to_spec_roundtrips_fields():
     req = schemas.JobRequest.from_dict({
         "workload": "sparkpi", "scenario": "ss_hybrid", "seed": 7,
-        "conf_overrides": {"spark.executor.cores": 2}})
+        "conf_overrides": {"spark.locality.wait": 0.5}})
     spec = req.to_spec()
     assert spec.workload == "sparkpi"
     assert spec.scenario == "ss_hybrid"

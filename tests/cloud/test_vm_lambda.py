@@ -177,7 +177,7 @@ def test_lambda_finish_prevents_expiry():
     def work(env):
         yield fn.ready
         yield env.timeout(30)
-        provider.release_lambda(fn)
+        fn.finish()
 
     env.process(work(env))
     env.run()
@@ -216,7 +216,7 @@ def test_warm_pool_reuse_after_release():
 
     def cycle(env):
         yield first.ready
-        provider.release_lambda(first)
+        first.finish()
         second = provider.invoke_lambda()
         assert second.warm_start
 
@@ -231,7 +231,7 @@ def test_warm_pool_sized_entries_do_not_cross_memory_classes():
 
     def cycle(env):
         yield fn.ready
-        provider.release_lambda(fn)
+        fn.finish()
         other = provider.invoke_lambda(LambdaConfig(memory_mb=2048))
         assert not other.warm_start  # different size class: cold
 
@@ -246,13 +246,13 @@ def test_billing_helpers():
 
     def run(env):
         yield env.timeout(90)
-        provider.release_lambda(fn)
+        fn.finish()
         provider.terminate_vm(vm)
 
     env.process(run(env))
     env.run()
     vm_cost = provider.bill_vm_usage(vm)
-    la_cost = provider.bill_lambda_usage(fn)
+    la_cost = provider.meter.breakdown()["lambda"]
     assert vm_cost > 0 and la_cost > 0
     assert provider.meter.total() == pytest.approx(vm_cost + la_cost)
 

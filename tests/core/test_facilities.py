@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cluster.pool import registered_lambda_executors
 from repro.cluster.runtime import ClusterRuntime
 from repro.core import SplitServe
+from repro.core.launching import vms_with_free_cores
 from repro.spark.rdd import RDDBuilder
 
 
@@ -37,12 +39,12 @@ def simple_job(tasks=8, seconds=5.0):
 
 
 # ---------------------------------------------------------------------------
-# ClusterState
+# System-wide VM state
 # ---------------------------------------------------------------------------
 
 def test_state_counts_free_cores():
     env, provider, ss, workers = make_splitserve(worker_cores=16)
-    free = sum(vm.free_cores for vm in ss.state.vms_with_free_cores())
+    free = sum(vm.free_cores for vm in vms_with_free_cores(provider))
     assert free == 16  # master cores are claimed
 
 
@@ -51,7 +53,7 @@ def test_state_orders_vms_most_free_first():
     a = provider.request_vm("m4.xlarge", already_running=True)
     b = provider.request_vm("m4.4xlarge", already_running=True)
     a.allocate_cores(3)  # 1 free vs 16 free
-    order = ss.state.vms_with_free_cores()
+    order = vms_with_free_cores(provider)
     assert order[0] is b
 
 
@@ -97,7 +99,7 @@ def test_release_lambda_bills_usage():
     env.run(until=outcome.all_registered)
     env.run(until=env.now + 30)
     for executor in outcome.lambda_executors:
-        ss.launching.release_lambda_executor(executor)
+        executor.lambda_instance.finish()
     assert provider.meter.breakdown().get("lambda", 0) > 0
 
 
@@ -142,7 +144,7 @@ def test_segue_drains_oldest_lambdas_first():
     env.run(until=env.now + 10)
     second = ss.launching.acquire(1)
     env.run(until=second.all_registered)
-    ordered = ss.segueing._drainable_lambda_executors()
+    ordered = registered_lambda_executors(ss.driver.task_scheduler)
     assert ordered[0] is first.lambda_executors[0]
 
 

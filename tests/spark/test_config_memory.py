@@ -1,8 +1,12 @@
 """Unit tests for SparkConf and the JVM memory/GC model."""
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.spark import SparkConf
+from repro.spark.config import DEFAULTS
 from repro.spark.memory import (
     COMFORTABLE_HEAP_BYTES,
     MAX_SLOWDOWN,
@@ -51,7 +55,20 @@ def test_contains_and_items():
     conf = SparkConf()
     assert "spark.locality.wait" in conf
     assert "nope" not in conf
-    assert dict(conf.items())["spark.executor.cores"] == 1
+    assert dict(conf.items())["spark.task.maxFailures"] == 4
+
+
+def test_every_default_key_is_read():
+    """A key no code reads can still be set and still changes a spec's
+    hash, yet does nothing: every default must be read by a
+    ``.get("<key>")`` somewhere in the package outside ``config.py``."""
+    package = Path(repro.__file__).parent
+    config = package / "spark" / "config.py"
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in sorted(package.rglob("*.py"))
+                     if path != config)
+    unread = [key for key in DEFAULTS if f'.get("{key}")' not in source]
+    assert unread == []
 
 
 # ---------------------------------------------------------------------------

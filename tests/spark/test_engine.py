@@ -221,6 +221,30 @@ def test_hdfs_shuffle_survives_executor_loss():
     assert not cluster.trace.select(category="dag", name="fetch_failed")
 
 
+def test_vm_termination_kills_its_executors():
+    """A terminated instance takes its executors (and in-flight tasks)
+    with it; the scheduler recovers on the survivors."""
+    cluster = MiniCluster()
+    doomed = cluster.provider.request_vm("m4.xlarge", already_running=True)
+    for _ in range(2):
+        cluster.driver.add_vm_executor(doomed)
+    survivor_vm = cluster.provider.request_vm("m4.xlarge",
+                                              already_running=True)
+    cluster.driver.add_vm_executor(survivor_vm)
+    job = cluster.driver.submit(
+        single_stage_rdd(cluster.builder, tasks=6, seconds=10.0))
+
+    def reclaim(env):
+        yield env.timeout(5.0)
+        doomed.terminate()
+
+    cluster.env.process(reclaim(cluster.env))
+    cluster.env.run(until=job.done)
+    assert not job.failed
+    assert len(job.failed_attempts) >= 2  # the two in-flight tasks died
+    assert len(cluster.driver.task_scheduler.executors) == 1
+
+
 def test_graceful_drain_finishes_current_task_without_failures():
     cluster = MiniCluster()
     executors = cluster.vm_executors(2)
