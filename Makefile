@@ -2,7 +2,7 @@
 
 .PHONY: install test bench bench-smoke bench-resilience-smoke \
 	bench-multijob-smoke bench-plan-smoke bench-core-smoke \
-	bench-core bench-core-profile bench-work \
+	bench-core bench-work bench-figures \
 	serve-smoke chaos-smoke obs-smoke report-smoke examples figures \
 	clean
 
@@ -20,6 +20,23 @@ bench:
 # — smoke-tests the figure and ablation suite in well under a minute.
 bench-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/ -m smoke -q
+
+# The paper-figure benches in full: every figure and table bench, the
+# headline claims and the resilience benches, with their claim
+# assertions (well under a minute with REPRO_CACHE=0).
+bench-figures:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		pytest benchmarks/bench_fig1_cost_curves.py \
+		benchmarks/bench_fig2_provisioning.py \
+		benchmarks/bench_fig4_profiling.py \
+		benchmarks/bench_fig5_pool.py benchmarks/bench_fig5_tpcds.py \
+		benchmarks/bench_fig6_pagerank.py \
+		benchmarks/bench_fig7_timeline.py \
+		benchmarks/bench_fig8_kmeans.py \
+		benchmarks/bench_fig9_sparkpi.py \
+		benchmarks/bench_headline_claims.py \
+		benchmarks/bench_table1_comparison.py \
+		benchmarks/bench_resilience.py -q
 
 # One tiny faulted run through the ExperimentRunner — smoke-tests the
 # fault-injection path (see DESIGN.md, "Fault model").
@@ -48,16 +65,11 @@ bench-core-smoke:
 		benchmarks/bench_work_counts.py -m smoke -q
 
 # Regenerate BENCH_core.json: headline 12-job + 10x 120-job configs,
-# min-of-N wall times, and a sampled profile of the hot frames.
+# min-of-N wall times. For where the time goes, layer by layer:
+# python perfbench/run.py --workload replay-fair --trace 1.
 bench-core:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python benchmarks/bench_core_speed.py --write
-
-# Print where the kernel's wall time goes (sampling profiler, no
-# instrumentation overhead on the measured replays).
-bench-core-profile:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		python benchmarks/bench_core_speed.py --large --profile
 
 # Deterministic work counts (bytecodes, Python calls, events) of one
 # replay-fair-shaped replay: a repeatable measure of Python-level work,

@@ -27,12 +27,14 @@ only wall time varies — so the min is a noise filter, not a different
 workload. Wall-clock figures are machine-dependent; the committed file
 records the reference machine's numbers.
 
-Run standalone for one-off measurement and profiling::
+Run standalone for one-off measurement::
 
     PYTHONPATH=src python benchmarks/bench_core_speed.py            # measure
-    PYTHONPATH=src python benchmarks/bench_core_speed.py --profile  # + hot frames
     PYTHONPATH=src python benchmarks/bench_core_speed.py --large    # 120-job config
     PYTHONPATH=src python benchmarks/bench_core_speed.py --check-floor 45000
+
+For where the wall time goes, layer by layer, run
+``python perfbench/run.py --workload replay-fair --trace 1``.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ DEFAULT_REPEATS = 5
 
 OUT_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_core.json")
-
-#: The pre-refactor reference figures (PR-8 era, single cold replay on
-#: the reference machine) — kept in the written file so the trajectory
-#: reads directly from the committed artifact.
-BASELINE = {"events_per_sec": 45915.1, "wall_s": 0.1420,
-            "protocol": "single cold replay"}
 
 
 def _spec(n_jobs: int = None, seed: int = 0) -> ExperimentSpec:
@@ -118,43 +114,16 @@ def measure_core_speed(n_jobs: int = None, seed: int = 0,
     }
 
 
-def profile_core_speed(n_jobs: int = None, seed: int = 0,
-                       top_n: int = 12) -> dict:
-    """One replay under the serve SamplingProfiler; returns its report.
-
-    Statistical (wall-clock sampled), so frame fractions wobble between
-    runs — read them as a ranking, not as exact percentages.
-    """
-    from repro.observability.serve_obs import SamplingProfiler
-
-    profiler = SamplingProfiler(interval_s=0.001, top_n=top_n)
-    with profiler:
-        run_spec(_spec(n_jobs=n_jobs, seed=seed))
-    return {
-        "samples": profiler.sample_count,
-        "buckets": {k: round(v, 4)
-                    for k, v in sorted(profiler.bucket_fractions().items())},
-        "top_frames": [[label, count]
-                       for label, count in profiler.top_frames(top_n)],
-    }
-
-
 def run_core_bench(repeats: int = DEFAULT_REPEATS) -> dict:
-    """The full artifact written to ``BENCH_core.json``: headline config,
-    10× config, trajectory vs the committed baseline, and one sampled
-    profile of the headline replay."""
+    """The full artifact written to ``BENCH_core.json``: the headline
+    config and the 10× config."""
     headline = measure_core_speed(repeats=repeats)
     large = measure_core_speed(n_jobs=LARGE_JOBS,
                                repeats=max(2, repeats - 2))
     result = dict(headline)
     result["protocol"] = (f"min wall over {headline['repeats']} in-process "
                           f"replays (cold + median recorded alongside)")
-    result["speedup_vs_baseline"] = round(
-        headline["events_per_sec"] / BASELINE["events_per_sec"], 3)
-    result["baseline"] = dict(BASELINE)
     result["large"] = large
-    # Profile the 10× config: ten times the samples for the same price.
-    result["profile"] = profile_core_speed(n_jobs=LARGE_JOBS)
     return result
 
 
@@ -173,11 +142,6 @@ def _emit_tables(result: dict, emit) -> None:
          format_table(["metric", "value"], rows(result)))
     emit(f"Core simulator throughput ({LARGE_JOBS} jobs, same pool)",
          format_table(["metric", "value"], rows(result["large"])))
-    emit("vs committed baseline",
-         format_table(["metric", "value"],
-                      [["baseline events/sec",
-                        f"{result['baseline']['events_per_sec']:,.0f}"],
-                       ["speedup", f"{result['speedup_vs_baseline']:.2f}x"]]))
 
 
 def test_core_speed(benchmark, emit):
@@ -218,14 +182,6 @@ def test_smoke_core_speed_counts_events():
     assert again["simulated_s"] == result["simulated_s"]
 
 
-@pytest.mark.smoke
-def test_smoke_profile_mode_attributes_samples():
-    report = profile_core_speed(n_jobs=3)
-    assert report["samples"] > 0
-    assert report["buckets"]
-    assert report["top_frames"]
-
-
 # ---------------------------------------------------------------------------
 # Standalone CLI (used by `make bench-core` and the CI perf floor)
 # ---------------------------------------------------------------------------
@@ -236,9 +192,6 @@ def main(argv=None) -> int:
                         help="replays per figure (min-of-N protocol)")
     parser.add_argument("--large", action="store_true",
                         help=f"measure the {LARGE_JOBS}-job config instead")
-    parser.add_argument("--profile", action="store_true",
-                        help="also run one replay under the sampling "
-                             "profiler and print the hottest frames")
     parser.add_argument("--write", action="store_true",
                         help=f"write the full artifact to {OUT_PATH}")
     parser.add_argument("--check-floor", type=float, metavar="EVENTS_PER_SEC",
@@ -261,15 +214,6 @@ def main(argv=None) -> int:
           f"{figures['events_per_sec']:,.0f} events/sec "
           f"(min {figures['wall_s']:.3f}s over {figures['repeats']} replays; "
           f"cold {figures['wall_s_cold']:.3f}s)")
-
-    if args.profile:
-        report = profile_core_speed(
-            n_jobs=LARGE_JOBS if args.large else None)
-        print(f"\nprofile: {report['samples']} samples")
-        for bucket, frac in report["buckets"].items():
-            print(f"  {bucket:<12} {frac:7.1%}")
-        for label, count in report["top_frames"]:
-            print(f"  {count:6d}  {label}")
 
     if args.check_floor is not None:
         if figures["events_per_sec"] < args.check_floor:

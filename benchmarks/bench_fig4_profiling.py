@@ -12,7 +12,7 @@ and re-runs hit the on-disk cache.
 
 import pytest
 
-from repro.analysis.profiling import ProfilePoint, optimal_parallelism
+from repro.analysis.profiling import optimal_parallelism
 from repro.analysis.reporting import format_series
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from benchmarks.conftest import run_once
@@ -35,9 +35,7 @@ def run_profiles(kind, runner=None):
     by_size = profile_specs(kind)
     flat = [spec for specs in by_size.values() for spec in specs]
     by_spec = dict(zip(flat, runner.run(flat, keep_errors=False)))
-    return {label: [ProfilePoint(s.parallelism, by_spec[s].duration_s,
-                                 by_spec[s].cost, kind,
-                                 by_spec[s].failure_reason) for s in specs]
+    return {label: [by_spec[s] for s in specs]
             for label, specs in by_size.items()}
 
 
@@ -63,7 +61,7 @@ def test_fig4a_lambda_profiling(benchmark, emit):
         # U-shape: the optimum is interior, not at either extreme.
         assert durations[0] > best.duration_s
         assert durations[-1] > best.duration_s
-        assert 2 <= best.parallelism <= 64
+        assert 2 <= best.spec.parallelism <= 64
 
 
 def test_fig4b_vm_profiling(benchmark, emit):
@@ -72,8 +70,8 @@ def test_fig4b_vm_profiling(benchmark, emit):
          _render(vm_profiles))
     lambda_profiles = run_profiles("lambda")
     for label in SIZES:
-        vm_points = {p.parallelism: p for p in vm_profiles[label]}
-        la_points = {p.parallelism: p for p in lambda_profiles[label]}
+        vm_points = {p.spec.parallelism: p for p in vm_profiles[label]}
+        la_points = {p.spec.parallelism: p for p in lambda_profiles[label]}
         # "the overall execution time for the job is much lower when
         # running on VMs" at moderate parallelism.
         for parallelism in (4, 8, 16):

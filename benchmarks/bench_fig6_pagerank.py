@@ -9,13 +9,15 @@ the master on an m4.xlarge (750 Mbps EBS):
 """
 
 from repro.analysis.reporting import format_bar_chart, format_table, relative_to
-from repro.core.scenarios import SCENARIO_NAMES, run_all_scenarios
+from repro.core.scenarios import SCENARIO_NAMES, run_scenario
+from repro.experiments import ExperimentSpec
 from repro.workloads import PageRankWorkload
 from benchmarks.conftest import run_once
 
 
 def run_fig6():
-    return run_all_scenarios(PageRankWorkload())
+    return {name: run_scenario(ExperimentSpec("pagerank", name))
+            for name in SCENARIO_NAMES}
 
 
 def test_fig6_pagerank(benchmark, emit):

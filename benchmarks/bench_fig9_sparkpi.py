@@ -7,13 +7,15 @@ twice as long", in fact a full work-serialization multiple).
 """
 
 from repro.analysis.reporting import format_bar_chart, relative_to
-from repro.core.scenarios import SCENARIO_NAMES, run_all_scenarios
+from repro.core.scenarios import SCENARIO_NAMES, run_scenario
+from repro.experiments import ExperimentSpec
 from repro.workloads import SparkPiWorkload
 from benchmarks.conftest import run_once
 
 
 def run_fig9():
-    return run_all_scenarios(SparkPiWorkload())
+    return {name: run_scenario(ExperimentSpec("sparkpi", name))
+            for name in SCENARIO_NAMES}
 
 
 def test_fig9_sparkpi(benchmark, emit):

@@ -58,7 +58,7 @@ def test_rollback_contrast(benchmark, emit):
     results = run_once(benchmark, run_rollback_contrast)
     rows = []
     for scenario, (clean, faulted) in results.items():
-        rec = faulted.recovery
+        rec = faulted.metrics
         rows.append([scenario, f"{clean.duration_s:.1f}s",
                      f"{faulted.duration_s:.1f}s",
                      f"{faulted.duration_s - clean.duration_s:+.1f}s",
@@ -76,8 +76,8 @@ def test_rollback_contrast(benchmark, emit):
     # rollback, strictly cheaper recovery than local shuffle.
     assert not spark_faulted.failed and not ss_faulted.failed
     assert added_ss < added_spark
-    assert ss_faulted.recovery["rollback_recompute_s"] == 0.0
-    assert spark_faulted.recovery["rollback_recompute_s"] > 0.0
+    assert ss_faulted.metrics["rollback_recompute_s"] == 0.0
+    assert spark_faulted.metrics["rollback_recompute_s"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +102,9 @@ def test_spot_revocation_sweep(benchmark, emit):
         spark, ss = by_scenario["spark_R_vm"], by_scenario["ss_R_vm"]
         rows.append([f"t={revoke_at:.0f}s",
                      f"{spark.duration_s:.1f}s "
-                     f"({spark.recovery['rollback_recompute_s']:.1f}s rb)",
+                     f"({spark.metrics['rollback_recompute_s']:.1f}s rb)",
                      f"{ss.duration_s:.1f}s "
-                     f"({ss.recovery['rollback_recompute_s']:.1f}s rb)"])
+                     f"({ss.metrics['rollback_recompute_s']:.1f}s rb)"])
     emit("Resilience — whole-VM revocation sweep",
          format_table(["revoked at", "local shuffle (vanilla)",
                        "HDFS shuffle (SplitServe)"], rows))
@@ -112,14 +112,14 @@ def test_spot_revocation_sweep(benchmark, emit):
     for revoke_at, by_scenario in results.items():
         spark, ss = by_scenario["spark_R_vm"], by_scenario["ss_R_vm"]
         assert not spark.failed and not ss.failed
-        assert spark.recovery["executors_lost"] >= 1
-        assert ss.recovery["rollback_recompute_s"] == 0.0
+        assert spark.metrics["executors_lost"] >= 1
+        assert ss.metrics["rollback_recompute_s"] == 0.0
     # Post-map revocations trigger rollback only under local shuffle,
     # so the HDFS design recovers faster.
     for revoke_at in (25.0, 35.0):
         spark = results[revoke_at]["spark_R_vm"]
         ss = results[revoke_at]["ss_R_vm"]
-        assert spark.recovery["rollback_recompute_s"] > 0.0
+        assert spark.metrics["rollback_recompute_s"] > 0.0
         assert ss.duration_s < spark.duration_s
 
 
@@ -136,23 +136,23 @@ def run_throttled_hybrid():
 
 def test_throttle_fallback(benchmark, emit):
     clean, throttled = run_once(benchmark, run_throttled_hybrid)
-    rec = throttled.recovery
+    rec = throttled.metrics
     emit("Resilience — hybrid job under a zero-concurrency Lambda cap",
          format_table(
              ["run", "time", "lambda tasks", "fallback cores", "unfilled"],
              [["clean", f"{clean.duration_s:.1f}s",
-               clean.job_result.tasks_by_kind.get("lambda", 0), "-", "-"],
+               clean.tasks_by_kind.get("lambda", 0), "-", "-"],
               ["throttled", f"{throttled.duration_s:.1f}s",
-               throttled.job_result.tasks_by_kind.get("lambda", 0),
+               throttled.tasks_by_kind.get("lambda", 0),
                rec["lambda_fallback_cores"], rec["unfilled_cores"]]]))
 
     # The throttled run must complete on VM cores, not fail or stall.
     assert not throttled.failed
-    assert throttled.job_result.tasks_by_kind.get("lambda", 0) == 0
+    assert throttled.tasks_by_kind.get("lambda", 0) == 0
     assert rec["lambda_fallback_cores"] == 2  # the 2 free cluster cores
     assert rec["failed_lambda_invocations"] > 0
     # Clean hybrid actually uses Lambdas, so the contrast is real.
-    assert clean.job_result.tasks_by_kind.get("lambda", 0) > 0
+    assert clean.tasks_by_kind.get("lambda", 0) > 0
 
 
 # ---------------------------------------------------------------------------

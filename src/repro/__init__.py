@@ -13,20 +13,14 @@ Quickstart::
     from repro.core import run_scenario
     from repro.experiments import ExperimentSpec
 
-    result = run_scenario(ExperimentSpec("pagerank", "ss_hybrid"))
-    print(result.duration_s, result.cost)
+    record = run_scenario(ExperimentSpec("pagerank", "ss_hybrid"))
+    print(record.duration_s, record.cost)
 
 See README.md for the architecture tour and DESIGN.md for the
 per-experiment index.
 """
 
-from repro.core import (
-    SCENARIO_NAMES,
-    ScenarioResult,
-    SplitServe,
-    run_all_scenarios,
-    run_scenario,
-)
+from repro.core import SCENARIO_NAMES, SplitServe, run_scenario
 from repro.workloads import (
     KMeansWorkload,
     PageRankWorkload,
@@ -40,11 +34,9 @@ __all__ = [
     "KMeansWorkload",
     "PageRankWorkload",
     "SCENARIO_NAMES",
-    "ScenarioResult",
     "SparkPiWorkload",
     "SplitServe",
     "TPCDSWorkload",
-    "run_all_scenarios",
     "run_scenario",
     "__version__",
 ]

@@ -9,7 +9,7 @@
   use to print the paper's tables/figures as aligned rows/series.
 """
 
-from repro.analysis.profiling import ProfilePoint, profile_workload
+from repro.analysis.profiling import profile_workload
 from repro.analysis.reporting import (
     format_bar_chart,
     format_series,
@@ -24,7 +24,6 @@ from repro.analysis.stats import (
 from repro.analysis.timeline import render_timeline
 
 __all__ = [
-    "ProfilePoint",
     "SampleSummary",
     "format_bar_chart",
     "format_series",

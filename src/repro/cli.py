@@ -178,21 +178,21 @@ def cmd_run(args: argparse.Namespace) -> int:
                          "pass --scenario <name>, not all")
     if args.timeline or wants_trace or args.profile:
         # Timelines and trace exports need the in-memory trace, which
-        # records (being JSON-bounded) do not carry; the profiler needs
-        # the run on this thread. Either way: run in-process.
+        # only an in-process record keeps (the runner's records cross
+        # processes and the cache as JSON); the profiler needs the run
+        # on this thread. Either way: run in-process.
         profiler = _start_profiler(args)
-        results = [run_scenario(spec,
+        records = [run_scenario(spec,
                                 keep_trace=args.timeline or wants_trace)
                    for spec in specs]
-        records = [res.to_record(spec)
-                   for spec, res in zip(specs, results)]
         _finish_profiler(profiler, records)
-        for res in results:
-            if args.timeline and not res.failed and res.trace is not None:
-                print(f"\n--- timeline: {res.label(workload.spec)} ---")
-                print(render_timeline(run_spans(event_log_dicts(res.trace))))
+        for record in records:
+            if args.timeline and not record.failed:
+                print(f"\n--- timeline: {record.label(workload.spec)} ---")
+                print(render_timeline(
+                    run_spans(event_log_dicts(record.trace))))
         if wants_trace:
-            trace = results[0].trace
+            trace = records[0].trace
             if args.events_out:
                 count = save_event_log(trace, args.events_out)
                 print(f"wrote {count} event(s) to {args.events_out}")

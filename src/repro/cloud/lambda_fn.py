@@ -190,17 +190,6 @@ class LambdaInstance:
         self._state = value
         self.is_running = value is LambdaState.RUNNING
 
-    @property
-    def billed_duration(self) -> float:
-        """Seconds from invocation until the function stopped (or now)."""
-        end = self.finish_time if self.finish_time is not None else self.env.now
-        return max(0.0, end - self.invoke_time)
-
-    @property
-    def remaining_lifetime(self) -> float:
-        """Seconds until the provider reaps this container."""
-        return max(0.0, self.config.lifetime_s - (self.env.now - self.invoke_time))
-
     def _record(self, event: str, **fields) -> None:
         if self._trace is not None:
             self._trace.record(self.env.now, CAT_LAMBDA, event,

@@ -109,9 +109,6 @@ class CloudProvider:
         self.vms.append(vm)
         return vm
 
-    def terminate_vm(self, vm: VirtualMachine) -> None:
-        vm.terminate()
-
     @property
     def running_vms(self) -> List[VirtualMachine]:
         return [vm for vm in self.vms if vm.is_running]
@@ -210,18 +207,3 @@ class CloudProvider:
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:
             self.trace.record(self.env.now, CAT_PROVIDER, event, **fields)
-
-    # ------------------------------------------------------------------
-    # Billing helpers
-    # ------------------------------------------------------------------
-
-    def bill_vm_usage(self, vm: VirtualMachine, cores_fraction: float = 1.0,
-                      start: Optional[float] = None,
-                      end: Optional[float] = None) -> float:
-        """Bill a VM from when it started running (or ``start``) to
-        termination/now (or ``end``)."""
-        if start is None:
-            start = vm.running_time if vm.running_time is not None else self.env.now
-        if end is None:
-            end = vm.terminate_time if vm.terminate_time is not None else self.env.now
-        return self.meter.bill_vm(vm.name, vm.itype, start, end, cores_fraction)

@@ -99,7 +99,6 @@ def _split_policy(spec: "ExperimentSpec"):
 
 def run_multijob(spec: "ExperimentSpec") -> "RunRecord":
     """Execute one multijob arrival replay and return its record."""
-    from repro.experiments.records import RunRecord
     from repro.workloads.registry import make_workload
 
     params = _params(spec)
@@ -166,11 +165,12 @@ def run_multijob(spec: "ExperimentSpec") -> "RunRecord":
     attribute_costs(runtime.metrics, runtime.meter.total(),
                     runtime.meter.breakdown())
 
-    return _build_record(spec, RunRecord, runtime, manager, params, end)
+    return _build_record(spec, runtime, manager, params, end)
 
 
-def _build_record(spec, record_cls, runtime: ClusterRuntime,
-                  manager: AppManager, params, end: float):
+def _build_record(spec, runtime: ClusterRuntime, manager: AppManager,
+                  params, end: float) -> "RunRecord":
+    from repro.experiments.records import RunRecord
     from repro.spark.application import JobResult
 
     completed = [app for app in manager.finished if not app.failed]
@@ -234,7 +234,7 @@ def _build_record(spec, record_cls, runtime: ClusterRuntime,
     failure_reason = None
     if failed:
         failure_reason = manager.finished[0].failure_reason
-    return record_cls(
+    return RunRecord(
         spec=spec, workload=MULTIJOB_SCENARIO,
         duration_s=end, cost=total_cost,
         failed=failed, failure_reason=failure_reason,

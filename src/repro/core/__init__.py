@@ -24,12 +24,7 @@ from repro.core.autoscaler import InterJobAutoscaler, ProvisioningPolicy
 from repro.core.cost_manager import CostManager, ExecutionPlan
 from repro.core.launching import LaunchingFacility
 from repro.core.microbatch import BatchRecord, MicroBatchSimulator, StreamOutcome
-from repro.core.scenarios import (
-    SCENARIO_NAMES,
-    ScenarioResult,
-    run_scenario,
-    run_all_scenarios,
-)
+from repro.core.scenarios import SCENARIO_NAMES, run_scenario
 from repro.core.segue import SegueingFacility
 from repro.core.splitserve import SplitServe
 from repro.core.stream import JobRecord, JobStreamSimulator, StreamReport
@@ -45,11 +40,9 @@ __all__ = [
     "MicroBatchSimulator",
     "ProvisioningPolicy",
     "SCENARIO_NAMES",
-    "ScenarioResult",
     "SegueingFacility",
     "SplitServe",
     "StreamOutcome",
     "StreamReport",
-    "run_all_scenarios",
     "run_scenario",
 ]

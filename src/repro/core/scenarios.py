@@ -35,8 +35,7 @@ across scenarios, and is not billed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cluster.pool import (
     add_executors_on_vms,
@@ -47,8 +46,6 @@ from repro.cluster.runtime import ClusterRuntime
 from repro.core.splitserve import SplitServe
 from repro.observability.instrumentation import attribute_costs
 from repro.observability.stage_metrics import dotted_stage_metrics
-from repro.simulation import TraceRecorder
-from repro.simulation.faults import FaultsInput
 from repro.spark.application import JobResult, SparkDriver
 from repro.spark.config import SparkConf
 from repro.spark.dag_scheduler import JobFailedError
@@ -73,7 +70,8 @@ SCENARIO_NAMES = [
 
 #: Human-readable labels matching the paper's figures (R and r filled in
 #: per workload when rendering; d is the Lambda delta the run *used*,
-#: which can fall short of R − r under invoke throttling).
+#: which can fall short of R − r under invoke throttling — see
+#: :meth:`~repro.experiments.records.RunRecord.label`).
 SCENARIO_LABELS = {
     "spark_r_vm": "Spark {r} VM",
     "spark_R_vm": "Spark {R} VM",
@@ -102,117 +100,47 @@ QUBOLE_S3_STREAM_BYTES_PER_S = 10.0 * 1024 * 1024
 AUTOSCALE_DETECT_S = 1.0
 
 
-@dataclass
-class ScenarioResult:
-    """One (workload, scenario) execution."""
-
-    scenario: str
-    workload: str
-    duration_s: float
-    cost: float
-    failed: bool = False
-    failure_reason: Optional[str] = None
-    cost_breakdown: Dict[str, float] = field(default_factory=dict)
-    job_result: Optional[JobResult] = None
-    trace: Optional[TraceRecorder] = None
-    #: Seed the run used (recorded so results stay replayable).
-    seed: int = 0
-    #: The spec this result came from, when run through the new API.
-    experiment: Optional["ExperimentSpec"] = None
-    #: Lambda executors the launch actually assembled (``ss_*`` runs
-    #: only); feeds the ``{d}`` label slot, which can differ from
-    #: R − r when invocations were throttled or degraded to VM cores.
-    lambda_cores_used: Optional[int] = None
-    #: Recovery accounting (wasted work, rollback recompute, time to
-    #: recovery, degradation counters) — populated only for runs armed
-    #: with a fault plan, so clean records stay bit-identical.
-    recovery: Dict[str, float] = field(default_factory=dict)
-    #: Telemetry snapshot: the run's MetricsRegistry flattened to dotted
-    #: names, plus per-stage/per-kind aggregates. Merged into
-    #: ``RunRecord.metrics``.
-    telemetry: Dict[str, float] = field(default_factory=dict)
-
-    def label(self, spec) -> str:
-        delta = (self.lambda_cores_used if self.lambda_cores_used is not None
-                 else spec.shortfall_cores)
-        return SCENARIO_LABELS[self.scenario].format(
-            R=spec.required_cores, r=spec.available_cores, d=delta)
-
-    def to_record(self, spec: Optional["ExperimentSpec"] = None,
-                  wall_time_s: float = 0.0) -> "RunRecord":
-        """Project this result onto the unified RunRecord schema."""
-        from repro.experiments.records import RunRecord
-        from repro.experiments.spec import ExperimentSpec
-        if spec is None:
-            spec = self.experiment
-        if spec is None:
-            # Standalone path: synthesize a spec from what we know. The
-            # workload label may not be a registry name, so the spec is
-            # descriptive rather than guaranteed re-runnable.
-            spec = ExperimentSpec(workload=self.workload,
-                                  scenario=self.scenario, seed=self.seed)
-        tasks = tasks_by_kind = failed_attempts = None
-        metrics: Dict[str, object] = {}
-        if self.job_result is not None:
-            jr = self.job_result
-            tasks = jr.num_tasks
-            tasks_by_kind = dict(jr.tasks_by_kind)
-            failed_attempts = jr.failed_attempts
-            metrics = {
-                "num_stages": jr.num_stages,
-                "submit_time": jr.submit_time,
-                "finish_time": jr.finish_time,
-                "fetch_seconds_total": jr.fetch_seconds_total,
-                "input_seconds_total": jr.input_seconds_total,
-                "compute_seconds_total": jr.compute_seconds_total,
-                "gc_overhead_seconds_total": jr.gc_overhead_seconds_total,
-                "write_seconds_total": jr.write_seconds_total,
-                "cache_hits": jr.cache_hits,
-            }
-        if self.telemetry:
-            metrics.update(self.telemetry)
-        if self.recovery:
-            metrics.update(self.recovery)
-        return RunRecord(
-            spec=spec, workload=self.workload,
-            duration_s=self.duration_s, cost=self.cost,
-            wall_time_s=wall_time_s, failed=self.failed,
-            failure_reason=self.failure_reason,
-            cost_breakdown=dict(self.cost_breakdown),
-            tasks=tasks, tasks_by_kind=tasks_by_kind or {},
-            failed_attempts=failed_attempts, metrics=metrics)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable summary in the RunRecord schema (trace and
-        job internals omitted; export the trace separately via
-        :func:`repro.observability.export.save_event_log`)."""
-        return self.to_record().to_dict()
-
-
-def _finish(runtime: ClusterRuntime, job, scenario: str, workload: Workload,
-            keep_trace: bool) -> ScenarioResult:
+def _finish(runtime: ClusterRuntime, job, experiment: "ExperimentSpec",
+            workload: Workload) -> "RunRecord":
+    """The run's record: job fields, the telemetry snapshot, per-stage
+    and per-kind aggregates, then (under a fault plan) recovery."""
+    from repro.experiments.records import RunRecord
     failed = job.failed
     runtime.listener.finalize(runtime.env.now)
     attribute_costs(runtime.metrics, runtime.meter.total(),
                     runtime.meter.breakdown())
-    result = ScenarioResult(
-        scenario=scenario,
-        workload=workload.name,
+    record = RunRecord(
+        spec=experiment, workload=workload.name,
         duration_s=job.duration if job.duration is not None else float("nan"),
         cost=runtime.meter.total(),
         failed=failed,
         failure_reason=job.failure_reason,
         cost_breakdown=runtime.meter.breakdown(),
-        job_result=None if failed else JobResult.from_job(job),
-        trace=runtime.recorder if keep_trace else None,
-    )
-    result.telemetry = runtime.metrics.snapshot()
+        trace=runtime.recorder if runtime.recorder.enabled else None)
+    metrics = record.metrics
     if not failed:
-        result.telemetry.update(dotted_stage_metrics(job))
+        jr = JobResult.from_job(job)
+        record.tasks = jr.num_tasks
+        record.tasks_by_kind = jr.tasks_by_kind
+        record.failed_attempts = jr.failed_attempts
+        metrics.update({
+            "num_stages": jr.num_stages,
+            "submit_time": jr.submit_time,
+            "finish_time": jr.finish_time,
+            "fetch_seconds_total": jr.fetch_seconds_total,
+            "input_seconds_total": jr.input_seconds_total,
+            "compute_seconds_total": jr.compute_seconds_total,
+            "gc_overhead_seconds_total": jr.gc_overhead_seconds_total,
+            "write_seconds_total": jr.write_seconds_total,
+            "cache_hits": jr.cache_hits,
+        })
+    metrics.update(runtime.metrics.snapshot())
+    if not failed:
+        metrics.update(dotted_stage_metrics(job))
     if runtime.recovery is not None:
-        result.recovery = dict(runtime.recovery.metrics())
-        result.recovery["faults_injected"] = len(runtime.injector.injected)
-    return result
+        metrics.update(runtime.recovery.metrics())
+        metrics["faults_injected"] = len(runtime.injector.injected)
+    return record
 
 
 def _run_until_done(runtime: ClusterRuntime, job) -> None:
@@ -226,9 +154,9 @@ def _run_until_done(runtime: ClusterRuntime, job) -> None:
 # Vanilla Spark scenarios
 # ---------------------------------------------------------------------------
 
-def _vanilla(workload: Workload, runtime: ClusterRuntime, cores: int,
-             autoscale: bool, scenario: str, keep_trace: bool,
-             conf: SparkConf) -> ScenarioResult:
+def _vanilla(runtime: ClusterRuntime, experiment: "ExperimentSpec",
+             workload: Workload, conf: SparkConf, cores: int,
+             autoscale: bool) -> "RunRecord":
     spec = workload.spec
     driver = SparkDriver(runtime.env, conf, runtime.rng,
                          LocalShuffleBackend(), trace=runtime.trace)
@@ -253,22 +181,22 @@ def _vanilla(workload: Workload, runtime: ClusterRuntime, cores: int,
         runtime.bill_shared_cores(vm, min(cores, vm.itype.vcpus), 0.0, end)
     for vm in new_vms:
         runtime.bill_dedicated_vm(vm, end)
-    return _finish(runtime, job, scenario, workload, keep_trace)
+    return _finish(runtime, job, experiment, workload)
 
 
 # ---------------------------------------------------------------------------
 # Qubole Spark-on-Lambda
 # ---------------------------------------------------------------------------
 
-def _qubole(workload: Workload, runtime: ClusterRuntime, scenario: str,
-            keep_trace: bool, conf: SparkConf) -> ScenarioResult:
+def _qubole(runtime: ClusterRuntime, experiment: "ExperimentSpec",
+            workload: Workload, conf: SparkConf) -> "RunRecord":
     spec = workload.spec
     if not spec.qubole_supported:
         # §5.2, footnote 11: "their prototype encounters fatal errors
         # while running this query".
-        return ScenarioResult(
-            scenario=scenario, workload=workload.name,
-            duration_s=float("nan"), cost=0.0, failed=True,
+        from repro.experiments.records import RunRecord
+        return RunRecord(
+            spec=experiment, workload=workload.name, failed=True,
             failure_reason="Qubole prototype fatal error (paper, fn. 11)")
     s3 = S3(runtime.env, runtime.rng, runtime.meter,
             put_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
@@ -298,19 +226,18 @@ def _qubole(workload: Workload, runtime: ClusterRuntime, scenario: str,
     _run_until_done(runtime, job)
     for fn in lambdas:
         fn.finish()
-    return _finish(runtime, job, scenario, workload, keep_trace)
+    return _finish(runtime, job, experiment, workload)
 
 
 # ---------------------------------------------------------------------------
 # SplitServe scenarios
 # ---------------------------------------------------------------------------
 
-def _splitserve(workload: Workload, runtime: ClusterRuntime, vm_cores: int,
-                segue: bool, scenario: str, keep_trace: bool,
-                conf: SparkConf,
-                segue_at_s: Optional[float],
+def _splitserve(runtime: ClusterRuntime, experiment: "ExperimentSpec",
+                workload: Workload, conf: SparkConf, vm_cores: int,
+                segue: bool, segue_at_s: Optional[float],
                 total_cores: Optional[int] = None,
-                segue_cores: Optional[int] = None) -> ScenarioResult:
+                segue_cores: Optional[int] = None) -> "RunRecord":
     spec = workload.spec
     # The §5.1 scenarios always assemble R slots and (on segue) procure
     # the Δ = R − r shortfall; planned runs pass both explicitly.
@@ -368,74 +295,35 @@ def _splitserve(workload: Workload, runtime: ClusterRuntime, vm_cores: int,
     # cores) ride pre-provisioned instances: bill their per-core share.
     for executor in run.launch.fallback_vm_executors:
         runtime.bill_shared_cores(executor.vm, 1, 0.0, end)
-    result = _finish(runtime, run.job, scenario, workload, keep_trace)
-    result.lambda_cores_used = run.launch.lambda_cores
+    record = _finish(runtime, run.job, experiment, workload)
     if runtime.recovery is not None:
-        result.recovery["lambda_fallback_cores"] = run.launch.fallback_cores
-        result.recovery["failed_lambda_invocations"] = (
+        # Each launch slot registers a Lambda, falls back to a VM core,
+        # or goes unfilled; RunRecord.label reads the last two.
+        record.metrics["lambda_fallback_cores"] = run.launch.fallback_cores
+        record.metrics["failed_lambda_invocations"] = (
             run.launch.failed_invocations)
-        result.recovery["unfilled_cores"] = run.launch.unfilled_cores
-    return result
+        record.metrics["unfilled_cores"] = run.launch.unfilled_cores
+    return record
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _run_scenario_impl(workload: Workload, scenario: str, seed: int,
-                       keep_trace: bool, conf: Optional[SparkConf],
-                       segue_at_s: Optional[float],
-                       faults: FaultsInput = ()) -> ScenarioResult:
-    if scenario not in SCENARIO_NAMES:
-        raise ValueError(f"unknown scenario {scenario!r}; "
-                         f"known: {SCENARIO_NAMES}")
-    runtime = ClusterRuntime(seed, trace_enabled=keep_trace, faults=faults)
-    conf = conf if conf is not None else SparkConf()
-    spec = workload.spec
-    if scenario == "spark_r_vm":
-        result = _vanilla(workload, runtime, spec.available_cores, False,
-                          scenario, keep_trace, conf)
-    elif scenario == "spark_R_vm":
-        result = _vanilla(workload, runtime, spec.required_cores, False,
-                          scenario, keep_trace, conf)
-    elif scenario == "spark_autoscale":
-        result = _vanilla(workload, runtime, spec.available_cores, True,
-                          scenario, keep_trace, conf)
-    elif scenario == "qubole_R_la":
-        result = _qubole(workload, runtime, scenario, keep_trace, conf)
-    elif scenario == "ss_R_vm":
-        result = _splitserve(workload, runtime, spec.required_cores, False,
-                             scenario, keep_trace, conf, segue_at_s)
-    elif scenario == "ss_R_la":
-        result = _splitserve(workload, runtime, 0, False, scenario,
-                             keep_trace, conf, segue_at_s)
-    elif scenario == "ss_hybrid":
-        result = _splitserve(workload, runtime, spec.available_cores, False,
-                             scenario, keep_trace, conf, segue_at_s)
-    elif scenario == "ss_hybrid_segue":
-        result = _splitserve(workload, runtime, spec.available_cores, True,
-                             scenario, keep_trace, conf, segue_at_s)
-    else:
-        raise AssertionError("unreachable")
-    result.seed = seed
-    return result
-
-
 def run_scenario(spec: "ExperimentSpec",
-                 keep_trace: bool = False) -> ScenarioResult:
-    """Execute one scenario run and return its result.
+                 keep_trace: bool = False) -> "RunRecord":
+    """Execute one scenario run and return its record.
 
     Takes a single :class:`~repro.experiments.spec.ExperimentSpec`::
 
         run_scenario(ExperimentSpec("kmeans", "ss_R_la", seed=3))
 
-    ``keep_trace`` retains the run's :class:`TraceRecorder` on the
-    result (a runtime concern, so not part of the spec).
+    ``keep_trace`` keeps the run's :class:`TraceRecorder` on
+    ``record.trace`` (a runtime concern, so not part of the spec).
 
     The old ``run_scenario(workload_obj, scenario_name, ...)`` keyword
     form has been removed; build a spec (workloads by registry name,
-    parameters via ``workload_params``) or call
-    :func:`run_all_scenarios` for ad-hoc workload instances.
+    parameters via ``workload_params``).
     """
     from repro.experiments.spec import ExperimentSpec
     if not isinstance(spec, ExperimentSpec):
@@ -443,21 +331,34 @@ def run_scenario(spec: "ExperimentSpec",
             "run_scenario takes an ExperimentSpec, e.g. "
             "run_scenario(ExperimentSpec('kmeans', 'ss_R_la', seed=3)); "
             f"got {type(spec).__name__}")
-    result = _run_scenario_impl(spec.make_workload(), spec.scenario,
-                                spec.seed, keep_trace=keep_trace,
-                                conf=spec.conf(),
-                                segue_at_s=spec.segue_at_s,
-                                faults=spec.faults)
-    result.experiment = spec
-    return result
+    scenario = spec.scenario
+    if scenario not in SCENARIO_NAMES:
+        raise ValueError(f"unknown scenario {scenario!r}; "
+                         f"known: {SCENARIO_NAMES}")
+    workload = spec.make_workload()
+    conf = spec.conf()
+    runtime = ClusterRuntime(spec.seed, trace_enabled=keep_trace,
+                             faults=spec.faults)
+    required = workload.spec.required_cores
+    available = workload.spec.available_cores
+    if scenario.startswith("spark_"):
+        cores = required if scenario == "spark_R_vm" else available
+        return _vanilla(runtime, spec, workload, conf, cores,
+                        autoscale=scenario == "spark_autoscale")
+    if scenario == "qubole_R_la":
+        return _qubole(runtime, spec, workload, conf)
+    vm_cores = {"ss_R_vm": required, "ss_R_la": 0}.get(scenario, available)
+    return _splitserve(runtime, spec, workload, conf, vm_cores,
+                       segue=scenario == "ss_hybrid_segue",
+                       segue_at_s=spec.segue_at_s)
 
 
-def run_split(workload: Workload, runtime: ClusterRuntime, *,
+def run_split(runtime: ClusterRuntime, spec: "ExperimentSpec", *,
               vm_cores: int, lambda_cores: int,
-              segue_cores: int = 0, segue_at_s: Optional[float] = None,
-              conf: Optional[SparkConf] = None, keep_trace: bool = False,
-              scenario: str = "ss_planned") -> ScenarioResult:
-    """Execute one SplitServe run under an explicit split decision.
+              segue_cores: int = 0,
+              segue_at_s: Optional[float] = None) -> "RunRecord":
+    """Execute one SplitServe run of ``spec``'s workload under an
+    explicit split decision, on ``runtime``; the record carries ``spec``.
 
     ``vm_cores`` pre-provisioned VM slots plus ``lambda_cores`` Lambda
     slots are assembled at submission; ``segue_cores`` VM cores are
@@ -471,21 +372,7 @@ def run_split(workload: Workload, runtime: ClusterRuntime, *,
     """
     if vm_cores + lambda_cores <= 0:
         raise ValueError("a split needs at least one VM or Lambda slot")
-    conf = conf if conf is not None else SparkConf()
-    return _splitserve(workload, runtime, vm_cores, segue_cores > 0,
-                       scenario, keep_trace, conf, segue_at_s,
+    return _splitserve(runtime, spec, spec.make_workload(), spec.conf(),
+                       vm_cores, segue_cores > 0, segue_at_s,
                        total_cores=vm_cores + lambda_cores,
                        segue_cores=segue_cores)
-
-
-def run_all_scenarios(workload: Workload, seed: int = 0,
-                      scenarios: Optional[List[str]] = None,
-                      **kwargs) -> Dict[str, ScenarioResult]:
-    """Run every (or the given) scenario for one workload instance."""
-    names = scenarios if scenarios is not None else SCENARIO_NAMES
-    return {name: _run_scenario_impl(workload, name, seed,
-                                     kwargs.get("keep_trace", False),
-                                     kwargs.get("conf"),
-                                     kwargs.get("segue_at_s"),
-                                     faults=kwargs.get("faults", ()))
-            for name in names}

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.experiments.spec import ExperimentSpec
+
+if TYPE_CHECKING:
+    from repro.simulation import TraceRecorder
 
 
 @dataclass
@@ -53,6 +56,11 @@ class RunRecord:
     #: True when the record was served from the on-disk cache (transient;
     #: not serialized).
     cached: bool = False
+    #: The run's :class:`~repro.simulation.TraceRecorder` when the world
+    #: recorded one (``run_scenario(spec, keep_trace=True)``); transient
+    #: like ``cached``, and left out of comparison.
+    trace: Optional["TraceRecorder"] = field(default=None, compare=False,
+                                             repr=False)
 
     @property
     def scenario(self) -> str:
@@ -64,14 +72,21 @@ class RunRecord:
 
     def label(self, workload_spec=None) -> str:
         """Figure-style label (``SS 8 VM / 24 La Segue``) where one
-        exists for the scenario; the spec's own names otherwise."""
+        exists for the scenario; the spec's own names otherwise.
+
+        Δ is the number of Lambda executors the launch registered: each
+        of the R − r launch slots registers one, falls back to a VM core,
+        or goes unfilled, and a faulted run's record counts the last two
+        (a clean run has neither)."""
         from repro.core.scenarios import SCENARIO_LABELS
         template = SCENARIO_LABELS.get(self.spec.scenario)
         if template is None or workload_spec is None:
             return f"{self.workload or self.spec.workload} {self.spec.scenario}"
+        delta = (workload_spec.shortfall_cores
+                 - self.metrics.get("lambda_fallback_cores", 0)
+                 - self.metrics.get("unfilled_cores", 0))
         return template.format(R=workload_spec.required_cores,
-                               r=workload_spec.available_cores,
-                               d=workload_spec.shortfall_cores)
+                               r=workload_spec.available_cores, d=delta)
 
     # -- serialization -----------------------------------------------------
 
@@ -90,8 +105,7 @@ class RunRecord:
         }
         if self.error is not None:
             out["error"] = self.error
-        # Job internals exist only for runs that produced a finished job,
-        # matching the historical ScenarioResult.to_dict shape.
+        # Job internals exist only for runs that produced a finished job.
         if not self.failed and self.tasks is not None:
             out["tasks"] = self.tasks
             out["tasks_by_kind"] = dict(self.tasks_by_kind)

@@ -72,14 +72,7 @@ def _dispatch(spec: ExperimentSpec) -> RunRecord:
     scenario = spec.scenario
     if scenario in PROFILE_SCENARIOS:
         from repro.analysis.profiling import profile_point
-        point = profile_point(spec)
-        return RunRecord(
-            spec=spec, workload=spec.make_workload().name,
-            duration_s=point.duration_s, cost=point.cost,
-            failed=point.failure_reason is not None,
-            failure_reason=point.failure_reason,
-            metrics={"parallelism": point.parallelism,
-                     "executor_kind": point.executor_kind})
+        return profile_point(spec)
     if scenario == STREAM_SCENARIO:
         return _run_stream(spec)
     if scenario == MULTIJOB_SCENARIO:
@@ -96,7 +89,7 @@ def _dispatch(spec: ExperimentSpec) -> RunRecord:
             return out
         return RunRecord(spec=spec, **out)
     from repro.core.scenarios import run_scenario
-    return run_scenario(spec).to_record(spec)
+    return run_scenario(spec)
 
 
 def _run_stream(spec: ExperimentSpec) -> RunRecord:

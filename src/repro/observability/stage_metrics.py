@@ -106,8 +106,11 @@ def aggregate_attempts(attempts: List["TaskAttempt"],
     return {k: groups[k] for k in sorted(groups)}
 
 
-def _kind_of(attempt: "TaskAttempt") -> str:
-    return "lambda" if attempt.executor_id.startswith("la-") else "vm"
+def executor_kind(executor_id: str) -> str:
+    """``"lambda"`` or ``"vm"``: the kind of executor an id names. Ids
+    read ``la-exec-N`` / ``vm-exec-N``, behind an ``<app>:`` prefix when
+    a pool mints them (``pool:la-exec-0``)."""
+    return "lambda" if "la-exec" in executor_id else "vm"
 
 
 def stage_metrics_from_job(job: "Job") -> Dict[str, StageMetrics]:
@@ -118,7 +121,8 @@ def stage_metrics_from_job(job: "Job") -> Dict[str, StageMetrics]:
 
 def kind_metrics_from_job(job: "Job") -> Dict[str, StageMetrics]:
     """Per-resource-kind ("vm" | "lambda") aggregates."""
-    return aggregate_attempts(job.task_attempts, key=_kind_of)
+    return aggregate_attempts(
+        job.task_attempts, key=lambda a: executor_kind(a.executor_id))
 
 
 def dotted_stage_metrics(job: "Job") -> Dict[str, float]:

@@ -27,7 +27,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.experiments.records import RunRecord
+    from repro.experiments.spec import ExperimentSpec
 
 #: Per-stage metric fields that count toward a task's slot occupancy.
 #: ``run_seconds`` is fetch + input + compute + write; GC, deserialize
@@ -260,16 +264,18 @@ def _stage_profiles(vm_metrics: Mapping[str, object],
     return tuple(profiles)
 
 
-def _probe_avail(workload: str, seed: int, conf) -> "object":
+def _probe_avail(vm_probe: "ExperimentSpec", available_cores: int
+                 ) -> "RunRecord":
     """The r-slot pure-VM probe: the one calibration corner the eight
     fixed scenarios do not cover with SplitServe billing, run through
-    :func:`repro.core.scenarios.run_split` on its own runtime."""
+    :func:`repro.core.scenarios.run_split` on its own runtime for the
+    ``ss_R_vm`` probe's spec."""
     from repro.cluster.runtime import ClusterRuntime
     from repro.core.scenarios import run_split
-    runtime = ClusterRuntime(seed, trace_enabled=False)
-    return run_split(workload, runtime,
-                     vm_cores=workload.spec.available_cores,
-                     lambda_cores=0, conf=conf)
+    from repro.experiments.spec import PLANNED_SCENARIO
+    spec = vm_probe.with_(scenario=PLANNED_SCENARIO)
+    return run_split(ClusterRuntime(spec.seed), spec,
+                     vm_cores=available_cores, lambda_cores=0)
 
 
 def build_profile(workload: str, seed: int = 0,
@@ -296,15 +302,14 @@ def build_profile(workload: str, seed: int = 0,
                 f"{record.failure_reason or record.error}")
         records[scenario] = record
     vm_rec, la_rec = records["ss_R_vm"], records["ss_R_la"]
-    spec_obj = vm_rec.spec.make_workload()
-    spec = spec_obj.spec
+    spec = vm_rec.spec.make_workload().spec
     if spec.available_cores < spec.required_cores:
-        avail = _probe_avail(spec_obj, seed, vm_rec.spec.conf())
+        avail = _probe_avail(vm_rec.spec, spec.available_cores)
         if avail.failed:
             raise ProfileError(
                 f"r-core probe failed for {workload!r}: "
                 f"{avail.failure_reason}")
-        avail_metrics = avail.to_record().metrics
+        avail_metrics = avail.metrics
         avail_duration, avail_cost = avail.duration_s, avail.cost
     else:
         # r == R: the full-VM probe already is the r-core corner.

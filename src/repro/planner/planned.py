@@ -27,8 +27,7 @@ if TYPE_CHECKING:
     from repro.experiments.spec import ExperimentSpec
 
 
-def run_planned(spec: "ExperimentSpec",
-                keep_trace: bool = False) -> "RunRecord":
+def run_planned(spec: "ExperimentSpec") -> "RunRecord":
     """Run one planner-enforced split and return its scored record."""
     policy = dict(spec.policy)
     if "vm_cores" not in policy or "lambda_cores" not in policy:
@@ -45,8 +44,7 @@ def run_planned(spec: "ExperimentSpec",
                                                      predicted_runtime)
     slo = float(policy.get("slo_s", profile.slo_seconds))
 
-    runtime = ClusterRuntime(spec.seed, trace_enabled=keep_trace,
-                             faults=spec.faults)
+    runtime = ClusterRuntime(spec.seed, faults=spec.faults)
     runtime.trace.record(
         runtime.env.now, CAT_PLANNER, EV_PLAN_ENFORCED,
         workload=spec.workload, candidate=candidate.name,
@@ -54,15 +52,11 @@ def run_planned(spec: "ExperimentSpec",
         segue_cores=candidate.segue_cores, segue_at_s=candidate.segue_at_s,
         predicted_runtime_s=predicted_runtime,
         predicted_cost=predicted_cost, slo_s=slo)
-    result = run_split(spec.make_workload(), runtime,
+    record = run_split(runtime, spec,
                        vm_cores=candidate.vm_cores,
                        lambda_cores=candidate.lambda_cores,
                        segue_cores=candidate.segue_cores,
-                       segue_at_s=candidate.segue_at_s,
-                       conf=spec.conf(), keep_trace=keep_trace)
-    result.seed = spec.seed
-    result.experiment = spec
-    record = result.to_record(spec)
+                       segue_at_s=candidate.segue_at_s)
 
     outcome = PlanOutcome(
         workload=spec.workload, candidate=candidate.name, slo_s=slo,

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.observability.stage_metrics import executor_kind
 from repro.spark.config import SparkConf
 from repro.spark.dag_scheduler import DAGScheduler, Job
 from repro.spark.executor import LAMBDA_EXPIRY_REASON, Executor, HostKind
@@ -44,17 +45,13 @@ class JobResult:
     write_seconds_total: float
     cache_hits: int
     failed_attempts: int
-    scheduler_delay_seconds_total: float = 0.0
-    deserialize_seconds_total: float = 0.0
-    shuffle_read_bytes_total: float = 0.0
-    shuffle_write_bytes_total: float = 0.0
 
     @classmethod
     def from_job(cls, job: Job) -> "JobResult":
         finished = [a for a in job.task_attempts]
         by_kind: Dict[str, int] = {}
         for attempt in finished:
-            kind = "lambda" if "la-exec" in attempt.executor_id else "vm"
+            kind = executor_kind(attempt.executor_id)
             by_kind[kind] = by_kind.get(kind, 0) + 1
         return cls(
             duration=job.duration if job.duration is not None else float("nan"),
@@ -71,14 +68,6 @@ class JobResult:
             write_seconds_total=sum(a.metrics.write_seconds for a in finished),
             cache_hits=sum(1 for a in finished if a.metrics.cache_hit),
             failed_attempts=len(job.failed_attempts),
-            scheduler_delay_seconds_total=sum(
-                a.metrics.scheduler_delay_seconds for a in finished),
-            deserialize_seconds_total=sum(
-                a.metrics.deserialize_seconds for a in finished),
-            shuffle_read_bytes_total=sum(
-                a.metrics.shuffle_read_bytes for a in finished),
-            shuffle_write_bytes_total=sum(
-                a.metrics.shuffle_write_bytes for a in finished),
         )
 
 

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis.profiling import (
-    ProfilePoint,
     optimal_parallelism,
     profile_point,
     profile_workload,
@@ -23,6 +22,7 @@ from repro.baselines.comparison import (
     render_table1,
 )
 from repro.core.scenarios import run_scenario
+from repro.experiments.records import RunRecord
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.observability.export import event_log_dicts
@@ -78,19 +78,23 @@ def test_profile_costs_positive():
     assert all(p.cost > 0 for p in points)
 
 
+def _point(parallelism, duration_s, kind="profile_vm", failed=False):
+    return RunRecord(spec=ExperimentSpec("pagerank-small", kind,
+                                         parallelism=parallelism),
+                     duration_s=duration_s, cost=1.0, failed=failed)
+
+
 def test_optimal_parallelism():
-    points = [ProfilePoint(1, 100.0, 1.0, "vm"),
-              ProfilePoint(4, 30.0, 1.0, "vm"),
-              ProfilePoint(16, 45.0, 1.0, "vm")]
-    assert optimal_parallelism(points).parallelism == 4
+    points = [_point(1, 100.0), _point(4, 30.0), _point(16, 45.0)]
+    assert optimal_parallelism(points).spec.parallelism == 4
     with pytest.raises(ValueError):
         optimal_parallelism([])
 
 
 def test_optimal_parallelism_skips_failed_points():
-    points = [ProfilePoint(1, float("nan"), 0.5, "lambda", "expired"),
-              ProfilePoint(4, 30.0, 1.0, "lambda")]
-    assert optimal_parallelism(points).parallelism == 4
+    points = [_point(1, float("nan"), "profile_lambda", failed=True),
+              _point(4, 30.0, "profile_lambda")]
+    assert optimal_parallelism(points).spec.parallelism == 4
     with pytest.raises(ValueError):
         optimal_parallelism(points[:1])
 
@@ -100,6 +104,7 @@ def test_profile_point_outliving_its_lambdas_fails_cleanly():
     # lifetime, and nothing replaces it: a failed point, billed so far.
     spec = ExperimentSpec("kmeans", "profile_lambda", seed=1, parallelism=1)
     point = profile_point(spec)
+    assert point.failed
     assert math.isnan(point.duration_s)
     assert point.cost > 0
     assert "expired" in point.failure_reason

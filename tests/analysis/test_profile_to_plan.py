@@ -10,7 +10,7 @@ it to the cost manager, and check the same *kind* of decision falls out.
 
 import pytest
 
-from repro.analysis.profiling import optimal_parallelism, profile_workload
+from repro.analysis.profiling import profile_workload
 from repro.cloud import instance_type
 from repro.core.cost_manager import CostManager
 from repro.experiments.spec import ExperimentSpec
@@ -23,7 +23,7 @@ def lambda_profile():
     points = profile_workload(
         ExperimentSpec("pagerank-large", "profile_lambda"),
         parallelism_sweep=SWEEP)
-    return {p.parallelism: p.duration_s for p in points}
+    return {p.spec.parallelism: p.duration_s for p in points}
 
 
 def test_profile_feeds_cost_manager(lambda_profile):

@@ -10,8 +10,8 @@ the three faulted runs of ``tests/simulation/test_fault_identity.py``
 
 The digests were taken before the three interval reconstructions those
 views used were folded into one span model, and must not move: a change
-to the simulated behaviour behind them is the only reason to update
-them.
+to the simulated behaviour behind them, or to the text a view prints,
+is the only reason to update them.
 """
 
 import contextlib
@@ -52,8 +52,10 @@ PINNED = {
     "pagerank-ss_hybrid_segue-s0": (
         "3aac75591f0c09f811568b5bfa1734c2f3d01f316ab787de37882b3cd4c68657",
         "d59fe2ec164b00c9ced74a213646d152c2b84dfa6ebf4dcee3fe41992b7fd1a0"),
+    # The table row's label reads "SS 4 VM / 55 La", as the timeline
+    # header does: 5 of the 60 launch slots fell back to VM cores.
     "sparkpi-ss_hybrid-s1": (
-        "2271c00a53455f6fa0a4ebe55433a89c0d3de9b4827e94e0c8e758cc88e1fe75",
+        "61f0805433795f751a201fb07caeb8f37ce15109de9accb9e148ac04c1a4b772",
         "563adaf782f1203a3d544daf9de6eaa854015c7e04cb87d8b5ddb6fdeef1d876"),
     "sparkpi-ss_hybrid_segue-s3": (
         "ae4b6cb7991ae0b23d544fc7578b4d1ff11142f56088a1a5e9f1d6e06bc3a095",

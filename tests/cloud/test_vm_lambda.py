@@ -104,7 +104,7 @@ def test_vm_terminate_and_uptime():
 
     def stop(env):
         yield env.timeout(300)
-        provider.terminate_vm(vm)
+        vm.terminate()
 
     env.process(stop(env))
     env.run()
@@ -183,16 +183,9 @@ def test_lambda_finish_prevents_expiry():
     env.run()
     assert fn.state is LambdaState.FINISHED
     assert not fn.expired.triggered
-    assert fn.billed_duration == pytest.approx(30, abs=1.0)
-
-
-def test_lambda_remaining_lifetime_decreases():
-    env, provider = make_provider()
-    fn = provider.invoke_lambda()
-    env.run(until=fn.ready)
-    first = fn.remaining_lifetime
-    env.run(until=env.now + 100)
-    assert fn.remaining_lifetime == pytest.approx(first - 100, abs=0.01)
+    [(name, start, end)] = provider.meter.intervals("lambda")
+    assert name == fn.name
+    assert end - start == pytest.approx(30, abs=1.0)
 
 
 def test_lambda_network_bandwidth_proportional_to_memory():
@@ -240,18 +233,20 @@ def test_warm_pool_sized_entries_do_not_cross_memory_classes():
 
 
 def test_billing_helpers():
-    env, provider = make_provider()
+    runtime = ClusterRuntime(0)
+    env, provider = runtime.env, runtime.provider
     vm = provider.request_vm("m4.large", already_running=True)
     fn = provider.invoke_lambda()
 
     def run(env):
         yield env.timeout(90)
         fn.finish()
-        provider.terminate_vm(vm)
+        vm.terminate()
 
     env.process(run(env))
     env.run()
-    vm_cost = provider.bill_vm_usage(vm)
+    runtime.bill_dedicated_vm(vm, env.now)
+    vm_cost = provider.meter.breakdown()["vm"]
     la_cost = provider.meter.breakdown()["lambda"]
     assert vm_cost > 0 and la_cost > 0
     assert provider.meter.total() == pytest.approx(vm_cost + la_cost)

@@ -7,15 +7,14 @@ from repro.cloud.pricing import lambda_cost
 from repro.cluster.runtime import ClusterRuntime
 from repro.core.scenarios import run_split
 from repro.experiments.runner import run_spec
-from repro.experiments.spec import ExperimentSpec
-from repro.workloads.registry import make_workload
+from repro.experiments.spec import PLANNED_SCENARIO, ExperimentSpec
 
 
 def test_reaped_lambda_of_a_split_run_is_billed_once():
     """K-means on one VM core and one Lambda core outlives the Lambda:
     the provider reaps it at 900 s, and that container is billed."""
     runtime = ClusterRuntime(0)
-    result = run_split(make_workload("kmeans"), runtime,
+    result = run_split(runtime, ExperimentSpec("kmeans", PLANNED_SCENARIO),
                        vm_cores=1, lambda_cores=1)
     assert result.duration_s == 1417.8412755189954
     assert runtime.meter.intervals("lambda") == [
@@ -45,10 +44,10 @@ def test_drained_container_is_billed_at_its_drain():
     once, at its executor's drain, right after the scheduler records
     it."""
     runtime = ClusterRuntime(3, trace_enabled=True)
-    workload = make_workload("sparkpi")
-    spec = workload.spec
-    shortfall = spec.required_cores - spec.available_cores
-    run_split(workload, runtime, vm_cores=spec.available_cores,
+    spec = ExperimentSpec("sparkpi", PLANNED_SCENARIO, seed=3)
+    wspec = spec.make_workload().spec
+    shortfall = wspec.shortfall_cores
+    run_split(runtime, spec, vm_cores=wspec.available_cores,
               lambda_cores=shortfall, segue_cores=shortfall,
               segue_at_s=10.0)
     billed = [r for r in runtime.meter.records if r.kind == "lambda"]

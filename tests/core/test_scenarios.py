@@ -9,14 +9,10 @@ import math
 
 import pytest
 
-from repro.core.scenarios import (
-    SCENARIO_NAMES,
-    ScenarioResult,
-    run_all_scenarios,
-    run_scenario,
-)
+from repro.core.scenarios import SCENARIO_NAMES, run_scenario
+from repro.experiments import RunRecord, run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.workloads import PageRankWorkload, SyntheticWorkload
+from repro.workloads import PageRankWorkload
 
 
 def test_unknown_scenario_rejected():
@@ -29,19 +25,38 @@ def test_run_scenario_requires_a_spec():
         run_scenario("sparkpi")
 
 
-def test_run_all_scenarios_returns_every_name():
-    w = SyntheticWorkload(stages=2, core_seconds_per_stage=16.0,
-                          shuffle_bytes_per_boundary=1024,
-                          required_cores=4, available_cores=2)
-    results = run_all_scenarios(w)
-    assert set(results) == set(SCENARIO_NAMES)
-    assert all(isinstance(r, ScenarioResult) for r in results.values())
+def test_run_scenario_runs_every_name():
+    params = dict(stages=2, core_seconds_per_stage=16.0,
+                  shuffle_bytes_per_boundary=1024,
+                  required_cores=4, available_cores=2)
+    for name in SCENARIO_NAMES:
+        spec = ExperimentSpec("synthetic", name, workload_params=params)
+        record = run_scenario(spec)
+        assert isinstance(record, RunRecord)
+        assert record.spec == spec and record.scenario == name
 
 
 def test_result_label_formats_paper_style():
     w = PageRankWorkload()
     r = run_scenario(ExperimentSpec("pagerank", "ss_hybrid"))
     assert r.label(w.spec) == "SS 3 VM / 13 La"
+
+
+#: PageRank's 13 Lambda slots against a concurrency cap of 2: 11 of them
+#: fall back to VM cores, so 2 Lambda executors register.
+THROTTLED_PAGERANK = ExperimentSpec(
+    "pagerank", "ss_hybrid", seed=0,
+    faults=[{"kind": "lambda_throttle", "at_s": 0.0, "limit": 2,
+             "duration_s": 500.0}])
+
+
+def test_label_counts_the_lambdas_a_throttled_launch_registered():
+    record = run_spec(THROTTLED_PAGERANK)
+    assert record.metrics["lambda_fallback_cores"] == 11
+    assert record.metrics["unfilled_cores"] == 0
+    assert record.tasks_by_kind["lambda"] > 0
+    wspec = THROTTLED_PAGERANK.make_workload().spec
+    assert record.label(wspec) == "SS 3 VM / 2 La"
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +138,8 @@ def test_kmeans_qubole_worse_than_ss_lambda(kmeans_results):
 
 @pytest.fixture(scope="module")
 def pagerank_results():
-    return run_all_scenarios(PageRankWorkload())
+    return {name: run_scenario(ExperimentSpec("pagerank", name))
+            for name in SCENARIO_NAMES}
 
 
 def test_pagerank_under_provisioned_about_2x(pagerank_results):

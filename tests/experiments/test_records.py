@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.api.schemas import SchemaError
-from repro.core.scenarios import run_scenario
 from repro.experiments import ExperimentSpec, RunRecord, read_jsonl, run_spec, write_jsonl
 
 TINY = dict(stages=2, core_seconds_per_stage=8.0,
@@ -27,19 +26,6 @@ def test_run_record_round_trip():
     assert clone.spec == record.spec
     assert clone.duration_s == record.duration_s
     assert clone.tasks_by_kind == record.tasks_by_kind
-
-
-def test_scenario_result_and_record_agree():
-    spec = tiny_spec()
-    result = run_scenario(spec)
-    record = result.to_record(spec)
-    assert record.duration_s == result.duration_s
-    assert record.cost == result.cost
-    assert record.tasks == result.job_result.num_tasks
-    assert record.metrics["compute_seconds_total"] == (
-        result.job_result.compute_seconds_total)
-    # ScenarioResult.to_dict now IS the RunRecord schema.
-    assert result.to_dict() == record.to_dict()
 
 
 def test_failed_run_omits_job_fields():

@@ -16,15 +16,13 @@ from repro.observability.report import (
 
 
 @pytest.fixture(scope="module")
-def hybrid():
-    """One hybrid run: (spec, ScenarioResult, RunRecord)."""
+def record():
+    """One hybrid run's record, with its trace."""
     spec = ExperimentSpec(workload="sparkpi", scenario="ss_hybrid", seed=0)
-    result = run_scenario(spec, keep_trace=True)
-    return spec, result, result.to_record(spec)
+    return run_scenario(spec, keep_trace=True)
 
 
-def test_cost_split_sums_to_total(hybrid):
-    _spec, _result, record = hybrid
+def test_cost_split_sums_to_total(record):
     m = record.metrics
     parts = m["cost.iaas"] + m["cost.faas"] + sum(
         v for k, v in m.items() if k.startswith("cost.storage."))
@@ -32,8 +30,7 @@ def test_cost_split_sums_to_total(hybrid):
     assert abs(m["cost.total"] - record.cost) < 1e-6
 
 
-def test_render_run_report_sections(hybrid):
-    _spec, _result, record = hybrid
+def test_render_run_report_sections(record):
     text = render_run_report(record.to_dict())
     assert "run: workload=sparkpi scenario=ss_hybrid seed=0" in text
     assert "cost split ($):" in text
@@ -45,16 +42,14 @@ def test_render_run_report_sections(hybrid):
     assert "cloud.lambda.invocations" in text
 
 
-def test_render_run_report_has_both_kinds(hybrid):
-    _spec, _result, record = hybrid
+def test_render_run_report_has_both_kinds(record):
     text = render_run_report(record.to_dict())
     util = text.split("executor utilization:")[1]
     assert "lambda" in util and "vm" in util
 
 
-def test_render_event_log_report(hybrid):
-    _spec, result, _record = hybrid
-    rows = event_log_dicts(result.trace)
+def test_render_event_log_report(record):
+    rows = event_log_dicts(record.trace)
     text = render_event_log_report(rows)
     assert "event census:" in text
     assert "executor.task_end" in text
@@ -69,8 +64,7 @@ def test_render_event_log_report_empty():
     assert render_event_log_report([]) == "event log: empty"
 
 
-def test_render_report_file_autodetects_run_records(tmp_path, hybrid):
-    _spec, _result, record = hybrid
+def test_render_report_file_autodetects_run_records(tmp_path, record):
     path = tmp_path / "records.jsonl"
     write_jsonl([record, record], str(path))
     text = render_report_file(str(path))
@@ -79,18 +73,16 @@ def test_render_report_file_autodetects_run_records(tmp_path, hybrid):
     assert only_first.count("run: workload=sparkpi") == 1
 
 
-def test_render_report_file_autodetects_event_logs(tmp_path, hybrid):
-    _spec, result, _record = hybrid
+def test_render_report_file_autodetects_event_logs(tmp_path, record):
     path = tmp_path / "events.jsonl"
-    save_event_log(result.trace, str(path))
+    save_event_log(record.trace, str(path))
     text = render_report_file(str(path))
     assert "event census:" in text
 
 
-def test_report_cli_rejects_a_bare_run_record_row(tmp_path, hybrid):
+def test_report_cli_rejects_a_bare_run_record_row(tmp_path, record):
     # A pre-envelope row (a bare RunRecord dict) is not read: the CLI
     # exits with one line that names the envelope format.
-    _spec, _result, record = hybrid
     path = tmp_path / "bare.jsonl"
     path.write_text(json.dumps(record.to_dict()) + "\n")
     with pytest.raises(SystemExit) as exc_info:
@@ -112,8 +104,7 @@ def test_render_report_file_empty(tmp_path):
 # Precision regression: metrics stay full-precision end to end
 # ---------------------------------------------------------------------------
 
-def test_metrics_survive_jsonl_roundtrip_at_full_precision(tmp_path, hybrid):
-    spec, _result, record = hybrid
+def test_metrics_survive_jsonl_roundtrip_at_full_precision(tmp_path, record):
     probe = 0.12345678901234567  # more digits than any %.3f render keeps
     record.metrics["precision.probe"] = probe
     path = tmp_path / "records.jsonl"
@@ -124,8 +115,7 @@ def test_metrics_survive_jsonl_roundtrip_at_full_precision(tmp_path, hybrid):
         assert loaded.metrics[name] == value, name
 
 
-def test_rendering_does_not_mutate_metrics(hybrid):
-    _spec, _result, record = hybrid
+def test_rendering_does_not_mutate_metrics(record):
     payload = record.to_dict()
     before = dict(payload["metrics"])
     render_run_report(payload)

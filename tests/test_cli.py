@@ -38,6 +38,20 @@ def test_run_with_timeline(capsys):
     assert "#" in out
 
 
+def test_timeline_header_and_table_row_share_one_label(capsys):
+    """PageRank's 13 Lambda slots against a concurrency cap of 2: 11
+    fall back to VM cores, and both the timeline header and the table
+    row count the 2 Lambda executors that registered."""
+    assert main(["run", "--workload", "pagerank", "--scenario", "ss_hybrid",
+                 "--timeline", "--faults",
+                 '[{"kind": "lambda_throttle", "at_s": 0.0, "limit": 2, '
+                 '"duration_s": 500.0}]']) == 0
+    out = capsys.readouterr().out
+    assert "--- timeline: SS 3 VM / 2 La ---" in out
+    assert out.count("SS 3 VM / 2 La") == 2
+    assert "13 La" not in out
+
+
 def test_profile_command(capsys):
     assert main(["profile", "--workload", "pagerank-small",
                  "--kind", "vm", "--parallelism", "2,8"]) == 0

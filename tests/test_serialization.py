@@ -1,4 +1,5 @@
-"""Tests for the scenario-result export (``ScenarioResult.to_dict``).
+"""Tests for the scenario-result export (``RunRecord.to_dict`` of the
+record ``run_scenario`` returns).
 
 The event-log export is tested in ``tests/observability/test_export.py``.
 """

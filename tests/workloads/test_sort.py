@@ -60,8 +60,8 @@ def test_sort_runs_under_splitserve():
     assert not result.failed
     assert result.duration_s > 0
     # Shuffle-dominated: fetch+write time is a large share of compute.
-    jr = result.job_result
-    assert jr.write_seconds_total + jr.fetch_seconds_total > 0
+    m = result.metrics
+    assert m["write_seconds_total"] + m["fetch_seconds_total"] > 0
 
 
 def test_sort_is_io_bound_not_core_bound():
