@@ -58,7 +58,8 @@ bench-plan-smoke:
 
 # One small multijob replay timed end to end — smoke-tests the kernel
 # throughput figures behind BENCH_core.json (see benchmarks/bench_core_speed.py)
-# — and one counted twice, whose bytecode counts must repeat exactly.
+# — and one counted twice, whose bytecode counts and traced memory peak
+# must repeat exactly.
 bench-core-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		pytest benchmarks/bench_core_speed.py \
@@ -71,10 +72,11 @@ bench-core:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python benchmarks/bench_core_speed.py --write
 
-# Deterministic work counts (bytecodes, Python calls, events) of one
-# replay-fair-shaped replay: a repeatable measure of Python-level work,
-# free of the host's wall-time noise, but not the size of a wall-time
-# change (work done in C is not counted). Takes a few minutes.
+# Deterministic work counts (bytecodes, Python calls, events) and traced
+# memory peak of one replay-fair-shaped replay: a repeatable measure of
+# Python-level work and allocation, free of the host's wall-time noise,
+# but not the size of a wall-time change (work done in C is not
+# counted). Takes a few minutes.
 bench-work:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python benchmarks/bench_work_counts.py

@@ -3,14 +3,19 @@
 Wall time on a shared machine swings with the host's load, by up to
 ~1.7x between phases on a small cloud VM. The number of bytecodes the
 replay executes does not swing: for a fixed spec and seed it is the
-same on every run. This script runs one replay to warm up (imports,
-lazily built tables), then runs the same replay again under a
-``sys.settrace`` opcode counter and prints:
+same on every run, and neither is the peak of the memory it allocates.
+This script runs one replay to warm up (imports, lazily built tables),
+then runs the same replay again under a ``sys.settrace`` opcode counter,
+and, in a fresh interpreter that warms up the same way, once more under
+``tracemalloc``; it prints:
 
 - ``bytecodes``: opcodes executed by Python frames during the replay;
 - ``python_calls``: Python frame entries (generator resumptions count
   as entries, as ``sys.settrace`` reports them);
-- ``events_processed``: simulated events the kernel dispatched.
+- ``events_processed``: simulated events the kernel dispatched;
+- ``traced_peak_bytes``: the peak of the bytes the replay's live
+  Python allocations held (``tracemalloc``, in its own pass, since the
+  opcode counter allocates too).
 
 The replay matches ``replay-fair`` in ``BENCHMARK.json``: a 240-job mix
 of ``sparkpi`` and ``pagerank-small``, 20 s mean gap, one 8-core FAIR VM
@@ -23,12 +28,18 @@ Run against two source trees, the counts say how much interpreter work a
 change removed; ``events_processed`` must match for a pure speed change.
 They leave out work done in C (builtins, allocation, garbage
 collection), so they are a repeatable measure of Python-level work, not
-the size of a wall-time change.
+the size of a wall-time change. Likewise ``traced_peak_bytes`` counts
+the bytes Python asked for, not the process's resident memory
+(``peak_rss_mb`` in perfbench), which also holds the interpreter, the
+allocator's free pages and everything imported.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -72,20 +83,55 @@ def counted_replay(spec: ExperimentSpec) -> dict:
             "events_processed": int(record.metrics["events_processed"])}
 
 
-def work_counts(n_jobs: int = 240) -> dict:
-    """One warm-up replay, then the counted one."""
+def traced_peak_bytes(n_jobs: int = 240) -> int:
+    """The ``tracemalloc`` peak of one warmed replay, measured in a
+    fresh interpreter with a fixed string-hash seed. Repeated in one
+    process, the peak drifts by up to a few KB from pass to pass with
+    the allocator state the earlier passes leave; across fresh
+    interpreters with random hash seeds it varies too (one 240-job run
+    in four read 8 KiB less). A fresh interpreter with a fixed seed
+    repeats it to the byte."""
+    code = (f"import runpy, sys; sys.path[:0] = {sys.path!r}; "
+            f"print(runpy.run_path({__file__!r})"
+            f"['_warm_traced_peak']({n_jobs}))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONHASHSEED="0"),
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+def _warm_traced_peak(n_jobs: int) -> int:
     spec = replay_spec(n_jobs)
     run_spec(spec)
-    return counted_replay(spec)
+    tracemalloc.start()
+    try:
+        record = run_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if record.error is not None or record.failed:
+        raise RuntimeError(f"replay failed: {record.failure_reason}")
+    return peak
+
+
+def work_counts(n_jobs: int = 240) -> dict:
+    """One warm-up replay, then the counted one; then the memory pass."""
+    spec = replay_spec(n_jobs)
+    run_spec(spec)
+    counts = counted_replay(spec)
+    counts["traced_peak_bytes"] = traced_peak_bytes(n_jobs)
+    return counts
 
 
 @pytest.mark.smoke
 def test_smoke_work_counts_repeat_exactly():
     first = work_counts(n_jobs=6)
     again = counted_replay(replay_spec(n_jobs=6))
+    again["traced_peak_bytes"] = traced_peak_bytes(n_jobs=6)
     assert first == again
     assert first["bytecodes"] > first["python_calls"] > 0
     assert first["events_processed"] > 1_000
+    assert first["traced_peak_bytes"] > 0
 
 
 def main() -> int:

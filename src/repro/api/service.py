@@ -989,7 +989,7 @@ class ServeRuntime:
             "latency_s": app.latency_s,
             "queueing_delay_s": app.queueing_delay_s,
             "duration_s": app.run_duration_s,
-            "busy_seconds": app.busy_seconds(),
+            "busy_seconds": app.busy_seconds,
         }
         if app.failed:
             message = app.failure_reason or "pooled app failed"

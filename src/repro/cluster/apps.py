@@ -25,7 +25,7 @@ from repro.observability.categories import (
     EV_BRIDGE_DRAINED,
     EV_SPLIT_DECIDED,
 )
-from repro.spark.application import SparkDriver
+from repro.spark.application import JobResult, SparkDriver
 from repro.spark.dag_scheduler import JobFailedError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,8 +65,16 @@ class ClusterApp:
         self.finish_time: Optional[float] = None
         self.failed = False
         self.failure_reason: Optional[str] = None
+        #: The running app's driver and job; both are dropped at
+        #: completion, which keeps only :attr:`result` and
+        #: :attr:`busy_seconds`, so a finished job is freed.
         self.driver: Optional[SparkDriver] = None
         self.job = None
+        #: Summary of the finished job.
+        self.result: Optional[JobResult] = None
+        #: Task-occupancy seconds this app put on the pool (the basis
+        #: for apportioning shared-resource cost across applications).
+        self.busy_seconds = 0.0
 
     @property
     def queueing_delay_s(self) -> Optional[float]:
@@ -87,14 +95,16 @@ class ClusterApp:
             return None
         return self.finish_time - self.admit_time
 
-    def busy_seconds(self) -> float:
-        """Task-occupancy seconds this app put on the pool (the basis
-        for apportioning shared-resource cost across applications)."""
-        if self.job is None:
-            return 0.0
-        total = sum(a.metrics.duration for a in self.job.task_attempts)
-        total += sum(a.metrics.duration for a in self.job.failed_attempts)
-        return total
+    def release_job(self) -> None:
+        """Keep the finished job's summary, then drop the job and its
+        driver, so that reference counting frees them."""
+        job = self.job
+        self.result = JobResult.from_job(job)
+        total = sum(a.metrics.duration for a in job.task_attempts)
+        total += sum(a.metrics.duration for a in job.failed_attempts)
+        self.busy_seconds = total
+        self.job = None
+        self.driver = None
 
     def __repr__(self) -> str:
         return f"<ClusterApp {self.app_id} ({self.workload.name})>"
@@ -201,6 +211,7 @@ class AppManager:
 
     def _on_complete(self, app: ClusterApp) -> None:
         app.finish_time = self.runtime.env.now
+        app.release_job()
         self.running.discard(app.app_id)
         self.pools.unregister(app)
         self._vm_committed.pop(app.app_id, None)

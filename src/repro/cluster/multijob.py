@@ -171,7 +171,6 @@ def run_multijob(spec: "ExperimentSpec") -> "RunRecord":
 def _build_record(spec, runtime: ClusterRuntime, manager: AppManager,
                   params, end: float) -> "RunRecord":
     from repro.experiments.records import RunRecord
-    from repro.spark.application import JobResult
 
     completed = [app for app in manager.finished if not app.failed]
     latencies = [app.latency_s for app in completed]
@@ -182,7 +181,7 @@ def _build_record(spec, runtime: ClusterRuntime, manager: AppManager,
 
     # Apportion the shared pool's cost across applications by their
     # task-occupancy share (marginal-cost flavour of §5.1 at app grain).
-    busy = {app.app_id: app.busy_seconds() for app in manager.finished}
+    busy = {app.app_id: app.busy_seconds for app in manager.finished}
     total_busy = sum(busy.values())
     metrics: Dict[str, object] = {}
     tasks = 0
@@ -192,10 +191,9 @@ def _build_record(spec, runtime: ClusterRuntime, manager: AppManager,
                  else 1.0 / max(n_jobs, 1))
         metrics[f"app.{app.app_id}.cost"] = share * total_cost
         metrics[f"app.{app.app_id}.workload"] = app.workload.name
-        if app.job is not None and not app.failed:
-            jr = JobResult.from_job(app.job)
-            tasks += jr.num_tasks
-            for kind, count in jr.tasks_by_kind.items():
+        if not app.failed:
+            tasks += app.result.num_tasks
+            for kind, count in app.result.tasks_by_kind.items():
                 tasks_by_kind[kind] = tasks_by_kind.get(kind, 0) + count
 
     metrics.update(runtime.metrics.snapshot())

@@ -49,8 +49,11 @@ def run_spec(spec: ExperimentSpec) -> RunRecord:
     # that die by refcount, and gen-0 sweeps every ~700 net allocations
     # re-scan live sim state for 5-15% of the run's wall time. Collection
     # timing has no observable effect on results (nothing in the sim is
-    # finalizer-driven); whatever cycles a run leaves behind are swept at
-    # the caller's next threshold crossing after re-enable.
+    # finalizer-driven), but it has on memory: a cycle made during the
+    # run lives until the run ends, so it adds to the run's peak and is
+    # not only swept at the caller's next threshold crossing after
+    # re-enable. A finished job must therefore die by refcount (see
+    # tests/cluster/test_job_release.py).
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()

@@ -129,6 +129,17 @@ class Job:
         return rows
 
 
+def _visit_stages(stage: Stage, seen: List[Stage], seen_ids: Set[int]) -> None:
+    """Append ``stage`` and its ancestors to ``seen``, parents first,
+    skipping stages already in ``seen_ids``."""
+    if stage.stage_id in seen_ids:
+        return
+    for parent in stage.parents:
+        _visit_stages(parent, seen, seen_ids)
+    seen_ids.add(stage.stage_id)
+    seen.append(stage)
+
+
 class DAGScheduler(SchedulerListener):
     """Owns stage construction and drives the task scheduler."""
 
@@ -160,7 +171,7 @@ class DAGScheduler(SchedulerListener):
 
     def submit_job(self, final_rdd: RDD) -> Job:
         """Submit an action on ``final_rdd``; returns the :class:`Job`
-        whose ``done`` event fires with the job (or fails) at the end.
+        whose ``done`` event fires (or fails) when the job ends.
 
         One job at a time (matching the paper's single-job scenarios).
         """
@@ -209,17 +220,7 @@ class DAGScheduler(SchedulerListener):
     @staticmethod
     def _collect_stages(result_stage: Stage) -> List[Stage]:
         seen: List[Stage] = []
-        seen_ids: Set[int] = set()
-
-        def visit(stage: Stage) -> None:
-            if stage.stage_id in seen_ids:
-                return
-            for parent in stage.parents:
-                visit(parent)
-            seen_ids.add(stage.stage_id)
-            seen.append(stage)
-
-        visit(result_stage)
+        _visit_stages(result_stage, seen, set())
         return seen
 
     # ------------------------------------------------------------------
@@ -401,7 +402,9 @@ class DAGScheduler(SchedulerListener):
             return
         job.finish_time = self.env.now
         self._record(EV_JOB_COMPLETE, job=job.job_id, duration=job.duration)
-        job.done.succeed(job)
+        # No payload: the job holding an event that holds the job would
+        # be a reference cycle. Waiters read the job they already hold.
+        job.done.succeed(None)
 
     def _fail_job(self, reason: str) -> None:
         job = self._active_job

@@ -396,7 +396,9 @@ class Executor:
                 self.tasks_failed += 1
         except FetchFailedError as exc:
             attempt.state = TaskState.FAILED
-            attempt.failure = exc
+            # Without its traceback: the traceback holds this frame,
+            # which holds the attempt, a cycle.
+            attempt.failure = exc.with_traceback(None)
             self.tasks_failed += 1
         # Deliberately not a finally: block — if the simulation is torn
         # down mid-task, the generator's GeneratorExit must not fire

@@ -11,7 +11,7 @@ stages at state transfer boundaries").
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Sequence, Set, Union
 
 
 class Dependency:
@@ -133,29 +133,32 @@ class RDD:
         single stage executes.
 
         Lineage is immutable after construction, so the walk is memoized
-        (the DAG scheduler re-asks once per task otherwise). Callers get
-        a fresh list; the cached tuple is never exposed for mutation.
+        (the DAG scheduler re-asks once per task otherwise). The memo
+        holds the strict ancestors only: a memo holding the RDD itself
+        would be a reference cycle, which only the cyclic collector
+        frees. Callers get a fresh list.
         """
-        cached = getattr(self, "_narrow_ancestry", None)
-        if cached is None:
-            seen = []
-            seen_ids = set()
-
-            def visit(rdd: "RDD") -> None:
-                if rdd.rdd_id in seen_ids:
-                    return
-                for dep in rdd.deps:
-                    if isinstance(dep, NarrowDependency):
-                        visit(dep.parent)
-                seen_ids.add(rdd.rdd_id)
-                seen.append(rdd)
-
-            visit(self)
-            cached = self._narrow_ancestry = tuple(seen)
-        return list(cached)
+        ancestors = getattr(self, "_narrow_ancestors", None)
+        if ancestors is None:
+            seen: List[RDD] = []
+            _visit_narrow(self, seen, set())
+            ancestors = self._narrow_ancestors = tuple(seen[:-1])
+        return [*ancestors, self]
 
     def __repr__(self) -> str:
         return f"<RDD {self.rdd_id} {self.name} p={self.num_partitions}>"
+
+
+def _visit_narrow(rdd: RDD, seen: List[RDD], seen_ids: Set[int]) -> None:
+    """Append ``rdd``'s narrow ancestry to ``seen`` in post-order (each
+    RDD after its parents), skipping RDDs already in ``seen_ids``."""
+    if rdd.rdd_id in seen_ids:
+        return
+    for dep in rdd.deps:
+        if isinstance(dep, NarrowDependency):
+            _visit_narrow(dep.parent, seen, seen_ids)
+    seen_ids.add(rdd.rdd_id)
+    seen.append(rdd)
 
 
 class RDDBuilder:

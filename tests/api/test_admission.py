@@ -7,7 +7,9 @@ The satellite contract for the control plane:
 - beyond ``max_queue`` the service sheds load with a structured 503
   whose body comes from the shared schema module;
 - the AppManager applies the same queue-don't-drop discipline to
-  pooled jobs inside the simulation.
+  pooled jobs inside the simulation;
+- a finished pooled job keeps only its summary, so a long-lived
+  service does not grow with every job it has served.
 
 Jobs here run a ``custom:`` scenario gated on a threading.Event, so
 saturation is constructed deterministically rather than raced.
@@ -150,5 +152,24 @@ def test_app_manager_queues_pooled_jobs_beyond_limit():
         assert snapshot["finished"] == 3
         assert snapshot["max_concurrent"] == 1
         assert snapshot["queued"] == 0
+    finally:
+        service.close()
+
+
+def test_finished_pooled_jobs_keep_only_their_summary():
+    service = ServeRuntime(ServeConfig(max_concurrent=2, max_queue=4,
+                                       pool_cores=4)).start()
+    try:
+        statuses = [service.submit({"workload": "sparkpi",
+                                    "mode": "pooled", "seed": i})
+                    for i in range(2)]
+        assert service.drain(timeout=60.0)
+        for status in statuses:
+            assert service.job(status.job_id).state == schemas.JOB_COMPLETED
+            job = service._jobs[status.job_id]
+            app = job.app
+            assert app.job is None and app.driver is None
+            assert app.result is not None and app.result.num_tasks > 0
+            assert job.metrics["busy_seconds"] == app.busy_seconds > 0
     finally:
         service.close()

@@ -76,12 +76,15 @@ def _lineage(final_rdd):
 
 
 def test_pooled_apps_never_share_an_id(monkeypatch):
-    admitted = []
+    # A completed app drops its job, so each job is captured at
+    # admission.
+    admitted, jobs = [], []
     admit = AppManager._admit
 
     def recording_admit(manager, app):
         admit(manager, app)
         admitted.append(app)
+        jobs.append(app.job)
 
     monkeypatch.setattr(AppManager, "_admit", recording_admit)
     spec = ExperimentSpec(
@@ -96,8 +99,8 @@ def test_pooled_apps_never_share_an_id(monkeypatch):
                                                        "pagerank-25000"}
 
     rdd_ids, shuffle_ids = [], []
-    for app in admitted:
-        rdds = _lineage(app.job.final_rdd)
+    for job in jobs:
+        rdds = _lineage(job.final_rdd)
         rdd_ids.append([rdd.rdd_id for rdd in rdds])
         shuffle_ids.append([dep.shuffle_id for rdd in rdds
                             for dep in rdd.shuffle_deps])

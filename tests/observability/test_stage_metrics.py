@@ -20,25 +20,27 @@ def test_executor_kind_reads_prefixed_ids():
 
 
 def test_kind_metrics_file_pooled_lambda_attempts_under_lambda(monkeypatch):
-    admitted = []
+    # A completed app drops its job, so each job is captured at
+    # admission.
+    jobs = []
     admit = AppManager._admit
 
     def recording_admit(manager, app):
         admit(manager, app)
-        admitted.append(app)
+        jobs.append(app.job)
 
     monkeypatch.setattr(AppManager, "_admit", recording_admit)
     record = run_multijob(ExperimentSpec(
         workload="multijob", scenario="multijob", seed=0,
         extra={"mix": "sparkpi", "n_jobs": 2, "pool_cores": 4,
                "pool_style": "hybrid_segue", "lambda_cores": 4}))
-    pooled = [a for app in admitted for a in app.job.task_attempts
+    pooled = [a for job in jobs for a in job.task_attempts
               if a.executor_id.startswith("pool:la-exec-")]
     assert pooled
     lambda_tasks = 0
-    for app in admitted:
+    for job in jobs:
         by_kind = {kind: group.tasks for kind, group
-                   in kind_metrics_from_job(app.job).items()}
-        assert by_kind == JobResult.from_job(app.job).tasks_by_kind
+                   in kind_metrics_from_job(job).items()}
+        assert by_kind == JobResult.from_job(job).tasks_by_kind
         lambda_tasks += by_kind.get("lambda", 0)
     assert lambda_tasks == len(pooled) == record.tasks_by_kind["lambda"]
