@@ -58,8 +58,8 @@ bench-plan-smoke:
 
 # One small multijob replay timed end to end — smoke-tests the kernel
 # throughput figures behind BENCH_core.json (see benchmarks/bench_core_speed.py)
-# — and one counted twice, whose bytecode counts and traced memory peak
-# must repeat exactly.
+# — and a small replay-fair and replay-split replay, each counted twice,
+# whose bytecode counts and traced memory peaks must repeat exactly.
 bench-core-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		pytest benchmarks/bench_core_speed.py \
@@ -73,10 +73,10 @@ bench-core:
 		python benchmarks/bench_core_speed.py --write
 
 # Deterministic work counts (bytecodes, Python calls, events) and traced
-# memory peak of one replay-fair-shaped replay: a repeatable measure of
-# Python-level work and allocation, free of the host's wall-time noise,
-# but not the size of a wall-time change (work done in C is not
-# counted). Takes a few minutes.
+# memory peak of one replay-fair-shaped replay and one replay-split world:
+# a repeatable measure of Python-level work and allocation, free of the
+# host's wall-time noise, but not the size of a wall-time change (work
+# done in C is not counted). Takes a few minutes.
 bench-work:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python benchmarks/bench_work_counts.py

@@ -1,13 +1,13 @@
-"""Deterministic work counts for one multijob replay.
+"""Deterministic work counts for two multijob replays.
 
 Wall time on a shared machine swings with the host's load, by up to
 ~1.7x between phases on a small cloud VM. The number of bytecodes the
 replay executes does not swing: for a fixed spec and seed it is the
 same on every run, and neither is the peak of the memory it allocates.
-This script runs one replay to warm up (imports, lazily built tables),
-then runs the same replay again under a ``sys.settrace`` opcode counter,
-and, in a fresh interpreter that warms up the same way, once more under
-``tracemalloc``; it prints:
+For each replay this script runs it once to warm up (imports, lazily
+built tables), then runs it again under a ``sys.settrace`` opcode
+counter, and, in a fresh interpreter that warms up the same way, once
+more under ``tracemalloc``; it prints, per replay:
 
 - ``bytecodes``: opcodes executed by Python frames during the replay;
 - ``python_calls``: Python frame entries (generator resumptions count
@@ -17,10 +17,16 @@ and, in a fresh interpreter that warms up the same way, once more under
   Python allocations held (``tracemalloc``, in its own pass, since the
   opcode counter allocates too).
 
-The replay matches ``replay-fair`` in ``BENCHMARK.json``: a 240-job mix
-of ``sparkpi`` and ``pagerank-small``, 20 s mean gap, one 8-core FAIR VM
-pool, unlimited admission, seed 0. The counted replay runs ~40x slower
-than an untraced one (a few minutes)::
+The replays match two workloads in ``BENCHMARK.json``, at seed 0:
+
+- ``replay-fair``: a 240-job mix of ``sparkpi`` and ``pagerank-small``,
+  20 s mean gap, one 8-core FAIR VM pool, unlimited admission;
+- ``replay-split``: one of its worlds, 40 jobs of the same mix at a
+  90 s mean gap on 8 VM plus 8 Lambda cores (``hybrid_segue``, HDFS
+  shuffle), admission 4, split by the ``planner`` policy.
+
+A counted replay runs ~40x slower than an untraced one (a few minutes
+for both)::
 
     PYTHONPATH=src python benchmarks/bench_work_counts.py
 
@@ -50,11 +56,21 @@ from repro.experiments.runner import run_spec
 REPLAY_FAIR = {"mix": "sparkpi,pagerank-small", "n_jobs": 240,
                "mean_interarrival_s": 20.0, "pool_cores": 8,
                "pool_style": "vm", "mode": "fair", "max_concurrent": 0}
+#: A ``replay-split`` world: the same mix on a bridged and segued pool.
+REPLAY_SPLIT = dict(REPLAY_FAIR, n_jobs=40, mean_interarrival_s=90.0,
+                    pool_style="hybrid_segue", lambda_cores=8,
+                    max_concurrent=4)
+#: Counted replay -> (its extra, its policy).
+REPLAYS = {"replay-fair": (REPLAY_FAIR, {}),
+           "replay-split": (REPLAY_SPLIT, {"name": "planner"})}
 
 
-def replay_spec(n_jobs: int = 240) -> ExperimentSpec:
+def replay_spec(n_jobs: int = 240, replay: str = "replay-fair"
+                ) -> ExperimentSpec:
+    extra, policy = REPLAYS[replay]
     return ExperimentSpec(workload="multijob", scenario="multijob",
-                          seed=0, extra=dict(REPLAY_FAIR, n_jobs=n_jobs))
+                          seed=0, extra=dict(extra, n_jobs=n_jobs),
+                          policy=policy)
 
 
 def counted_replay(spec: ExperimentSpec) -> dict:
@@ -83,7 +99,7 @@ def counted_replay(spec: ExperimentSpec) -> dict:
             "events_processed": int(record.metrics["events_processed"])}
 
 
-def traced_peak_bytes(n_jobs: int = 240) -> int:
+def traced_peak_bytes(n_jobs: int = 240, replay: str = "replay-fair") -> int:
     """The ``tracemalloc`` peak of one warmed replay, measured in a
     fresh interpreter with a fixed string-hash seed. Repeated in one
     process, the peak drifts by up to a few KB from pass to pass with
@@ -93,15 +109,15 @@ def traced_peak_bytes(n_jobs: int = 240) -> int:
     repeats it to the byte."""
     code = (f"import runpy, sys; sys.path[:0] = {sys.path!r}; "
             f"print(runpy.run_path({__file__!r})"
-            f"['_warm_traced_peak']({n_jobs}))")
+            f"['_warm_traced_peak']({n_jobs}, {replay!r}))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONHASHSEED="0"),
                           capture_output=True, text=True, check=True)
     return int(proc.stdout)
 
 
-def _warm_traced_peak(n_jobs: int) -> int:
-    spec = replay_spec(n_jobs)
+def _warm_traced_peak(n_jobs: int, replay: str) -> int:
+    spec = replay_spec(n_jobs, replay)
     run_spec(spec)
     tracemalloc.start()
     try:
@@ -114,20 +130,22 @@ def _warm_traced_peak(n_jobs: int) -> int:
     return peak
 
 
-def work_counts(n_jobs: int = 240) -> dict:
+def work_counts(n_jobs: int = 240, replay: str = "replay-fair") -> dict:
     """One warm-up replay, then the counted one; then the memory pass."""
-    spec = replay_spec(n_jobs)
+    spec = replay_spec(n_jobs, replay)
     run_spec(spec)
     counts = counted_replay(spec)
-    counts["traced_peak_bytes"] = traced_peak_bytes(n_jobs)
+    counts["traced_peak_bytes"] = traced_peak_bytes(n_jobs, replay)
     return counts
 
 
 @pytest.mark.smoke
-def test_smoke_work_counts_repeat_exactly():
-    first = work_counts(n_jobs=6)
-    again = counted_replay(replay_spec(n_jobs=6))
-    again["traced_peak_bytes"] = traced_peak_bytes(n_jobs=6)
+@pytest.mark.parametrize("replay, n_jobs", [("replay-fair", 6),
+                                            ("replay-split", 4)])
+def test_smoke_work_counts_repeat_exactly(replay, n_jobs):
+    first = work_counts(n_jobs, replay)
+    again = counted_replay(replay_spec(n_jobs, replay))
+    again["traced_peak_bytes"] = traced_peak_bytes(n_jobs, replay)
     assert first == again
     assert first["bytecodes"] > first["python_calls"] > 0
     assert first["events_processed"] > 1_000
@@ -135,8 +153,10 @@ def test_smoke_work_counts_repeat_exactly():
 
 
 def main() -> int:
-    for name, value in work_counts().items():
-        print(f"{name:<18} {value:>14,}")
+    for replay, (extra, _policy) in REPLAYS.items():
+        print(replay)
+        for name, value in work_counts(extra["n_jobs"], replay).items():
+            print(f"  {name:<18} {value:>14,}")
     return 0
 
 

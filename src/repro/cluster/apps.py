@@ -96,9 +96,11 @@ class ClusterApp:
         return self.finish_time - self.admit_time
 
     def release_job(self) -> None:
-        """Keep the finished job's summary, then drop the job and its
-        driver, so that reference counting frees them."""
+        """Keep the finished job's summary, retire its shuffles, then
+        drop the job and its driver, so that reference counting frees
+        them."""
         job = self.job
+        self.driver.dag_scheduler.retire_shuffles()
         self.result = JobResult.from_job(job)
         total = sum(a.metrics.duration for a in job.task_attempts)
         total += sum(a.metrics.duration for a in job.failed_attempts)

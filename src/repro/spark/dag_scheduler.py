@@ -416,6 +416,13 @@ class DAGScheduler(SchedulerListener):
         self._record(EV_JOB_FAILED, job=job.job_id, reason=reason)
         job.done.fail(JobFailedError(reason))
 
+    def retire_shuffles(self) -> None:
+        """The application is done: let the task scheduler retire every
+        shuffle this scheduler declared. Only a pooled application may
+        call this; a single driver's next job may reuse a shuffle."""
+        self.task_scheduler.retire_shuffles(self.schedulable,
+                                            self._shuffle_stage_by_id)
+
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:
             self.trace.record(self.env.now, CAT_DAG, event, **fields)

@@ -87,6 +87,18 @@ NON_CULPABLE_KILL_CAUSES = frozenset({
 })
 
 
+def release_holder(holders: Dict[Tuple[int, int], int],
+                   key: Tuple[int, int]) -> None:
+    """Drop one holder of ``key`` from a holder-count index: a dict of
+    ``(rdd_id, partition)`` -> how many registered executors cache it,
+    with no zero entries."""
+    count = holders[key] - 1
+    if count:
+        holders[key] = count
+    else:
+        del holders[key]
+
+
 class Executor:
     """An executor on a VM or a Lambda.
 
@@ -172,6 +184,10 @@ class Executor:
                              "kind": self.kind.value,
                              "host": self.host_name}
         self._cache: Dict[Tuple[int, int], float] = {}
+        #: The holder counts of the scheduler this executor is registered
+        #: with (see :func:`release_holder`), kept current as the cache
+        #: gains and evicts keys; None while unregistered.
+        self.cache_holders: Optional[Dict[Tuple[int, int], int]] = None
         #: In-flight attempts -> their simulation processes.
         self._tasks: Dict[TaskAttempt, object] = {}
         self.tasks_finished = 0
@@ -277,12 +293,19 @@ class Executor:
         Spark's behaviour when the storage region cannot hold a block."""
         if nbytes > self.storage_limit_bytes:
             return
-        self._cache[(rdd_id, partition)] = nbytes
-        while self.cached_bytes > self.storage_limit_bytes and len(self._cache) > 1:
-            oldest = next(iter(self._cache))
-            if oldest == (rdd_id, partition):
+        key = (rdd_id, partition)
+        cache = self._cache
+        holders = self.cache_holders
+        if holders is not None and key not in cache:
+            holders[key] = holders.get(key, 0) + 1
+        cache[key] = nbytes
+        while self.cached_bytes > self.storage_limit_bytes and len(cache) > 1:
+            oldest = next(iter(cache))
+            if oldest == key:
                 break
-            self._cache.pop(oldest)
+            cache.pop(oldest)
+            if holders is not None:
+                release_holder(holders, oldest)
             self._record(EV_CACHE_EVICT, rdd=oldest[0], partition=oldest[1])
 
     @property

@@ -19,7 +19,9 @@ map partition of which shuffle is stored where.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,6 +58,9 @@ class MapStatus:
     nbytes: float
 
 
+_executor_id = attrgetter("executor_id")
+
+
 class MapOutputTracker:
     """Registry of completed map outputs per shuffle."""
 
@@ -64,6 +69,8 @@ class MapOutputTracker:
         #: overwritten partition keeps its place).
         self._outputs: Dict[int, Dict[int, MapStatus]] = {}
         self._num_maps: Dict[int, int] = {}
+        #: executor -> outputs it held for retired shuffles.
+        self._retired: Counter[str] = Counter()
 
     def register_shuffle(self, shuffle_id: int, num_maps: int) -> None:
         """Declare a shuffle's expected map-partition count (the DAG
@@ -115,14 +122,25 @@ class MapOutputTracker:
     def is_complete(self, shuffle_id: int, num_maps: int) -> bool:
         return self.output_count(shuffle_id) >= num_maps
 
-    def remove_outputs_on_executor(self, executor_id: str) -> List[MapStatus]:
+    def retire_shuffles(self, shuffle_ids: Iterable[int]) -> None:
+        """Forget shuffles nothing will read or write again (a finished
+        pooled application's), keeping only how many outputs each
+        executor held for them: the count a later loss of that executor
+        reports."""
+        for shuffle_id in shuffle_ids:
+            self._num_maps.pop(shuffle_id, None)
+            self._retired.update(map(_executor_id, self._outputs.pop(
+                shuffle_id, self._EMPTY).values()))
+
+    def remove_outputs_on_executor(self, executor_id: str) -> int:
         """Drop every output registered by ``executor_id`` (its storage is
-        gone); returns what was dropped so stages can be invalidated."""
-        removed = []
+        gone), retired ones included; returns how many were dropped."""
+        removed = self._retired.pop(executor_id, 0)
         for per_shuffle in self._outputs.values():
             for partition in list(per_shuffle):
                 if per_shuffle[partition].executor_id == executor_id:
-                    removed.append(per_shuffle.pop(partition))
+                    del per_shuffle[partition]
+                    removed += 1
         return removed
 
 

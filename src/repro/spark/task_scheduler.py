@@ -15,7 +15,7 @@ Mirrors Spark's ``TaskSchedulerImpl`` + ``TaskSetManager``:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.observability.categories import (
     CAT_SCHEDULER,
@@ -32,6 +32,7 @@ from repro.spark.executor import (
     Executor,
     ExecutorState,
     HostKind,
+    release_holder,
 )
 from repro.spark.shuffle import (
     FetchFailedError,
@@ -169,6 +170,10 @@ class TaskScheduler:
         #: any subset of the SchedulerListener methods.
         self.observers: List[object] = []
         self.executors: Dict[str, Executor] = {}
+        #: ``(rdd_id, partition)`` -> how many registered executors cache
+        #: it, whatever their host's state (no zero entries). Registration,
+        #: removal and each executor's ``add_cached`` keep it current.
+        self._cache_holders: Dict[Tuple[int, int], int] = {}
         self.map_output_tracker = MapOutputTracker()
         self.tasksets: List[TaskSet] = []
         self._locality_wait = float(conf.get("spark.locality.wait"))
@@ -247,6 +252,10 @@ class TaskScheduler:
         if executor.executor_id in self.executors:
             raise ValueError(f"duplicate executor id {executor.executor_id}")
         self.executors[executor.executor_id] = executor
+        holders = self._cache_holders
+        for key in executor._cache:
+            holders[key] = holders.get(key, 0) + 1
+        executor.cache_holders = holders
         self._record(EV_EXECUTOR_REGISTERED, executor=executor.executor_id,
                      kind=executor.kind.value)
         self._dispatch()
@@ -263,19 +272,30 @@ class TaskScheduler:
 
     def _lose_executor(self, executor: Executor, reason: str) -> None:
         executor.kill(reason)  # interrupts the running task, if any
-        self.executors.pop(executor.executor_id, None)
+        self._unregister(executor)
         if not self.shuffle_backend.outputs_survive_executor_loss:
             lost = self.map_output_tracker.remove_outputs_on_executor(
                 executor.executor_id)
             if lost:
                 self._record(EV_MAP_OUTPUTS_LOST,
-                             executor=executor.executor_id, count=len(lost))
+                             executor=executor.executor_id, count=lost)
         self.shuffle_backend.on_executor_lost(executor.executor_id)
         self._notify("on_executor_lost", executor, reason)
         self._dispatch()
 
+    def _unregister(self, executor: Executor) -> None:
+        """Drop ``executor``'s id from the registry, and the keys the
+        executor held under it from the holder counts."""
+        removed = self.executors.pop(executor.executor_id, None)
+        if removed is None:
+            return
+        removed.cache_holders = None
+        holders = self._cache_holders
+        for key in removed._cache:
+            release_holder(holders, key)
+
     def _finalize_drained(self, executor: Executor) -> None:
-        self.executors.pop(executor.executor_id, None)
+        self._unregister(executor)
         self._record(EV_EXECUTOR_DRAINED, executor=executor.executor_id,
                      kind=executor.kind.value)
         if executor.lambda_instance is not None:
@@ -338,14 +358,13 @@ class TaskScheduler:
 
     def _anyone_holds_cached_step(self, spec: TaskSpec) -> bool:
         """True when any registered executor holds a cached partition for
-        ``spec`` (the task has a locality preference), with first-holder
-        early exit."""
+        ``spec`` (the task has a locality preference): one holder-count
+        lookup per cached step."""
+        holders = self._cache_holders
         partition = spec.partition
-        for ex in self.executors.values():
-            cache = ex._cache
-            for _i, step in spec.cache_steps:
-                if (step.rdd_id, partition) in cache:
-                    return True
+        for _i, step in spec.cache_steps:
+            if (step.rdd_id, partition) in holders:
+                return True
         return False
 
     def _check_lambda_timeout(self, executor: Executor) -> bool:
@@ -435,6 +454,15 @@ class TaskScheduler:
 
     def _dispatch(self) -> None:
         """Match free executors to pending tasks; defer for locality."""
+        if self._lambda_timeout is None:
+            # Without the Lambda timeout the round below has no side
+            # effects (its scan drains nothing), so with nothing pending
+            # it would change nothing: skip it.
+            for taskset in self.tasksets:
+                if taskset.pending and not taskset.zombie:
+                    break
+            else:
+                return
         launched = True
         wake_in: Optional[float] = None
         free: Optional[List[Executor]] = None
@@ -705,7 +733,7 @@ class TaskScheduler:
                 status.executor_id)
             if lost:
                 self._record(EV_MAP_OUTPUTS_LOST,
-                             executor=status.executor_id, count=len(lost))
+                             executor=status.executor_id, count=lost)
 
     def _has_other_live_executor(self, executor: Executor) -> bool:
         """True if any *other* registered, alive, non-blacklisted executor
@@ -720,6 +748,22 @@ class TaskScheduler:
         return False
 
     # ------------------------------------------------------------------
+
+    def retire_shuffles(self, schedulable: object,
+                        shuffle_ids: Iterable[int]) -> None:
+        """Retire a finished application's shuffles in the tracker, once
+        none of its task sets is live and none of its attempts is in
+        flight: until then a task of it could still read or write them,
+        so they are kept."""
+        for taskset in self.tasksets:
+            if taskset.schedulable is schedulable:
+                return
+        for executor in self.executors.values():
+            for attempt in executor._tasks:
+                taskset = attempt.taskset
+                if taskset is not None and taskset.schedulable is schedulable:
+                    return
+        self.map_output_tracker.retire_shuffles(shuffle_ids)
 
     def remove_taskset(self, taskset: TaskSet) -> None:
         """Withdraw a (typically zombie) task set from scheduling."""

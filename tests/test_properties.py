@@ -187,11 +187,51 @@ def test_tracker_executor_removal_drops_exactly_its_outputs(executors):
     for p, ex in enumerate(executors):
         tracker.register(MapStatus(0, p, ex, 1.0))
     removed = tracker.remove_outputs_on_executor("a")
-    assert len(removed) == executors.count("a")
-    assert all(s.executor_id == "a" for s in removed)
+    assert removed == executors.count("a")
     remaining = tracker.statuses(0)
     assert all(s.executor_id != "a" for s in remaining)
     assert len(remaining) == len(executors) - executors.count("a")
+
+
+@given(
+    maps=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                  max_size=4),
+    ops=st.lists(st.tuples(
+        st.sampled_from(("register",) * 4 + ("retire", "remove")),
+        st.integers(min_value=0, max_value=3),          # shuffle
+        st.integers(min_value=0, max_value=5),          # map partition
+        st.sampled_from(["a", "b", "c"])), max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_tracker_retirement_keeps_every_loss_count(maps, ops):
+    """A retired shuffle's outputs are folded into per-executor counts:
+    every removal still counts what a tracker that never retires
+    drops, and the live shuffles are untouched. Registrations (and
+    overwrites) only reach shuffles not yet retired, as in a pooled
+    world, where an app's shuffles retire once nothing of it runs."""
+    tracker, reference = MapOutputTracker(), MapOutputTracker()
+    for shuffle_id, num_maps in enumerate(maps):
+        tracker.register_shuffle(shuffle_id, num_maps)
+        reference.register_shuffle(shuffle_id, num_maps)
+    retired = set()
+    for op, shuffle_id, partition, executor in ops:
+        shuffle_id %= len(maps)
+        if op == "register" and shuffle_id not in retired:
+            status = MapStatus(shuffle_id, partition % maps[shuffle_id],
+                               executor, 1.0)
+            tracker.register(status)
+            reference.register(status)
+        elif op == "retire":
+            tracker.retire_shuffles([shuffle_id])
+            retired.add(shuffle_id)
+        elif op == "remove":
+            assert (tracker.remove_outputs_on_executor(executor)
+                    == reference.remove_outputs_on_executor(executor))
+        for live in set(range(len(maps))) - retired:
+            assert tracker.statuses(live) == reference.statuses(live)
+    for executor in ("a", "b", "c"):
+        assert (tracker.remove_outputs_on_executor(executor)
+                == reference.remove_outputs_on_executor(executor))
 
 
 # ---------------------------------------------------------------------------
