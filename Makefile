@@ -4,7 +4,7 @@
 	bench-multijob-smoke bench-plan-smoke bench-core-smoke \
 	bench-core bench-work bench-figures \
 	serve-smoke chaos-smoke obs-smoke report-smoke examples figures \
-	clean
+	loc clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -124,6 +124,11 @@ examples:
 
 # Regenerate the outputs EXPERIMENTS.md records.
 figures: bench
+
+# Line count of src/'s Python files: the net-lines figure CHANGES.md
+# and ROADMAP.md report for each change.
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -48,7 +48,6 @@ def run_with_backend(backend_name: str, seed: int = 0):
         backend = ExternalShuffleBackend(storage, per_pair_objects=True)
     elif backend_name == "s3-2019":
         from repro.core.scenarios import (
-            QUBOLE_CONSISTENCY_MEAN_S,
             QUBOLE_S3_EFFECTIVE_RATE,
             QUBOLE_S3_STREAM_BYTES_PER_S,
         )
@@ -58,8 +57,7 @@ def run_with_backend(backend_name: str, seed: int = 0):
                      put_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
                      get_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
                      stream_bytes_per_s=QUBOLE_S3_STREAM_BYTES_PER_S)
-        backend = QuboleS3ShuffleBackend(
-            storage, consistency_mean_s=QUBOLE_CONSISTENCY_MEAN_S)
+        backend = QuboleS3ShuffleBackend(storage)
     elif backend_name == "sqs":
         storage = SQSQueue(env, rng, meter)
         backend = ExternalShuffleBackend(storage, per_pair_objects=True)

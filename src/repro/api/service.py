@@ -88,6 +88,7 @@ from repro.api.schemas import (
     JobRequest,
     JobStatus,
 )
+from repro.cluster.apps import build_shared_pool, check_pool_shape
 from repro.observability.categories import (
     CAT_SERVE,
     CAT_TRACE,
@@ -290,10 +291,11 @@ class ServeConfig:
     max_queue: int = 256
     #: Seed of the shared cluster's RandomStreams.
     seed: int = 0
-    #: Shared executor pool shape (the multijob vocabulary).
+    #: Shared executor pool shape, built as the multijob replay builds
+    #: it (:func:`~repro.cluster.apps.build_shared_pool`).
     pool_cores: int = 8
     lambda_cores: int = 0
-    pool_style: str = "vm"              # "vm" | "hybrid_segue"
+    pool_style: str = "vm"              # one of POOL_STYLES
     mode: str = "fair"                  # scheduler-pool ordering
     #: AppManager bound on concurrently *admitted* pooled apps inside
     #: the simulation (None = unlimited; service admission still holds).
@@ -340,9 +342,7 @@ class ServeConfig:
             raise ValueError("max_queue cannot be negative")
         if self.sim_step_s <= 0:
             raise ValueError("sim_step_s must be positive")
-        if self.pool_style not in ("vm", "hybrid_segue"):
-            raise ValueError(f"pool_style must be vm or hybrid_segue, "
-                             f"got {self.pool_style!r}")
+        check_pool_shape(self.pool_style, self.mode)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if (self.default_deadline_s is not None
@@ -504,7 +504,6 @@ class ServeRuntime:
         self._app_index = itertools.count(0)
         self.cluster = None
         self.pool = None
-        self.pools = None
         self.manager = None
 
         self._planners: Dict[Tuple[int, Optional[float]], Any] = {}
@@ -581,9 +580,6 @@ class ServeRuntime:
             self._workers.shutdown(wait=False, cancel_futures=True)
 
     def _build_cluster(self) -> None:
-        from repro.cluster.apps import AppManager
-        from repro.cluster.pool import ExecutorPool
-        from repro.cluster.pools import PoolConfig, SchedulerPools
         from repro.cluster.runtime import ClusterRuntime
         from repro.spark.config import SparkConf
         from repro.workloads.registry import make_workload
@@ -591,14 +587,14 @@ class ServeRuntime:
         cfg = self.config
         self.cluster = ClusterRuntime(cfg.seed, trace_enabled=False)
         self.cluster.bus.subscribe(self.hub)
-        self.pools = SchedulerPools([PoolConfig("default", mode=cfg.mode)])
-        self.pool = ExecutorPool(self.cluster, SparkConf(), self.pools)
-        self.pool.provision_vm_cores(
-            cfg.pool_cores, make_workload("sparkpi").spec.worker_itype)
-        if cfg.pool_style == "hybrid_segue" and cfg.lambda_cores > 0:
-            self.pool.invoke_lambda_executors(cfg.lambda_cores)
-        self.manager = AppManager(self.cluster, self.pool, self.pools,
-                                  max_concurrent=cfg.pool_max_concurrent)
+        shape = make_workload("sparkpi").spec
+        self.manager = build_shared_pool(
+            self.cluster, SparkConf(), pool_cores=cfg.pool_cores,
+            lambda_cores=cfg.lambda_cores, pool_style=cfg.pool_style,
+            mode=cfg.mode, max_concurrent=cfg.pool_max_concurrent,
+            worker_itype=shape.worker_itype,
+            segue_at_s=shape.vm_ready_delay_s)
+        self.pool = self.manager.pool
 
     def _wrap_lambda_bridge(self) -> None:
         """Put the circuit breaker between the pool and the provider's
@@ -814,10 +810,10 @@ class ServeRuntime:
             raise schemas.SchemaError(
                 f"unknown workload {request.workload!r} for a pooled "
                 f"job; known: {', '.join(sorted(WORKLOADS))}")
-        if self.pools is not None and request.pool not in self.pools.pools:
+        if self.pool is not None and request.pool not in self.pool.pools.pools:
             raise schemas.SchemaError(
                 f"unknown scheduler pool {request.pool!r}; "
-                f"known: {sorted(self.pools.pools)}")
+                f"known: {sorted(self.pool.pools.pools)}")
 
     def _pump_locked(self) -> None:
         """Admit queued jobs while running slots are free (FIFO).
@@ -1202,7 +1198,8 @@ class ServeRuntime:
                 self._injector = FaultInjector(
                     self.cluster.env, self.cluster.rng, None).attach(
                         scheduler=self.pool.scheduler,
-                        provider=self.cluster.provider)
+                        provider=self.cluster.provider,
+                        storages=self.pool.storages)
         start_s = float(payload.get("start_s", 0.0))
         now = time.monotonic()
         with self._lock:
@@ -1446,7 +1443,7 @@ class ServeRuntime:
 
     def pool_stats(self) -> Dict[str, Any]:
         with self._sim_lock:
-            pools = self.pools.stats()
+            pools = self.pool.pools.stats()
             manager = self.manager.snapshot()
             sim_now = self.cluster.env.now
             capacity = {

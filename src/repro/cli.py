@@ -48,6 +48,8 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.reporting import format_series, format_table, relative_to
 from repro.analysis.timeline import render_timeline
+from repro.cluster.apps import POOL_STYLES
+from repro.cluster.pools import POOL_MODES
 from repro.core.scenarios import SCENARIO_NAMES, run_scenario
 from repro.experiments import ExperimentRunner, ExperimentSpec, write_jsonl
 from repro.observability.export import (
@@ -673,10 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="VM executor slots in the shared pool")
     mj.add_argument("--mj-lambda-cores", type=int, default=0, metavar="N",
                     help="extra Lambda-backed slots (hybrid_segue pool)")
-    mj.add_argument("--mj-pool-style", choices=["vm", "hybrid_segue"],
+    mj.add_argument("--mj-pool-style", choices=POOL_STYLES,
                     default="vm",
                     help="spark_R_vm-style vs ss_hybrid_segue-style pool")
-    mj.add_argument("--mj-mode", choices=["fifo", "fair"], default="fair",
+    mj.add_argument("--mj-mode", choices=POOL_MODES, default="fair",
                     help="scheduler-pool ordering for concurrent apps")
     mj.add_argument("--mj-max-concurrent", type=int, default=0,
                     metavar="N",
@@ -752,9 +754,11 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="extra Lambda-backed slots (hybrid_segue "
                               "pool)")
-    serve_p.add_argument("--pool-style", choices=["vm", "hybrid_segue"],
-                         default="vm")
-    serve_p.add_argument("--mode", choices=["fifo", "fair"],
+    serve_p.add_argument("--pool-style", choices=POOL_STYLES,
+                         default="vm",
+                         help="vm slots only, or vm + Lambda slots segued "
+                              "onto VMs over HDFS shuffle")
+    serve_p.add_argument("--mode", choices=POOL_MODES,
                          default="fair",
                          help="scheduler-pool ordering for pooled jobs")
     serve_p.add_argument("--sim-step", type=float, default=1.0,

@@ -16,14 +16,17 @@ package extracts that plumbing into a reusable stack:
 - :mod:`~repro.cluster.pools` — FIFO/FAIR scheduler pools with Spark's
   minShare + weight semantics, and the pooled task scheduler that
   re-sorts offers so shares rebalance at task grain;
-- :mod:`~repro.cluster.apps` — the admission queue turning job arrivals
-  into :class:`~repro.spark.application.SparkDriver`s on the shared
+- :mod:`~repro.cluster.apps` — :func:`~repro.cluster.apps
+  .build_shared_pool`, the one constructor of a pooled world's shared
+  pool (the ``multijob`` replay's and ``repro serve``'s), and the
+  admission queue turning job arrivals into
+  :class:`~repro.spark.dag_scheduler.DAGScheduler`s on the shared
   scheduler;
 - :mod:`~repro.cluster.multijob` — the seeded job-arrival workload
   (Poisson arrivals of mixed jobs) reported through ``RunRecord``.
 """
 
-from repro.cluster.apps import AppManager, ClusterApp
+from repro.cluster.apps import AppManager, ClusterApp, build_shared_pool
 from repro.cluster.pool import ExecutorPool, add_executors_on_vms
 from repro.cluster.pools import (
     PoolConfig,
@@ -41,4 +44,5 @@ __all__ = [
     "PooledTaskScheduler",
     "SchedulerPools",
     "add_executors_on_vms",
+    "build_shared_pool",
 ]

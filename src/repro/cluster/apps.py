@@ -1,10 +1,13 @@
-"""Multi-application admission: queue, drivers, and per-app accounting.
+"""Multi-application admission onto one shared executor pool.
 
-An arriving job becomes a :class:`ClusterApp`; the :class:`AppManager`
-admits apps FIFO into a bounded set of concurrently running
-applications, giving each its own
-:class:`~repro.spark.application.SparkDriver` (and DAG scheduler) on
-top of the cluster's *shared*
+:func:`build_shared_pool` builds the pooled cluster that both the
+``multijob`` replay and ``repro serve`` run on: FIFO/FAIR scheduler
+pools, an :class:`~repro.cluster.pool.ExecutorPool` (on HDFS shuffle
+when Lambdas bridge it, §4.3) and the :class:`AppManager` in front of
+it. An arriving job becomes a :class:`ClusterApp`; the manager admits
+apps FIFO into a bounded set of concurrently running applications and
+gives each its own :class:`~repro.spark.dag_scheduler.DAGScheduler` on
+the pool's shared
 :class:`~repro.cluster.pools.PooledTaskScheduler`. Queueing delay,
 latency, and completion events are recorded per application under the
 ``cluster`` event category and ``app.<id>.*`` metric names.
@@ -15,6 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
+from repro.cluster.pool import ExecutorPool
+from repro.cluster.pools import POOL_MODES, PoolConfig, SchedulerPools
 from repro.observability.categories import (
     CAT_CLUSTER,
     CAT_PLANNER,
@@ -25,15 +30,68 @@ from repro.observability.categories import (
     EV_BRIDGE_DRAINED,
     EV_SPLIT_DECIDED,
 )
-from repro.spark.application import JobResult, SparkDriver
-from repro.spark.dag_scheduler import JobFailedError
+from repro.spark.application import JobResult
+from repro.spark.dag_scheduler import DAGScheduler, JobFailedError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.pool import ExecutorPool
-    from repro.cluster.pools import SchedulerPools
     from repro.cluster.runtime import ClusterRuntime
     from repro.planner.policy import PlannerPolicy
+    from repro.spark.config import SparkConf
     from repro.workloads.base import Workload
+
+#: Shared-pool shapes: VM slots only (the ``spark_R_vm`` shape), or VM
+#: plus Lambda slots segued onto procured VMs (``ss_hybrid_segue``).
+POOL_STYLES = ("vm", "hybrid_segue")
+
+
+def check_pool_shape(pool_style: str, mode: str) -> None:
+    """Reject a pool style outside :data:`POOL_STYLES` or a scheduler
+    pool mode outside :data:`~repro.cluster.pools.POOL_MODES`."""
+    if pool_style not in POOL_STYLES:
+        raise ValueError(f"pool_style must be one of {POOL_STYLES}, "
+                         f"got {pool_style!r}")
+    if mode not in POOL_MODES:
+        raise ValueError(f"mode must be one of {POOL_MODES}, got {mode!r}")
+
+
+def build_shared_pool(runtime: "ClusterRuntime", conf: "SparkConf", *,
+                      pool_cores: int, lambda_cores: int, pool_style: str,
+                      mode: str, max_concurrent: Optional[int],
+                      worker_itype: str, segue_at_s: float,
+                      split_policy: Optional["PlannerPolicy"] = None,
+                      ) -> "AppManager":
+    """Build the shared pool of one pooled world and return the
+    :class:`AppManager` admitting apps onto it.
+
+    ``pool_cores`` VM slots on pre-provisioned ``worker_itype``
+    instances; a ``hybrid_segue`` pool adds ``lambda_cores`` Lambda
+    slots and segues them onto VMs procured now that come up after
+    ``segue_at_s``. A Lambda-backed pool, or one whose admissions a
+    split policy may bridge, shuffles through HDFS on a ``pool-master``
+    VM, so draining a Lambda executor loses no map output (§4.3). The
+    order of the steps fixes VM names, random draws and event order.
+    """
+    check_pool_shape(pool_style, mode)
+    pools = SchedulerPools([PoolConfig("default", mode=mode)])
+    hybrid = pool_style == "hybrid_segue" and lambda_cores > 0
+    master_vm = hdfs = None
+    if hybrid or split_policy is not None:
+        from repro.storage import HDFS
+        master_vm = runtime.provider.request_vm(
+            "m4.xlarge", name="pool-master", already_running=True)
+        hdfs = HDFS(runtime.env, [master_vm], runtime.rng, runtime.meter)
+    pool = ExecutorPool(runtime, conf, pools, shuffle_storage=hdfs)
+    if master_vm is not None:
+        pool.dedicated_vms.append(master_vm)
+    pool.provision_vm_cores(pool_cores, worker_itype)
+    if hybrid:
+        pool.invoke_lambda_executors(lambda_cores)
+        pool.segue_to_vms(lambda_cores, segue_at_s)
+    manager = AppManager(runtime, pool, max_concurrent=max_concurrent,
+                         split_policy=split_policy)
+    runtime.arm_faults(None, scheduler=pool.scheduler,
+                       storages=pool.storages)
+    return manager
 
 
 class ClusterApp:
@@ -65,10 +123,10 @@ class ClusterApp:
         self.finish_time: Optional[float] = None
         self.failed = False
         self.failure_reason: Optional[str] = None
-        #: The running app's driver and job; both are dropped at
+        #: The running app's DAG scheduler and job; both are dropped at
         #: completion, which keeps only :attr:`result` and
         #: :attr:`busy_seconds`, so a finished job is freed.
-        self.driver: Optional[SparkDriver] = None
+        self.dag: Optional[DAGScheduler] = None
         self.job = None
         #: Summary of the finished job.
         self.result: Optional[JobResult] = None
@@ -97,16 +155,16 @@ class ClusterApp:
 
     def release_job(self) -> None:
         """Keep the finished job's summary, retire its shuffles, then
-        drop the job and its driver, so that reference counting frees
-        them."""
+        drop the job and its DAG scheduler, so that reference counting
+        frees them."""
         job = self.job
-        self.driver.dag_scheduler.retire_shuffles()
+        self.dag.retire_shuffles()
         self.result = JobResult.from_job(job)
         total = sum(a.metrics.duration for a in job.task_attempts)
         total += sum(a.metrics.duration for a in job.failed_attempts)
         self.busy_seconds = total
         self.job = None
-        self.driver = None
+        self.dag = None
 
     def __repr__(self) -> str:
         return f"<ClusterApp {self.app_id} ({self.workload.name})>"
@@ -123,13 +181,12 @@ class AppManager:
     completes, so a burst's Lambda bill ends with the burst.
     """
 
-    def __init__(self, runtime: "ClusterRuntime", pool: "ExecutorPool",
-                 pools: "SchedulerPools",
+    def __init__(self, runtime: "ClusterRuntime", pool: ExecutorPool,
                  max_concurrent: Optional[int] = None,
                  split_policy: Optional["PlannerPolicy"] = None) -> None:
         self.runtime = runtime
         self.pool = pool
-        self.pools = pools
+        self.pools = pool.pools
         self.max_concurrent = max_concurrent
         self.split_policy = split_policy
         self.queue: Deque[ClusterApp] = deque()
@@ -169,14 +226,11 @@ class AppManager:
         if self.split_policy is not None:
             self._enforce_split(app)
         self.pools.register(app)
-        driver = SparkDriver(env, self.pool.conf, self.runtime.rng,
-                             trace=self.runtime.trace,
-                             task_scheduler=self.pool.scheduler,
-                             app_id=app.app_id)
-        driver.dag_scheduler.schedulable = app
-        app.driver = driver
-        app.job = driver.submit(app.workload.build(self.runtime.lineage,
-                                                   app.parallelism))
+        dag = DAGScheduler(env, self.pool.scheduler, trace=self.runtime.trace)
+        dag.schedulable = app
+        app.dag = dag
+        app.job = dag.submit_job(app.workload.build(self.runtime.lineage,
+                                                    app.parallelism))
         env.process(self._watch(app))
 
     def _enforce_split(self, app: ClusterApp) -> None:

@@ -5,9 +5,10 @@ The paper evaluates SplitServe one job at a time; its premise only pays
 off when a *cluster* faces concurrent, bursty arrivals. This scenario
 replays a seeded Poisson arrival process of mixed registry workloads
 through the :class:`~repro.cluster.apps.AppManager` onto a FIFO or FAIR
-:class:`~repro.cluster.pool.ExecutorPool`, and reports p50/p95 job
-latency, queueing delay, and cost per job through the standard
-``RunRecord.metrics`` / ``repro report`` path.
+:class:`~repro.cluster.pool.ExecutorPool` (built, as ``repro serve``
+builds its pool, by :func:`~repro.cluster.apps.build_shared_pool`), and
+reports p50/p95 job latency, queueing delay, and cost per job through
+the standard ``RunRecord.metrics`` / ``repro report`` path.
 
 Parameters come through ``ExperimentSpec.extra``:
 
@@ -40,9 +41,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.cluster.apps import AppManager, ClusterApp
-from repro.cluster.pool import ExecutorPool
-from repro.cluster.pools import FAIR, POOL_MODES, PoolConfig, SchedulerPools
+from repro.cluster.apps import AppManager, ClusterApp, build_shared_pool
+from repro.cluster.pools import FAIR
 from repro.cluster.runtime import ClusterRuntime
 from repro.experiments.spec import MULTIJOB_SCENARIO
 from repro.observability.instrumentation import attribute_costs
@@ -52,8 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.records import RunRecord
     from repro.experiments.spec import ExperimentSpec
 
-POOL_STYLES = ("vm", "hybrid_segue")
-
 
 def _params(spec: "ExperimentSpec") -> Dict[str, object]:
     extra = dict(spec.extra)
@@ -62,14 +60,6 @@ def _params(spec: "ExperimentSpec") -> Dict[str, object]:
            if name.strip()]
     if not mix:
         raise ValueError("multijob needs a non-empty workload mix")
-    mode = str(extra.get("mode", FAIR))
-    if mode not in POOL_MODES:
-        raise ValueError(f"multijob mode must be one of {POOL_MODES}, "
-                         f"got {mode!r}")
-    pool_style = str(extra.get("pool_style", "vm"))
-    if pool_style not in POOL_STYLES:
-        raise ValueError(f"multijob pool_style must be one of {POOL_STYLES}, "
-                         f"got {pool_style!r}")
     max_concurrent = int(extra.get("max_concurrent", 0)) or None
     return {
         "mix": mix,
@@ -77,8 +67,8 @@ def _params(spec: "ExperimentSpec") -> Dict[str, object]:
         "mean_interarrival_s": float(extra.get("mean_interarrival_s", 45.0)),
         "pool_cores": int(extra.get("pool_cores", 8)),
         "lambda_cores": int(extra.get("lambda_cores", 0)),
-        "pool_style": pool_style,
-        "mode": mode,
+        "pool_style": str(extra.get("pool_style", "vm")),
+        "mode": str(extra.get("mode", FAIR)),
         "max_concurrent": max_concurrent,
         "worker_itype": extra.get("worker_itype"),
     }
@@ -110,40 +100,14 @@ def run_multijob(spec: "ExperimentSpec") -> "RunRecord":
     worker_itype = (params["worker_itype"]
                     or workloads[0].spec.worker_itype)
 
-    split_policy = _split_policy(spec)
-    pools = SchedulerPools([PoolConfig("default", mode=params["mode"])])
-    hybrid = (params["pool_style"] == "hybrid_segue"
-              and params["lambda_cores"] > 0)
-    shuffle_backend = None
-    storages = []
-    if hybrid or split_policy is not None:
-        # SplitServe shape (§4.3): shuffle flows through HDFS colocated
-        # with the master VM, so outputs survive Lambda executors being
-        # drained at segue time.
-        from repro.spark.shuffle import ExternalShuffleBackend
-        from repro.storage import HDFS
-        master_vm = runtime.provider.request_vm(
-            "m4.xlarge", name="pool-master", already_running=True)
-        hdfs = HDFS(runtime.env, [master_vm], runtime.rng, runtime.meter)
-        shuffle_backend = ExternalShuffleBackend(hdfs,
-                                                 per_pair_objects=False)
-        storages.append(hdfs)
-    pool = ExecutorPool(runtime, conf, pools,
-                        shuffle_backend=shuffle_backend)
-    if hybrid or split_policy is not None:
-        pool.dedicated_vms.append(master_vm)
-    pool.provision_vm_cores(params["pool_cores"], worker_itype)
-    if hybrid:
-        pool.invoke_lambda_executors(params["lambda_cores"])
-        ready_delay = (spec.segue_at_s if spec.segue_at_s is not None
-                       else workloads[0].spec.vm_ready_delay_s)
-        pool.segue_to_vms(params["lambda_cores"], ready_delay)
-
-    manager = AppManager(runtime, pool, pools,
-                         max_concurrent=params["max_concurrent"],
-                         split_policy=split_policy)
-    runtime.arm_faults(None, scheduler=pool.scheduler,
-                       storages=storages)
+    manager = build_shared_pool(
+        runtime, conf, pool_cores=params["pool_cores"],
+        lambda_cores=params["lambda_cores"],
+        pool_style=params["pool_style"], mode=params["mode"],
+        max_concurrent=params["max_concurrent"], worker_itype=worker_itype,
+        segue_at_s=(spec.segue_at_s if spec.segue_at_s is not None
+                    else workloads[0].spec.vm_ready_delay_s),
+        split_policy=_split_policy(spec))
 
     n_jobs = params["n_jobs"]
     apps = [ClusterApp(f"app{i}", i, workloads[i % len(workloads)],
@@ -160,7 +124,7 @@ def run_multijob(spec: "ExperimentSpec") -> "RunRecord":
     runtime.env.process(arrivals(runtime.env))
     runtime.env.run(until=manager.completion_event(n_jobs))
     end = runtime.env.now
-    pool.settle(end)
+    manager.pool.settle(end)
     runtime.listener.finalize(end)
     attribute_costs(runtime.metrics, runtime.meter.total(),
                     runtime.meter.breakdown())

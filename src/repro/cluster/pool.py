@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.cloud.instance_types import InstanceType, fewest_instances_for_cores
 from repro.spark.application import ExecutorFactory
 from repro.spark.executor import Executor, ExecutorState, HostKind
-from repro.spark.shuffle import LocalShuffleBackend
+from repro.spark.shuffle import ExternalShuffleBackend, LocalShuffleBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.lambda_fn import LambdaConfig, LambdaInstance
@@ -23,8 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.pools import SchedulerPools
     from repro.cluster.runtime import ClusterRuntime
     from repro.spark.config import SparkConf
-    from repro.spark.shuffle import ShuffleBackend
     from repro.spark.task_scheduler import TaskScheduler
+    from repro.storage.base import StorageService
 
 
 def add_executors_on_vms(target, vms, cores: int) -> List[Executor]:
@@ -142,9 +142,13 @@ class ExecutorPool:
     """Cluster-owned executor capacity shared by all admitted apps.
 
     Owns the shared :class:`~repro.cluster.pools.PooledTaskScheduler`
-    and the :class:`~repro.spark.application.ExecutorFactory` that mints
+    (ordering offers by ``pools``) and the
+    :class:`~repro.spark.application.ExecutorFactory` that mints
     executors onto it. Each application's DAG scheduler hears only its
-    own task sets.
+    own task sets. Shuffle outputs stay on the executors that wrote
+    them, unless a ``shuffle_storage`` service is mounted: then every
+    map output goes to it as one consolidated file (§4.3), and
+    :attr:`storages` lists it for fault injection.
     """
 
     def __init__(
@@ -152,13 +156,20 @@ class ExecutorPool:
         runtime: "ClusterRuntime",
         conf: "SparkConf",
         pools: "SchedulerPools",
-        shuffle_backend: Optional["ShuffleBackend"] = None,
+        shuffle_storage: Optional["StorageService"] = None,
     ) -> None:
         from repro.cluster.pools import PooledTaskScheduler
         self.runtime = runtime
         self.conf = conf
-        backend = (shuffle_backend if shuffle_backend is not None
-                   else LocalShuffleBackend())
+        self.pools = pools
+        #: The storage services the pool mounts (its shuffle storage).
+        self.storages: List["StorageService"] = []
+        if shuffle_storage is None:
+            backend = LocalShuffleBackend()
+        else:
+            backend = ExternalShuffleBackend(shuffle_storage,
+                                             per_pair_objects=False)
+            self.storages.append(shuffle_storage)
         self.scheduler = PooledTaskScheduler(
             runtime.env, conf, runtime.rng, backend, pools,
             trace=runtime.trace)

@@ -289,7 +289,7 @@ class SchedulerPools:
 
 
 class PooledTaskScheduler(TaskScheduler):
-    """A task scheduler shared by many drivers, offering slots in pool
+    """A task scheduler shared by many applications, offering slots in pool
     order and re-sorting after every launch so shares stay balanced."""
 
     def __init__(

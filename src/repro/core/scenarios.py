@@ -91,8 +91,6 @@ SCENARIO_LABELS = {
 #: under sustained 503-and-retry storms on one key prefix, which is how
 #: Qubole's shuffle drove S3 in 2019; see EXPERIMENTS.md.
 QUBOLE_S3_EFFECTIVE_RATE = 160.0
-#: S3 read-after-overwrite consistency lag Qubole's reducers poll out.
-QUBOLE_CONSISTENCY_MEAN_S = 6.0
 #: Per-connection S3 throughput for Qubole's small pair objects (no
 #: multipart parallelism on ~MB-sized shuffle blocks).
 QUBOLE_S3_STREAM_BYTES_PER_S = 10.0 * 1024 * 1024
@@ -202,8 +200,7 @@ def _qubole(runtime: ClusterRuntime, experiment: "ExperimentSpec",
             put_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
             get_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
             stream_bytes_per_s=QUBOLE_S3_STREAM_BYTES_PER_S)
-    backend = QuboleS3ShuffleBackend(
-        s3, consistency_mean_s=QUBOLE_CONSISTENCY_MEAN_S)
+    backend = QuboleS3ShuffleBackend(s3)
     driver = SparkDriver(runtime.env, conf, runtime.rng, backend,
                          trace=runtime.trace)
 

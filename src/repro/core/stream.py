@@ -33,6 +33,15 @@ from repro.workloads.generators import SyntheticWorkload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.vm import VirtualMachine
 
+#: Every job of the stream: the cores it asks for, its mean duration at
+#: that parallelism, and its latency SLO.
+JOB_CORES = 8
+JOB_MEAN_DURATION_S = 60.0
+JOB_SLO_S = 120.0
+#: The fleet's instance type, and how often its manager re-targets it.
+FLEET_ITYPE = "m4.xlarge"
+CONTROL_INTERVAL_S = 60.0
+
 
 @dataclass
 class JobRecord:
@@ -106,11 +115,6 @@ class JobStreamSimulator:
         policy: ProvisioningPolicy,
         bridge: str = "lambda",
         seed: int = 0,
-        job_cores: int = 8,
-        job_mean_duration_s: float = 60.0,
-        job_slo_s: float = 120.0,
-        fleet_itype: str = "m4.xlarge",
-        control_interval_s: float = 60.0,
     ) -> None:
         if bridge not in ("lambda", "none"):
             raise ValueError(f"bridge must be 'lambda' or 'none', got {bridge!r}")
@@ -120,11 +124,7 @@ class JobStreamSimulator:
         self.policy = policy
         self.bridge = bridge
         self.seed = seed
-        self.job_cores = job_cores
-        self.job_mean_duration_s = job_mean_duration_s
-        self.job_slo_s = job_slo_s
-        self.fleet_itype = instance_type(fleet_itype)
-        self.control_interval_s = control_interval_s
+        self.fleet_itype = instance_type(FLEET_ITYPE)
 
         runtime = self._runtime = ClusterRuntime(seed)
         self.env, self.rng = runtime.env, runtime.rng
@@ -136,7 +136,6 @@ class JobStreamSimulator:
         self._fleet: List["VirtualMachine"] = []
         self._job_ids = itertools.count()
         self._records: List[JobRecord] = []
-        self._job_compute_core_s = job_mean_duration_s * job_cores * 0.85
 
     # ------------------------------------------------------------------
     # Demand interpolation
@@ -178,7 +177,7 @@ class JobStreamSimulator:
                     vm.terminate()
                     self._fleet.remove(vm)
                     excess -= per_vm
-            yield self.env.timeout(self.control_interval_s)
+            yield self.env.timeout(CONTROL_INTERVAL_S)
 
     # ------------------------------------------------------------------
     # Job arrivals and execution (intra-job)
@@ -189,7 +188,7 @@ class JobStreamSimulator:
             point = self._demand_at(self.env.now)
             # Little's law: busy cores ~ rate * duration * cores_per_job.
             rate = max(1e-6, point.actual
-                       / (self.job_cores * self.job_mean_duration_s))
+                       / (JOB_CORES * JOB_MEAN_DURATION_S))
             gap = self.rng.exponential("stream.arrivals", 1.0 / rate)
             yield self.env.timeout(gap)
             if self.env.now >= horizon_s:
@@ -213,11 +212,11 @@ class JobStreamSimulator:
     def _run_job(self):
         record = JobRecord(
             job_id=next(self._job_ids), arrival_s=self.env.now,
-            required_cores=self.job_cores, vm_cores=0, lambda_cores=0,
-            start_s=self.env.now, slo_s=self.job_slo_s)
+            required_cores=JOB_CORES, vm_cores=0, lambda_cores=0,
+            start_s=self.env.now, slo_s=JOB_SLO_S)
         self._records.append(record)
 
-        claims, shortfall = self._claim_free_cores(self.job_cores)
+        claims, shortfall = self._claim_free_cores(JOB_CORES)
         if self.bridge == "none":
             # Vanilla: wait until enough cores free up.
             while shortfall > 0:
@@ -225,7 +224,7 @@ class JobStreamSimulator:
                 more, shortfall = self._claim_free_cores(shortfall)
                 claims.extend(more)
         record.vm_cores = sum(take for _vm, take in claims)
-        record.lambda_cores = self.job_cores - record.vm_cores
+        record.lambda_cores = JOB_CORES - record.vm_cores
         record.start_s = self.env.now
 
         backend = ExternalShuffleBackend(self._hdfs)
@@ -240,13 +239,14 @@ class JobStreamSimulator:
 
         workload = SyntheticWorkload(
             stages=2,
-            core_seconds_per_stage=self._job_compute_core_s / 2,
+            core_seconds_per_stage=(JOB_MEAN_DURATION_S * JOB_CORES
+                                    * 0.85 / 2),
             shuffle_bytes_per_boundary=32 * 1024 * 1024,
-            required_cores=self.job_cores,
+            required_cores=JOB_CORES,
             available_cores=max(1, record.vm_cores or 1),
             label=f"stream-job-{record.job_id}")
         job = driver.submit(workload.build(self._runtime.lineage,
-                                           self.job_cores))
+                                           JOB_CORES))
         yield job.done
         record.finish_s = self.env.now
         for vm, take in claims:
@@ -263,7 +263,7 @@ class JobStreamSimulator:
         self.env.process(self._fleet_manager())
         self.env.process(self._arrival_process(horizon_s))
         # Run past the horizon so in-flight jobs finish.
-        self.env.run(until=horizon_s + 20 * self.job_mean_duration_s)
+        self.env.run(until=horizon_s + 20 * JOB_MEAN_DURATION_S)
 
         report = StreamReport(policy_label=self.policy.label,
                               bridge=self.bridge, jobs=self._records)

@@ -151,13 +151,12 @@ def _overridden(sub: ListenerInterface, method: str):
 class EventBus:
     """Fan-out hub with the ``TraceRecorder.record`` signature.
 
-    ``validate=True`` (the default) rejects events not registered in
+    It rejects events not registered in
     :mod:`repro.observability.categories` — the runtime half of the
-    taxonomy lint. Pass ``validate=False`` to route ad-hoc events.
+    taxonomy lint.
     """
 
-    def __init__(self, validate: bool = True) -> None:
-        self.validate = validate
+    def __init__(self) -> None:
         self._subscribers: List[ListenerInterface] = []
         self._context: Optional[Dict[str, Any]] = None
         #: (category, name) -> tuple of (typed_bound_or_None,
@@ -224,8 +223,7 @@ class EventBus:
         invalid event raises *without* caching, so every publish of a
         bad event keeps raising exactly as per-call validation did.
         """
-        if self.validate:
-            validate_event(category, name)
+        validate_event(category, name)
         method = dispatch_method(category, name)
         plan = []
         for sub in self._subscribers:

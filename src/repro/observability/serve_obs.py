@@ -809,12 +809,13 @@ class SamplingProfiler:
     p99 budget (measured by ``bench_serve_load``).
     """
 
-    def __init__(self, interval_s: float = 0.005, top_n: int = 15
-                 ) -> None:
+    #: Frames :meth:`top_frames` returns by default.
+    TOP_N = 15
+
+    def __init__(self, interval_s: float = 0.005) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self.interval_s = interval_s
-        self.top_n = top_n
         self.sample_count = 0
         self._counts: Dict[str, int] = {}
         self._bucket_counts: Dict[str, int] = {}
@@ -907,7 +908,7 @@ class SamplingProfiler:
         with self._lock:
             items = sorted(self._counts.items(),
                            key=lambda kv: (-kv[1], kv[0]))
-        return items[:n or self.top_n]
+        return items[:n or self.TOP_N]
 
     def bucket_fractions(self) -> Dict[str, float]:
         with self._lock:

@@ -74,12 +74,11 @@ class JobResult:
 class ExecutorFactory:
     """Creates executors and registers them with a task scheduler.
 
-    Extracted from :class:`SparkDriver` so a cluster-level executor pool
-    (many drivers sharing one :class:`TaskScheduler`) can mint executors
-    with the same lifecycle watchers — and unique ids — without going
-    through any one application's driver. ``id_prefix`` namespaces the
-    executor ids (empty for the single-driver case, preserving the
-    historical ``vm-exec-N`` / ``la-exec-N`` names).
+    A :class:`SparkDriver` mints onto its own scheduler; a cluster-level
+    executor pool (many applications sharing one :class:`TaskScheduler`)
+    mints onto the shared one, with the same lifecycle watchers.
+    ``id_prefix`` namespaces the executor ids (``pool:`` for a pool,
+    empty for a driver: the historical ``vm-exec-N`` / ``la-exec-N``).
     """
 
     def __init__(
@@ -155,14 +154,11 @@ class ExecutorFactory:
 
 
 class SparkDriver:
-    """The master: creates executors, submits jobs, tracks results.
-
-    A driver normally owns its :class:`TaskScheduler` outright (the
-    single-application case). Passing ``task_scheduler`` instead attaches
-    the driver to a shared, cluster-owned scheduler: the driver's DAG
-    scheduler then routes its callbacks per task set rather than claiming
-    the scheduler's primary listener slot, and executor ids are
-    namespaced by ``app_id`` so concurrent drivers never collide.
+    """The master of one application: owns its :class:`TaskScheduler`,
+    whose listener is the driver's :class:`DAGScheduler`, and the
+    executors registered with it. (Pooled applications share one
+    cluster-owned task scheduler and hold only a DAG scheduler; see
+    :mod:`repro.cluster.apps`.)
     """
 
     def __init__(
@@ -170,31 +166,20 @@ class SparkDriver:
         env: "Environment",
         conf: SparkConf,
         rng: "RandomStreams",
-        shuffle_backend: Optional[ShuffleBackend] = None,
+        shuffle_backend: ShuffleBackend,
         trace: Optional["TraceRecorder"] = None,
-        task_scheduler: Optional[TaskScheduler] = None,
-        app_id: str = "",
     ) -> None:
         self.env = env
         self.conf = conf
         self.rng = rng
         self.trace = trace
-        self.app_id = app_id
-        shared = task_scheduler is not None
-        if task_scheduler is None:
-            if shuffle_backend is None:
-                raise TypeError(
-                    "SparkDriver needs a shuffle_backend (or a shared "
-                    "task_scheduler that already has one)")
-            task_scheduler = TaskScheduler(
-                env, conf, rng, shuffle_backend, trace=trace)
-        self.task_scheduler = task_scheduler
+        self.task_scheduler = TaskScheduler(env, conf, rng, shuffle_backend,
+                                            trace=trace)
         self.dag_scheduler = DAGScheduler(env, self.task_scheduler,
-                                          trace=trace, exclusive=not shared)
-        prefix = f"{app_id}:" if app_id else ""
+                                          trace=trace)
+        self.task_scheduler.listener = self.dag_scheduler
         self.executor_factory = ExecutorFactory(
-            env, conf, rng, self.task_scheduler, trace=trace,
-            id_prefix=prefix)
+            env, conf, rng, self.task_scheduler, trace=trace)
 
     # ------------------------------------------------------------------
     # Executor management

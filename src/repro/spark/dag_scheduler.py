@@ -144,13 +144,10 @@ class DAGScheduler(SchedulerListener):
     """Owns stage construction and drives the task scheduler."""
 
     def __init__(self, env: "Environment", task_scheduler: TaskScheduler,
-                 trace: Optional["TraceRecorder"] = None,
-                 exclusive: bool = True) -> None:
+                 trace: Optional["TraceRecorder"] = None) -> None:
         self.env = env
         self.task_scheduler = task_scheduler
         self.trace = trace
-        if exclusive:
-            task_scheduler.listener = self
         #: App handle for pooled scheduling (set by the cluster layer);
         #: tagged onto every submitted taskset so a shared scheduler can
         #: group tasksets by application for fair-share ordering.

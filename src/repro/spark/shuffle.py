@@ -277,25 +277,26 @@ class QuboleS3ShuffleBackend(ExternalShuffleBackend):
     side returned; the PyWren/Qubole line of systems handled this with
     LIST + poll + exponential backoff. The modelled delay grows with the
     square root of the number of objects being awaited (pagination plus
-    the longest-straggler effect), calibrated at ``consistency_mean_s``
-    for a 256-object shuffle and capped at ``consistency_cap_s``.
+    the longest-straggler effect), calibrated at
+    :attr:`CONSISTENCY_MEAN_S` for a 256-object shuffle and capped at
+    :attr:`CONSISTENCY_CAP_S` (one constant for all four workloads; see
+    docs/MODEL.md §8).
     """
 
-    #: Object count at which the consistency delay equals the mean knob.
+    #: Object count at which the consistency delay equals its mean.
     CONSISTENCY_REFERENCE_OBJECTS = 256
+    #: Mean read-after-overwrite lag the reducers poll out, and its cap.
+    CONSISTENCY_MEAN_S = 6.0
+    CONSISTENCY_CAP_S = 25.0
 
-    def __init__(self, storage: "StorageService",
-                 consistency_mean_s: float = 6.0,
-                 consistency_cap_s: float = 25.0) -> None:
+    def __init__(self, storage: "StorageService") -> None:
         super().__init__(storage, per_pair_objects=True)
-        self.consistency_mean_s = consistency_mean_s
-        self.consistency_cap_s = consistency_cap_s
 
     def _consistency_delay(self, executor, n_objects: int) -> float:
-        if self.consistency_mean_s <= 0 or n_objects <= 0:
+        if n_objects <= 0:
             return 0.0
         scale = (n_objects / self.CONSISTENCY_REFERENCE_OBJECTS) ** 0.5
-        mean = min(self.consistency_cap_s, self.consistency_mean_s * scale)
+        mean = min(self.CONSISTENCY_CAP_S, self.CONSISTENCY_MEAN_S * scale)
         return executor.rng.lognormal_around("qubole.s3.consistency",
                                              mean, 0.3)
 

@@ -90,9 +90,10 @@ class TaskSet:
         #: A zombie set stops launching tasks (fetch failure or abort) but
         #: lets in-flight tasks finish, exactly like Spark's TaskSetManager.
         self.zombie = False
-        #: Per-taskset listener (multi-application pools): when set, the
-        #: scheduler routes this set's lifecycle callbacks here instead of
-        #: its primary listener. None = single-driver behaviour.
+        #: Per-taskset listener (the submitting DAG scheduler): when set,
+        #: the scheduler routes this set's lifecycle callbacks here instead
+        #: of its primary listener, which is how one pooled scheduler
+        #: serves many applications.
         self.listener: Optional[SchedulerListener] = None
         #: Opaque handle grouping the set under one schedulable entity
         #: (a ClusterApp in pooled mode); scheduler pools read it to
@@ -157,14 +158,15 @@ class TaskScheduler:
         rng: "RandomStreams",
         shuffle_backend: ShuffleBackend,
         trace: Optional["TraceRecorder"] = None,
-        listener: Optional[SchedulerListener] = None,
     ) -> None:
         self.env = env
         self.conf = conf
         self.rng = rng
         self.shuffle_backend = shuffle_backend
         self.trace = trace
-        self.listener = listener if listener is not None else SchedulerListener()
+        #: The primary listener (a single driver's DAG scheduler); a
+        #: pooled scheduler's task sets carry their own.
+        self.listener = SchedulerListener()
         #: Additional listeners (fault injectors, recovery accounting)
         #: notified after the primary listener. Observers may implement
         #: any subset of the SchedulerListener methods.
@@ -187,9 +189,8 @@ class TaskScheduler:
         self._speculation_interval = float(
             conf.get("spark.speculation.interval"))
         self._speculation_active = False
-        # The Lambda-timeout knob is fixed at conf-construction time;
-        # re-reading it per executor per dispatch was a measurable share
-        # of the free-executor scan.
+        # The Lambda-timeout knob is fixed at conf-construction time, so
+        # it is read once here rather than per dispatch.
         _timeout = conf.get("spark.lambda.executor.timeout")
         self._lambda_timeout = None if _timeout is None else float(_timeout)
         self._blacklist_enabled = bool(conf.get("spark.blacklist.enabled"))
@@ -334,14 +335,6 @@ class TaskScheduler:
                 self._speculation_interval))
         self._dispatch()
 
-    @property
-    def pending_task_count(self) -> int:
-        return sum(len(ts.pending) for ts in self.tasksets if not ts.zombie)
-
-    @property
-    def running_task_count(self) -> int:
-        return sum(len(ts.running) for ts in self.tasksets)
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -367,40 +360,30 @@ class TaskScheduler:
                 return True
         return False
 
-    def _check_lambda_timeout(self, executor: Executor) -> bool:
-        """SplitServe hook: True if the executor should be drained instead
-        of receiving tasks (its Lambda has run past the timeout knob)."""
+    def _drain_overdue_lambdas(self) -> None:
+        """SplitServe hook (§4.3): drain every free, non-blacklisted
+        Lambda executor that has run past ``spark.lambda.executor.timeout``
+        instead of offering it tasks. Called with the timeout set only."""
         timeout = self._lambda_timeout
-        if timeout is None or executor.kind is not HostKind.LAMBDA:
-            return False
-        return executor.time_on_lambda >= timeout
-
-    def _free_executors(self) -> List[Executor]:
-        # Deterministic order: registration order is dict order.
         blacklisted = self.blacklisted
-        if self._lambda_timeout is None:
-            # Common path: nothing below mutates the registry, so scan it
-            # directly (no snapshot) with ``is_free`` inlined — including
-            # the host-liveness read (state is REGISTERED already implies
-            # not DEAD, so ``host_alive``'s extra check is redundant here).
-            registered = ExecutorState.REGISTERED
-            return [ex for ex in self.executors.values()
-                    if ex.state is registered
-                    and len(ex._tasks) < ex.cores
-                    and ex._host.is_running
-                    and ex.executor_id not in blacklisted]
-        free = []
         for ex in list(self.executors.values()):
-            if not ex.is_free:
-                continue
-            if ex.executor_id in blacklisted:
-                continue
-            if self._check_lambda_timeout(ex):
+            if (ex.kind is HostKind.LAMBDA and ex.is_free
+                    and ex.executor_id not in blacklisted
+                    and ex.time_on_lambda >= timeout):
                 ex.drain()
                 self._finalize_drained(ex)
-                continue
-            free.append(ex)
-        return free
+
+    def _free_executors(self) -> List[Executor]:
+        """Executors that can take a task now, in registration order
+        (``is_free`` inlined: a REGISTERED executor is not DEAD, so its
+        host's running flag is the only liveness read needed)."""
+        blacklisted = self.blacklisted
+        registered = ExecutorState.REGISTERED
+        return [ex for ex in self.executors.values()
+                if ex.state is registered
+                and len(ex._tasks) < ex.cores
+                and ex._host.is_running
+                and ex.executor_id not in blacklisted]
 
     def _select_task(self, taskset: TaskSet, executor: Executor,
                      locality_relaxed: bool) -> Optional[int]:
@@ -454,33 +437,19 @@ class TaskScheduler:
 
     def _dispatch(self) -> None:
         """Match free executors to pending tasks; defer for locality."""
-        if self._lambda_timeout is None:
-            # Without the Lambda timeout the round below has no side
-            # effects (its scan drains nothing), so with nothing pending
-            # it would change nothing: skip it.
-            for taskset in self.tasksets:
-                if taskset.pending and not taskset.zombie:
-                    break
-            else:
-                return
-        launched = True
-        wake_in: Optional[float] = None
-        free: Optional[List[Executor]] = None
-        # Launching is synchronous bookkeeping — the task process only
-        # starts when its Initialize event is dispatched later — so a
-        # launch can change the freeness of exactly one executor: the one
-        # it ran on. The pooled per-launch re-sort loop therefore keeps
-        # the free list across iterations with a point fix instead of
-        # rescanning the registry each time. The Lambda-timeout path
-        # keeps the rescan: its scan drains overdue executors (side
-        # effects the reuse would skip).
-        reuse_free = self._lambda_timeout is None
-        while launched:
-            launched = False
-            if free is None:
-                free = self._free_executors()
-            if not free:
+        if self._lambda_timeout is not None:
+            self._drain_overdue_lambdas()
+        for taskset in self.tasksets:
+            if taskset.pending and not taskset.zombie:
                 break
+        else:
+            return  # nothing pending: the round would change nothing
+        wake_in: Optional[float] = None
+        resort = self._resort_each_launch
+        free = self._free_executors()
+        launched = True
+        while launched and free:
+            launched = False
             for taskset in self._schedulable_tasksets():
                 if not taskset.has_pending:
                     continue
@@ -498,24 +467,25 @@ class TaskScheduler:
                             delay = max(0.001, remaining)
                             wake_in = delay if wake_in is None else min(wake_in, delay)
                         continue
-                    if self._resort_each_launch:
+                    if resort:
+                        # Launching is synchronous bookkeeping (the task
+                        # process starts at a later event), so it changes
+                        # the freeness of its own executor only: fix the
+                        # free list in place.
                         self._launch(taskset, partition, ex)
                         launched = True
-                        if reuse_free:
-                            if not ex.is_free:
-                                free.remove(ex)
-                        else:
-                            free = None
+                        if not ex.is_free:
+                            free.remove(ex)
                         break
                     free.remove(ex)
                     self._launch(taskset, partition, ex)
                     launched = True
-                if launched and self._resort_each_launch:
+                if launched and resort:
                     # Re-enter the outer loop so running-task counts feed
                     # back into the pool ordering before the next offer.
                     break
-            if not (self._resort_each_launch and reuse_free):
-                free = None
+            if launched and not resort:
+                free = self._free_executors()
         if wake_in is not None:
             self._schedule_redispatch(wake_in)
 
@@ -582,12 +552,18 @@ class TaskScheduler:
 
     def _launch_speculative_copies(self) -> bool:
         launched = False
+        drain = self._lambda_timeout is not None
         for taskset in list(self.tasksets):
             if taskset.zombie:
                 continue
             candidates = self._speculatable_partitions(taskset)
             if not candidates:
                 continue
+            if drain:
+                # Before the round's first free scan, so an overdue
+                # Lambda is drained, never handed a copy.
+                self._drain_overdue_lambdas()
+                drain = False
             free = self._free_executors()
             for partition in candidates:
                 original = taskset.running.get(partition)

@@ -52,7 +52,6 @@ class HDFS(StorageService):
         rng: "RandomStreams",
         meter: "BillingMeter" = None,
         replication: int = HDFS_DEFAULT_REPLICATION,
-        namenode_vm: "VirtualMachine" = None,
         name: str = "hdfs",
     ) -> None:
         if not datanodes:
@@ -62,7 +61,6 @@ class HDFS(StorageService):
                 f"replication {replication} outside [1, {len(datanodes)}]")
         super().__init__(env, name, rng, meter)
         self.datanodes: List["VirtualMachine"] = list(datanodes)
-        self.namenode_vm = namenode_vm if namenode_vm is not None else datanodes[0]
         self.replication = replication
         self._placement: Dict[str, List["VirtualMachine"]] = {}
         self._write_rr = itertools.count()

@@ -40,18 +40,15 @@ class RedisStore(StorageService):
         meter: "BillingMeter" = None,
         name: str = "redis",
         nodes: int = 1,
-        node_bytes_per_s: float = REDIS_NODE_BYTES_PER_S,
-        node_price_per_hour: float = REDIS_NODE_PRICE_PER_HOUR,
     ) -> None:
         if nodes <= 0:
             raise ValueError(f"nodes must be positive, got {nodes}")
         super().__init__(env, name, rng, meter)
         self.nodes = nodes
-        self.node_price_per_hour = node_price_per_hour
         # One shared link models the cluster's aggregate throughput; keys
         # hash across nodes, so aggregate scaling is linear in practice.
         self._link = FairShareLink(
-            env, node_bytes_per_s * nodes, name=f"{name}/mem")
+            env, REDIS_NODE_BYTES_PER_S * nodes, name=f"{name}/mem")
 
     def _op_latency(self, write: bool) -> float:
         return self.rng.lognormal_around(
@@ -69,7 +66,7 @@ class RedisStore(StorageService):
         if duration_s < 0:
             raise ValueError(f"duration must be non-negative, got {duration_s}")
         hours = max(1.0, duration_s / SECONDS_PER_HOUR)
-        cost = self.nodes * self.node_price_per_hour * hours
+        cost = self.nodes * REDIS_NODE_PRICE_PER_HOUR * hours
         if self.meter is not None:
             self.meter.bill_storage(self.name, cost)
         return cost

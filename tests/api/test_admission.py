@@ -168,7 +168,7 @@ def test_finished_pooled_jobs_keep_only_their_summary():
             assert service.job(status.job_id).state == schemas.JOB_COMPLETED
             job = service._jobs[status.job_id]
             app = job.app
-            assert app.job is None and app.driver is None
+            assert app.job is None and app.dag is None
             assert app.result is not None and app.result.num_tasks > 0
             assert job.metrics["busy_seconds"] == app.busy_seconds > 0
     finally:

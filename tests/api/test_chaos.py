@@ -261,8 +261,11 @@ def test_live_fault_plan_applies_every_kind_then_lifts():
             limit = provider.concurrency_limit
             vm_states = {vm.name: vm.state.value for vm in provider.vms}
             invoke_fault = provider.invoke_fault
+            [hdfs] = service.pool.storages
+            degradation = hdfs.degradation_factor
         # The seeded victim draw kills two of the four VM executors and
-        # slows the two survivors; the pool VM is revoked.
+        # slows the two survivors; of the hybrid pool's two VMs, the
+        # revocation draw picks its HDFS master.
         dead = [e for e in service.hub.snapshot(category="executor")
                 if e["name"] == "dead"]
         assert [e["fields"]["executor"] for e in dead] \
@@ -273,26 +276,32 @@ def test_live_fault_plan_applies_every_kind_then_lifts():
             == {"fault: executor_kill"}
         assert slowdowns == {"pool:vm-exec-0": 3.0, "pool:vm-exec-1": 3.0}
         assert limit == 0
-        assert vm_states == {"vm-0": "terminated"}
-        # The shared pool mounts no storage services and arms no
-        # per-invocation gate: brownouts and invoke failures are no-ops
+        assert vm_states == {"pool-master": "terminated", "vm-0": "running"}
+        # The brownout reaches the one storage service the pool mounts,
+        # its HDFS shuffle store on the master.
+        assert [vm.name for vm in hdfs.datanodes] == ["pool-master"]
+        assert degradation == 2.0
+        # No per-invocation gate is armed, so invoke failures are no-ops
         # on a live server, and no fault event reaches the hub.
         assert invoke_fault is None
         assert service.hub.snapshot(category="fault") == []
 
-        # The reaper lifts the throttle and the slowdowns once the
-        # windows close.
+        # The reaper lifts the throttle, the slowdowns and the brownout
+        # once the windows close.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             with service._sim_lock:
                 slowdowns = {ex.executor_id: ex.cpu_slowdown
                              for ex in scheduler.registered_executors}
                 limit = provider.concurrency_limit
-            if limit is None and set(slowdowns.values()) == {1.0}:
+                degradation = hdfs.degradation_factor
+            if (limit is None and set(slowdowns.values()) == {1.0}
+                    and degradation == 1.0):
                 break
             time.sleep(0.02)
         assert slowdowns == {"pool:vm-exec-0": 1.0, "pool:vm-exec-1": 1.0}
         assert limit is None
+        assert degradation == 1.0
     finally:
         service.close()
 

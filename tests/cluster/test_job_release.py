@@ -1,5 +1,5 @@
 """A finished pooled job frees its memory: reference counting alone
-frees its driver, DAG, lineage and task attempts once its app completes
+frees its DAG scheduler, lineage and task attempts once its app completes
 (``run_spec`` pauses the cyclic collector, so a reference cycle would
 keep them until the world ends), and the app keeps a summary that
 equals what the job itself reports at the end of the run."""
@@ -96,7 +96,7 @@ def test_stored_summary_equals_the_job_at_the_end_of_the_run(
     assert record.error is None and record.metrics["faults_injected"]
     assert len(admitted) == 6
     for app, job in admitted:
-        assert app.job is None and app.driver is None
+        assert app.job is None and app.dag is None
         assert app.result == JobResult.from_job(job)
         busy = sum(a.metrics.duration for a in job.task_attempts)
         busy += sum(a.metrics.duration for a in job.failed_attempts)

@@ -37,8 +37,8 @@ from repro.cluster.runtime import ClusterRuntime
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import run_spec
 from repro.simulation.faults import FaultSpec
-from repro.spark.application import SparkDriver
 from repro.spark.config import SparkConf
+from repro.spark.dag_scheduler import DAGScheduler
 from repro.workloads import SyntheticWorkload
 
 
@@ -208,7 +208,7 @@ def _run_pool_tree(configs, apps, orphans, cores):
     env = runtime.env
     pool = ExecutorPool(runtime, SparkConf({}), pools)
     pool.provision_vm_cores(cores, "m4.xlarge")
-    manager = AppManager(runtime, pool, pools)
+    manager = AppManager(runtime, pool)
     arrivals = []
     for i, (pool_index, app_id, index, weight, min_share,
             (stages, tasks, seconds, at)) in enumerate(apps):
@@ -220,13 +220,11 @@ def _run_pool_tree(configs, apps, orphans, cores):
 
     def submit_orphan(spec):
         stages, tasks, seconds = spec
-        # A driver on the shared scheduler with no schedulable handle:
-        # its task sets are orphans, offered FIFO ahead of the pools.
-        driver = SparkDriver(env, pool.conf, runtime.rng,
-                             trace=runtime.trace,
-                             task_scheduler=pool.scheduler,
-                             app_id=f"orphan{len(orphan_jobs)}")
-        orphan_jobs.append(driver.submit(
+        # A DAG scheduler on the shared scheduler with no schedulable
+        # handle: its task sets are orphans, offered FIFO ahead of the
+        # pools.
+        dag = DAGScheduler(env, pool.scheduler, trace=runtime.trace)
+        orphan_jobs.append(dag.submit_job(
             _synthetic(stages, tasks, seconds).build(runtime.lineage,
                                                      tasks)))
 
@@ -346,7 +344,7 @@ def test_retry_replacing_a_listed_original_keeps_counts(monkeypatch):
     scheduler = pool.scheduler
     slow = next(iter(scheduler.executors.values()))
     slow.cpu_slowdown = 10.0
-    manager = AppManager(runtime, pool, pools)
+    manager = AppManager(runtime, pool)
     manager.submit(ClusterApp("app", 0, _synthetic(1, 4, 40.0),
                               pool="pool0", parallelism=4))
 

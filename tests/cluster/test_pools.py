@@ -65,7 +65,7 @@ def _run_two_apps(pools, bulk_pool, small_pool):
     runtime = ClusterRuntime(seed=0)
     pool = ExecutorPool(runtime, SparkConf({}), pools)
     pool.provision_vm_cores(4, "m4.xlarge")
-    manager = AppManager(runtime, pool, pools)
+    manager = AppManager(runtime, pool)
     bulk = ClusterApp("bulk", 0, SyntheticWorkload(**BULK), pool=bulk_pool)
     small = ClusterApp("small", 1, SyntheticWorkload(**SMALL),
                        pool=small_pool)
@@ -101,7 +101,7 @@ def _run_two_equal_apps(mode):
     runtime = ClusterRuntime(seed=0)
     pool = ExecutorPool(runtime, SparkConf({}), pools)
     pool.provision_vm_cores(4, "m4.xlarge")
-    manager = AppManager(runtime, pool, pools)
+    manager = AppManager(runtime, pool)
     spec = dict(SMALL, required_cores=8, core_seconds_per_stage=80.0)
     apps = [ClusterApp(f"app{i}", i, SyntheticWorkload(**spec))
             for i in range(2)]

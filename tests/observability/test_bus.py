@@ -132,13 +132,6 @@ def test_validation_rejects_unknown_events():
         bus.record(0.0, CAT_EXECUTOR, "not-an-event")
 
 
-def test_validate_false_routes_ad_hoc_events():
-    bus = EventBus(validate=False)
-    trace = bus.subscribe(TraceRecorder())
-    bus.record(0.0, "custom", "anything", k=1)
-    assert trace.records[0].category == "custom"
-
-
 def test_delivery_is_in_subscription_order():
     order = []
 

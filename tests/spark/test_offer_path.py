@@ -1,5 +1,6 @@
 """The task scheduler's offer path: the cached-partition holder index,
-the early exit of a dispatch with nothing pending, and the retirement of
+the early exit of a dispatch with nothing pending, the Lambda-timeout
+drain ahead of the offer and speculation rounds, and the retirement of
 a finished application's shuffles.
 
 ``_anyone_holds_cached_step`` answers from the scheduler's holder counts
@@ -16,10 +17,15 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.observability.categories import CAT_SCHEDULER, EV_EXECUTOR_DRAINED
+from repro.observability.categories import (
+    CAT_SCHEDULER,
+    EV_EXECUTOR_DRAINED,
+    EV_SPECULATIVE_LAUNCH,
+)
 from repro.spark import SparkConf
 from repro.spark.executor import Executor, ExecutorState, HostKind
 from repro.spark.shuffle import MapStatus
+from repro.spark.task_scheduler import TaskScheduler
 from tests.spark.helpers import MiniCluster, single_stage_rdd
 
 RDDS = 3
@@ -170,6 +176,49 @@ def test_without_timeout_a_dispatch_with_nothing_pending_changes_nothing():
     assert executor.state is ExecutorState.REGISTERED
     assert executor.executor_id in scheduler.executors
     assert len(cluster.trace) == events
+
+
+def test_speculation_round_drains_an_overdue_lambda_before_placing_copies(
+        monkeypatch):
+    """The Lambda runs the short task and idles; no dispatch runs until
+    the speculation round finds the straggler, by which time the Lambda
+    is past the timeout. The round drains it before its first free scan,
+    so it never hosts the straggler's copy."""
+    conf = SparkConf({"spark.speculation": True,
+                      "spark.speculation.quantile": 0.5,
+                      "spark.speculation.multiplier": 1.5,
+                      "spark.speculation.interval": 0.5,
+                      "spark.lambda.executor.timeout": 7.0})
+    cluster = MiniCluster(conf=conf)
+    cluster.vm_executors(1)
+    [lam] = cluster.lambda_executors(1)
+    rounds = []
+    speculate = TaskScheduler._launch_speculative_copies
+
+    def watched(scheduler):
+        registered = lam.executor_id in scheduler.executors
+        launched = speculate(scheduler)
+        rounds.append((scheduler.env.now, registered,
+                       lam.executor_id in scheduler.executors))
+        return launched
+
+    monkeypatch.setattr(TaskScheduler, "_launch_speculative_copies", watched)
+    rdd = cluster.builder.source(
+        "straggle", partitions=2,
+        compute_seconds=lambda p: 60.0 if p == 0 else 5.0)
+    job = cluster.driver.submit(rdd)
+    cluster.env.run(until=job.done)
+    assert not job.failed
+    assert [a.executor_id for a in job.task_attempts
+            if a.spec.partition == 1] == [lam.executor_id]
+    drained_in = [now for now, before, after in rounds if before and not after]
+    [drain] = cluster.trace.select(category=CAT_SCHEDULER,
+                                   name=EV_EXECUTOR_DRAINED)
+    assert drain.get("executor") == lam.executor_id
+    assert drained_in == [drain.time]
+    assert lam.time_on_lambda >= 7.0
+    assert not cluster.trace.select(category=CAT_SCHEDULER,
+                                    name=EV_SPECULATIVE_LAUNCH)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.constants import MB, MBPS
+from repro.cloud.constants import MB, MBPS, REDIS_NODE_PRICE_PER_HOUR
 from repro.cluster.runtime import ClusterRuntime
 from repro.storage import HDFS, S3, LocalDisk, RedisStore, SQSQueue
 from repro.storage.base import StorageKeyError
@@ -209,7 +209,7 @@ def test_redis_node_hours_billed_with_minimum(ctx):
     env, rng, meter, provider = ctx
     redis = RedisStore(env, rng, meter, nodes=2)
     cost = redis.bill_node_hours(60.0)  # one minute -> 1h minimum each
-    assert cost == pytest.approx(2 * redis.node_price_per_hour)
+    assert cost == pytest.approx(2 * REDIS_NODE_PRICE_PER_HOUR)
     assert meter.storage_costs["redis"] == pytest.approx(cost)
 
 
