@@ -4,7 +4,7 @@
 	bench-multijob-smoke bench-plan-smoke bench-core-smoke \
 	bench-core bench-work bench-figures \
 	serve-smoke chaos-smoke obs-smoke report-smoke examples figures \
-	loc clean
+	loc knobs clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -129,6 +129,12 @@ figures: bench
 # and ROADMAP.md report for each change.
 loc:
 	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
+
+# The settable values in src/, counted on the AST: parameters with a
+# default and dataclass fields with a default — the options figure
+# CHANGES.md reports next to the line count.
+knobs:
+	@python tools/knobs.py src
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -15,7 +15,7 @@ control-plane contract:
 - ``GET  /jobs/{id}``  — one job's status/result; ``?wait=<seconds>``
   blocks until the job finishes (or the wait times out);
 - ``GET  /executors``  — live executors of the shared pool;
-- ``GET  /pools``      — scheduler pools, AppManager and admission
+- ``GET  /pools``      — the scheduler pool, AppManager and admission
   queue depths, pool capacity;
 - ``GET  /plan``       — dry-run SplitPlanner ranking
   (``?workload=…&slo_s=…``);

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.api import schemas
@@ -75,7 +75,6 @@ class _JobTrace:
     finished: bool = False
     checkpointed: bool = False
     order: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 def _replay(path: str) -> Tuple[Dict[str, _JobTrace], int]:

@@ -221,7 +221,6 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May one call proceed right now?"""
-        notify = None
         with self._lock:
             state = self._state_locked()
             if state == BREAKER_CLOSED:
@@ -235,7 +234,6 @@ class CircuitBreaker:
                 return False
             self._probe_in_flight = True
             return True
-        del notify  # appease linters; transitions notify in-place
 
     def record_success(self) -> None:
         with self._lock:
@@ -342,7 +340,6 @@ def run_chaos(plan: str = "throttle_storm", seed: int = 0,
     """
     from repro.api import schemas
     from repro.api.service import ServeConfig, ServeRuntime
-    from repro.simulation.faults import chaos_plan
 
     cfg = config or ServeConfig(
         max_concurrent=4, max_queue=max(16, n_jobs + 8), seed=seed,

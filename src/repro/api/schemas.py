@@ -16,7 +16,7 @@ through, so the two surfaces can never drift:
   in: ``{"schema_version": ..., "kind": ..., "data": ...}``.
 
 Models are frozen-ish dataclasses with explicit validators (the repo
-idiom — see ExperimentSpec, FaultSpec, PoolConfig) rather than pydantic,
+idiom — see ExperimentSpec, FaultSpec, ServeConfig) rather than pydantic,
 so the schema layer adds no dependency beyond the standard library and
 works identically under the CLI, the HTTP app, and tests.
 
@@ -245,7 +245,8 @@ class JobRequest:
     faults: List[Dict[str, Any]] = field(default_factory=list)
     parallelism: Optional[int] = None
     segue_at_s: Optional[float] = None
-    #: Scheduler pool to register in (pooled mode).
+    #: Scheduler pool to register in (pooled mode). A pooled cluster
+    #: has one, ``default``; the server rejects any other name.
     pool: str = "default"
 
     def __post_init__(self) -> None:

@@ -89,6 +89,7 @@ from repro.api.schemas import (
     JobStatus,
 )
 from repro.cluster.apps import build_shared_pool, check_pool_shape
+from repro.cluster.pools import DEFAULT_POOL
 from repro.observability.categories import (
     CAT_SERVE,
     CAT_TRACE,
@@ -297,9 +298,6 @@ class ServeConfig:
     lambda_cores: int = 0
     pool_style: str = "vm"              # one of POOL_STYLES
     mode: str = "fair"                  # scheduler-pool ordering
-    #: AppManager bound on concurrently *admitted* pooled apps inside
-    #: the simulation (None = unlimited; service admission still holds).
-    pool_max_concurrent: Optional[int] = None
     #: Simulated seconds advanced per driver step — the granularity at
     #: which new pooled arrivals interleave with running apps.
     sim_step_s: float = 1.0
@@ -472,7 +470,6 @@ class ServeRuntime:
         self._lock = threading.RLock()
         self._idle = threading.Condition(self._lock)
         self._jobs: Dict[str, _Job] = {}
-        self._order: List[str] = []
         self._pending: Deque[_Job] = deque()
         self._running: set = set()
         self._awaiting_retry: List[_Job] = []
@@ -591,7 +588,7 @@ class ServeRuntime:
         self.manager = build_shared_pool(
             self.cluster, SparkConf(), pool_cores=cfg.pool_cores,
             lambda_cores=cfg.lambda_cores, pool_style=cfg.pool_style,
-            mode=cfg.mode, max_concurrent=cfg.pool_max_concurrent,
+            mode=cfg.mode, max_concurrent=None,
             worker_itype=shape.worker_itype,
             segue_at_s=shape.vm_ready_delay_s)
         self.pool = self.manager.pool
@@ -681,7 +678,6 @@ class ServeRuntime:
             job.attempts = rec.attempts
             job.deadline_at = self._deadline_for(request)
             self._jobs[job.id] = job
-            self._order.append(job.id)
             self._pending.append(job)
             self._recovered += 1
             self.hub.record(self._now(), CAT_SERVE, EV_JOB_RECOVERED,
@@ -772,7 +768,6 @@ class ServeRuntime:
             if self._journal is not None:
                 self._journal.submitted(job.id, request.to_dict())
             self._jobs[job.id] = job
-            self._order.append(job.id)
             self._pending.append(job)
             self._admitted += 1
             self.hub.record(self._now(), CAT_SERVE, EV_JOB_QUEUED,
@@ -810,10 +805,10 @@ class ServeRuntime:
             raise schemas.SchemaError(
                 f"unknown workload {request.workload!r} for a pooled "
                 f"job; known: {', '.join(sorted(WORKLOADS))}")
-        if self.pool is not None and request.pool not in self.pool.pools.pools:
+        if request.pool != DEFAULT_POOL:
             raise schemas.SchemaError(
                 f"unknown scheduler pool {request.pool!r}; "
-                f"known: {sorted(self.pool.pools.pools)}")
+                f"known: {[DEFAULT_POOL]}")
 
     def _pump_locked(self) -> None:
         """Admit queued jobs while running slots are free (FIFO).
@@ -928,7 +923,6 @@ class ServeRuntime:
                                  **job.request.workload_params)
         with self._sim_wakeup:
             app = ClusterApp(job.id, next(self._app_index), workload,
-                             pool=job.request.pool,
                              parallelism=job.request.parallelism,
                              registry_name=job.request.workload)
             job.app = app
@@ -1313,9 +1307,8 @@ class ServeRuntime:
 
     def jobs(self) -> List[JobStatus]:
         with self._lock:
-            return [self._jobs[jid].status(
-                queue_position=self._position_locked(self._jobs[jid]))
-                for jid in self._order]
+            return [job.status(queue_position=self._position_locked(job))
+                    for job in self._jobs.values()]
 
     def _position_locked(self, job: _Job) -> Optional[int]:
         if job.state != JOB_QUEUED:

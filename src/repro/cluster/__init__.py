@@ -13,9 +13,9 @@ package extracts that plumbing into a reusable stack:
   Lambda-attach, and segue helpers shared by every scenario, plus
   :class:`~repro.cluster.pool.ExecutorPool`, the cluster-owned capacity
   that concurrently running applications share;
-- :mod:`~repro.cluster.pools` — FIFO/FAIR scheduler pools with Spark's
-  minShare + weight semantics, and the pooled task scheduler that
-  re-sorts offers so shares rebalance at task grain;
+- :mod:`~repro.cluster.pools` — the one FIFO or FAIR scheduler pool of
+  a pooled cluster, and the pooled task scheduler that re-sorts offers
+  so shares rebalance at task grain;
 - :mod:`~repro.cluster.apps` — :func:`~repro.cluster.apps
   .build_shared_pool`, the one constructor of a pooled world's shared
   pool (the ``multijob`` replay's and ``repro serve``'s), and the
@@ -28,11 +28,7 @@ package extracts that plumbing into a reusable stack:
 
 from repro.cluster.apps import AppManager, ClusterApp, build_shared_pool
 from repro.cluster.pool import ExecutorPool, add_executors_on_vms
-from repro.cluster.pools import (
-    PoolConfig,
-    PooledTaskScheduler,
-    SchedulerPools,
-)
+from repro.cluster.pools import PooledTaskScheduler, SchedulerPools
 from repro.cluster.runtime import ClusterRuntime
 
 __all__ = [
@@ -40,7 +36,6 @@ __all__ = [
     "ClusterApp",
     "ClusterRuntime",
     "ExecutorPool",
-    "PoolConfig",
     "PooledTaskScheduler",
     "SchedulerPools",
     "add_executors_on_vms",

@@ -1,13 +1,13 @@
 """Multi-application admission onto one shared executor pool.
 
 :func:`build_shared_pool` builds the pooled cluster that both the
-``multijob`` replay and ``repro serve`` run on: FIFO/FAIR scheduler
-pools, an :class:`~repro.cluster.pool.ExecutorPool` (on HDFS shuffle
-when Lambdas bridge it, §4.3) and the :class:`AppManager` in front of
-it. An arriving job becomes a :class:`ClusterApp`; the manager admits
-apps FIFO into a bounded set of concurrently running applications and
-gives each its own :class:`~repro.spark.dag_scheduler.DAGScheduler` on
-the pool's shared
+``multijob`` replay and ``repro serve`` run on: one FIFO or FAIR
+scheduler pool, an :class:`~repro.cluster.pool.ExecutorPool` (on HDFS
+shuffle when Lambdas bridge it, §4.3) and the :class:`AppManager` in
+front of it. An arriving job becomes a :class:`ClusterApp`; the manager
+admits apps FIFO into a bounded set of concurrently running
+applications and gives each its own
+:class:`~repro.spark.dag_scheduler.DAGScheduler` on the pool's shared
 :class:`~repro.cluster.pools.PooledTaskScheduler`. Queueing delay,
 latency, and completion events are recorded per application under the
 ``cluster`` event category and ``app.<id>.*`` metric names.
@@ -19,7 +19,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
 from repro.cluster.pool import ExecutorPool
-from repro.cluster.pools import POOL_MODES, PoolConfig, SchedulerPools
+from repro.cluster.pools import DEFAULT_POOL, POOL_MODES, SchedulerPools
 from repro.observability.categories import (
     CAT_CLUSTER,
     CAT_PLANNER,
@@ -72,7 +72,7 @@ def build_shared_pool(runtime: "ClusterRuntime", conf: "SparkConf", *,
     order of the steps fixes VM names, random draws and event order.
     """
     check_pool_shape(pool_style, mode)
-    pools = SchedulerPools([PoolConfig("default", mode=mode)])
+    pools = SchedulerPools(mode)
     hybrid = pool_style == "hybrid_segue" and lambda_cores > 0
     master_vm = hdfs = None
     if hybrid or split_policy is not None:
@@ -99,21 +99,16 @@ class ClusterApp:
     admission, execution on the shared pool, and completion."""
 
     def __init__(self, app_id: str, index: int, workload: "Workload",
-                 pool: str = "default", weight: int = 1,
-                 min_share: int = 0,
                  parallelism: Optional[int] = None,
                  registry_name: Optional[str] = None) -> None:
         self.app_id = app_id
-        #: Admission-order tiebreak for the fair comparator.
+        #: Tiebreak for the FAIR order, after ``app_id``.
         self.index = index
         self.workload = workload
         #: Registry name the workload was built from (instance names
         #: like ``pagerank-25000`` embed parameters; the planner
         #: profiles by registry name).
         self.registry_name = registry_name or workload.name
-        self.pool = pool
-        self.weight = weight
-        self.min_share = min_share
         #: Degree of parallelism the job is built for (defaults to the
         #: workload's R).
         self.parallelism = (parallelism if parallelism is not None
@@ -206,7 +201,7 @@ class AppManager:
         """An application arrives: enqueue and admit if a slot is free."""
         app.submit_time = self.runtime.env.now
         self._record(EV_APP_SUBMITTED, app=app.app_id,
-                     workload=app.workload.name, pool=app.pool)
+                     workload=app.workload.name, pool=DEFAULT_POOL)
         self.queue.append(app)
         self._try_admit()
 

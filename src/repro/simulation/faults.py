@@ -610,8 +610,9 @@ class RecoveryAccounting:
     def on_executor_lost(self, executor, reason: str) -> None:
         self.executors_lost += 1
         # Interrupt delivery is deferred through the event queue, so the
-        # executor's in-flight attempts are still observable here.
-        for attempt in getattr(executor, "active_attempts", ()):
+        # executor's in-flight attempt is still observable here.
+        attempt = executor.current
+        if attempt is not None:
             key = (attempt.spec.stage_id, attempt.spec.partition)
             self._lost_at.setdefault(key, self.env.now)
 

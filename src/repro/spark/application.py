@@ -99,24 +99,15 @@ class ExecutorFactory:
         self._vm_exec_ids = itertools.count()
         self._lambda_exec_ids = itertools.count()
 
-    def add_vm_executor(self, vm: "VirtualMachine",
-                        memory_bytes: Optional[float] = None,
-                        cores: int = 1) -> Executor:
-        """Register one executor on a running VM.
-
-        Claims ``cores`` of the VM's cores (the paper's setups use one
-        per executor; footnote 7's multi-core generalization is
-        supported); memory defaults to the cores' even share of the
-        instance's memory.
-        """
-        vm.allocate_cores(cores)
-        if memory_bytes is None:
-            memory_bytes = vm.itype.memory_bytes / vm.itype.vcpus * cores
+    def add_vm_executor(self, vm: "VirtualMachine") -> Executor:
+        """Register one executor on a running VM, claiming one of its
+        cores (the executor's heap is that core's share of the VM's
+        memory)."""
+        vm.allocate_cores(1)
         executor = Executor(
             self.env,
             f"{self.id_prefix}vm-exec-{next(self._vm_exec_ids)}",
-            HostKind.VM, self.conf, self.rng, vm=vm,
-            memory_bytes=memory_bytes, trace=self.trace, cores=cores)
+            HostKind.VM, self.conf, self.rng, vm=vm, trace=self.trace)
         self.scheduler.register_executor(executor)
         self.env.process(self._watch_vm_stop(executor, vm))
         return executor
@@ -185,13 +176,10 @@ class SparkDriver:
     # Executor management
     # ------------------------------------------------------------------
 
-    def add_vm_executor(self, vm: "VirtualMachine",
-                        memory_bytes: Optional[float] = None,
-                        cores: int = 1) -> Executor:
+    def add_vm_executor(self, vm: "VirtualMachine") -> Executor:
         """Register one executor on a running VM (see
         :meth:`ExecutorFactory.add_vm_executor`)."""
-        return self.executor_factory.add_vm_executor(
-            vm, memory_bytes=memory_bytes, cores=cores)
+        return self.executor_factory.add_vm_executor(vm)
 
     def add_lambda_executor(self, instance: "LambdaInstance") -> Executor:
         """Register one executor on a started Lambda container (see

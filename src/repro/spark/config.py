@@ -16,8 +16,6 @@ DEFAULTS: Dict[str, Any] = {
     "spark.task.maxFailures": 4,
     "spark.locality.wait": 3.0,  # seconds; Spark default "3s"
     "spark.stage.maxConsecutiveAttempts": 4,
-    # Executors.
-    "spark.executor.memory.vm": 8 * 1024 ** 3,  # bytes per VM executor
     # SplitServe's knob (§4.3): Lambda executors running longer than this
     # stop receiving new tasks and drain. None disables segueing.
     "spark.lambda.executor.timeout": None,

@@ -1,9 +1,9 @@
 """Executors: the distributed agents that run tasks.
 
-An executor lives on a host — cores of a VM, or one Lambda container —
-and runs one task at a time (the paper assigns one core per executor
-throughout, §5.1). The executor model captures the asymmetries the paper
-exploits and suffers from:
+An executor lives on a host — one core of a VM, or one Lambda
+container — and runs one task at a time (the paper assigns one core per
+executor throughout, §5.1). The executor model captures the asymmetries
+the paper exploits and suffers from:
 
 - **CPU speed**: Lambda executors get ``cpu_share`` of a vCPU
   (memory-indexed); VM executors get a full core.
@@ -24,7 +24,7 @@ exploits and suffers from:
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.observability.categories import (
     CAT_EXECUTOR,
@@ -100,12 +100,11 @@ def release_holder(holders: Dict[Tuple[int, int], int],
 
 
 class Executor:
-    """An executor on a VM or a Lambda.
+    """An executor on a VM or a Lambda, with one task slot.
 
-    The paper assigns one core per executor throughout (§5.1, footnote 7)
-    and that is the default here, but ``cores`` generalizes to the
-    multi-core executors footnote 7 anticipates: an executor runs up to
-    ``cores`` tasks concurrently, sharing its heap.
+    The paper assigns one core per executor throughout (§5.1, footnote
+    7): a VM executor holds one of its VM's cores and that core's even
+    share of the VM's memory; a Lambda executor holds its container.
     """
 
     def __init__(
@@ -117,12 +116,8 @@ class Executor:
         rng: "RandomStreams",
         vm: Optional["VirtualMachine"] = None,
         lambda_instance: Optional["LambdaInstance"] = None,
-        memory_bytes: Optional[float] = None,
         trace: Optional["TraceRecorder"] = None,
-        cores: int = 1,
     ) -> None:
-        if cores <= 0:
-            raise ValueError(f"cores must be positive, got {cores}")
         if kind is HostKind.VM and vm is None:
             raise ValueError("VM executor needs a vm")
         if kind is HostKind.LAMBDA and lambda_instance is None:
@@ -140,16 +135,12 @@ class Executor:
 
         if kind is HostKind.VM:
             self.cpu_speed = 1.0
-            self.memory_bytes = float(
-                memory_bytes if memory_bytes is not None
-                else conf.get("spark.executor.memory.vm"))
+            itype = vm.itype
+            self.memory_bytes = itype.memory_bytes / itype.vcpus
         else:
             self.cpu_speed = lambda_instance.config.cpu_share
-            self.memory_bytes = float(
-                memory_bytes if memory_bytes is not None
-                else lambda_instance.config.memory_bytes)
+            self.memory_bytes = float(lambda_instance.config.memory_bytes)
 
-        self.cores = int(cores)
         # Hot-path caches: the per-task jitter knob and the burstable-CPU
         # hook are fixed for the executor's lifetime; resolving them per
         # task was a measurable share of ``_execute``.
@@ -188,8 +179,10 @@ class Executor:
         #: with (see :func:`release_holder`), kept current as the cache
         #: gains and evicts keys; None while unregistered.
         self.cache_holders: Optional[Dict[Tuple[int, int], int]] = None
-        #: In-flight attempts -> their simulation processes.
-        self._tasks: Dict[TaskAttempt, object] = {}
+        #: The task slot: the running attempt and its simulation
+        #: process, both None while the slot is free.
+        self.current: Optional[TaskAttempt] = None
+        self._process = None
         self.tasks_finished = 0
         self.tasks_failed = 0
         self._record(EV_REGISTERED)
@@ -230,33 +223,19 @@ class Executor:
 
     @property
     def running_tasks(self) -> int:
-        return len(self._tasks)
-
-    @property
-    def current(self) -> Optional[TaskAttempt]:
-        """The running attempt, when at most one is in flight (the
-        single-core common case); an arbitrary one otherwise."""
-        return next(iter(self._tasks), None)
-
-    @property
-    def active_attempts(self) -> List[TaskAttempt]:
-        """Snapshot of in-flight attempts. After :meth:`kill`, interrupts
-        are delivered through the event queue, so this is still populated
-        when ``on_executor_lost`` observers run — recovery accounting
-        reads the doomed work here."""
-        return list(self._tasks)
+        return 0 if self.current is None else 1
 
     @property
     def is_idle(self) -> bool:
-        return not self._tasks
+        return self.current is None
 
     @property
     def is_free(self) -> bool:
-        """Accepting tasks: registered, alive, with a free core."""
+        """Accepting tasks: registered, alive, with its slot free."""
         # REGISTERED already implies not DEAD, so the host flag is the
         # only aliveness read needed (and it is a plain attribute).
         return (self.state is ExecutorState.REGISTERED
-                and len(self._tasks) < self.cores
+                and self.current is None
                 and self._host.is_running)
 
     def same_host(self, other: "Executor") -> bool:
@@ -329,7 +308,8 @@ class Executor:
         attempt.metrics.launch_time = self.env.now
         self._record(EV_TASK_START, task=attempt.spec.describe(),
                      attempt=attempt.attempt)
-        self._tasks[attempt] = self.env.process(
+        self.current = attempt
+        self._process = self.env.process(
             self._execute(attempt, scheduler, on_finish))
 
     def _execute(self, attempt: TaskAttempt, scheduler: "TaskScheduler",
@@ -374,9 +354,7 @@ class Executor:
             base = spec.compute_seconds_from[live_from]
             base /= self.cpu_speed
             base *= self.cpu_slowdown
-            concurrent_ws = sum([a.spec.working_set_bytes
-                                 for a in self._tasks])
-            live_bytes = concurrent_ws + self.cached_bytes
+            live_bytes = spec.working_set_bytes + self.cached_bytes
             if self._gc_comfortable and live_bytes <= self._usable_heap_bytes:
                 slowdown = 1.0
             else:
@@ -432,7 +410,7 @@ class Executor:
                                  // NOMINAL_RECORD_BYTES)
         metrics.records_out = int(metrics.shuffle_write_bytes
                                   // NOMINAL_RECORD_BYTES)
-        self._tasks.pop(attempt, None)
+        self.current = self._process = None
         self._record(EV_TASK_END, task=spec.describe(),
                      stage=spec.stage_id,
                      state=attempt.state.value,
@@ -455,9 +433,8 @@ class Executor:
                   reason: str = "task killed") -> None:
         """Abort one running attempt without killing the executor (used
         to cancel the losing copy of a speculated task)."""
-        process = self._tasks.get(attempt)
-        if process is not None and process.is_alive:
-            process.interrupt(cause=reason)
+        if attempt is self.current and self._process.is_alive:
+            self._process.interrupt(cause=reason)
 
     def kill(self, reason: str = "killed") -> None:
         """Hard kill: the current task dies; local shuffle output on the
@@ -465,9 +442,9 @@ class Executor:
         if self.state is ExecutorState.DEAD:
             return
         self.state = ExecutorState.DEAD
-        for process in list(self._tasks.values()):
-            if process.is_alive:
-                process.interrupt(cause=reason)
+        process = self._process
+        if process is not None and process.is_alive:
+            process.interrupt(cause=reason)
         self._record(EV_DEAD, reason=reason)
 
     def _record(self, event: str, **fields) -> None:

@@ -96,8 +96,9 @@ class TaskSet:
         #: serves many applications.
         self.listener: Optional[SchedulerListener] = None
         #: Opaque handle grouping the set under one schedulable entity
-        #: (a ClusterApp in pooled mode); scheduler pools read it to
-        #: compute per-application running-task counts.
+        #: (a ClusterApp in pooled mode, where every set has one); the
+        #: scheduler pool reads it to keep per-application running-task
+        #: counts.
         self.schedulable: Optional[object] = None
         #: True while the set is on its scheduler's live list: submitted,
         #: and not yet completed, failed or withdrawn.
@@ -320,13 +321,15 @@ class TaskScheduler:
     # ------------------------------------------------------------------
 
     def submit_taskset(self, taskset: TaskSet) -> None:
+        if self.scheduler_pools is not None:
+            # First, so that a set the pool rejects (one that belongs to
+            # no application) never joins the live list.
+            self.scheduler_pools.add_taskset(taskset)
         taskset.submit_time = self.env.now
         for partition in taskset.pending:
             taskset.pending_since[partition] = self.env.now
         self.tasksets.append(taskset)
         taskset.live = True
-        if self.scheduler_pools is not None:
-            self.scheduler_pools.add_taskset(taskset)
         self._record(EV_TASKSET_SUBMITTED, taskset=taskset.name,
                      tasks=len(taskset.specs))
         if self._speculation and not self._speculation_active:
@@ -381,7 +384,7 @@ class TaskScheduler:
         registered = ExecutorState.REGISTERED
         return [ex for ex in self.executors.values()
                 if ex.state is registered
-                and len(ex._tasks) < ex.cores
+                and ex.current is None
                 and ex._host.is_running
                 and ex.executor_id not in blacklisted]
 
@@ -467,19 +470,11 @@ class TaskScheduler:
                             delay = max(0.001, remaining)
                             wake_in = delay if wake_in is None else min(wake_in, delay)
                         continue
-                    if resort:
-                        # Launching is synchronous bookkeeping (the task
-                        # process starts at a later event), so it changes
-                        # the freeness of its own executor only: fix the
-                        # free list in place.
-                        self._launch(taskset, partition, ex)
-                        launched = True
-                        if not ex.is_free:
-                            free.remove(ex)
-                        break
                     free.remove(ex)
                     self._launch(taskset, partition, ex)
                     launched = True
+                    if resort:
+                        break
                 if launched and resort:
                     # Re-enter the outer loop so running-task counts feed
                     # back into the pool ordering before the next offer.
@@ -735,7 +730,8 @@ class TaskScheduler:
             if taskset.schedulable is schedulable:
                 return
         for executor in self.executors.values():
-            for attempt in executor._tasks:
+            attempt = executor.current
+            if attempt is not None:
                 taskset = attempt.taskset
                 if taskset is not None and taskset.schedulable is schedulable:
                     return

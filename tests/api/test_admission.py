@@ -7,7 +7,8 @@ The satellite contract for the control plane:
 - beyond ``max_queue`` the service sheds load with a structured 503
   whose body comes from the shared schema module;
 - the AppManager applies the same queue-don't-drop discipline to
-  pooled jobs inside the simulation;
+  pooled jobs inside the simulation (checked on a multijob replay; a
+  served pool admits every job the service runs);
 - a finished pooled job keeps only its summary, so a long-lived
   service does not grow with every job it has served.
 
@@ -27,6 +28,10 @@ from repro.api.service import (
     ServeRuntime,
 )
 from repro.api.testclient import TestClient
+from repro.cluster import multijob
+from repro.cluster.apps import build_shared_pool
+from repro.experiments import ExperimentSpec
+from repro.experiments.runner import run_spec
 from repro.observability.categories import CAT_SERVE, EV_JOB_STARTED
 
 #: Gates the blocking jobs wait on, keyed by test-chosen name so
@@ -132,28 +137,30 @@ def test_http_503_returns_structured_error_body():
         gate.set()
 
 
-def test_app_manager_queues_pooled_jobs_beyond_limit():
-    service = ServeRuntime(ServeConfig(max_concurrent=8, max_queue=8,
-                                       pool_max_concurrent=1,
-                                       pool_cores=4)).start()
-    try:
-        statuses = [service.submit({"workload": "sparkpi",
-                                    "mode": "pooled", "seed": i})
-                    for i in range(3)]
-        assert service.drain(timeout=60.0)
-        finals = [service.job(s.job_id) for s in statuses]
-        for final in finals:
-            assert final.state == schemas.JOB_COMPLETED, final.error
-        # With one in-sim slot, the later arrivals queued inside the
-        # AppManager (queued, not dropped) and accrued queueing delay.
-        delays = [f.metrics["queueing_delay_s"] for f in finals]
-        assert sum(1 for d in delays if d > 0) >= 2
-        snapshot = service.pool_stats()["manager"]
-        assert snapshot["finished"] == 3
-        assert snapshot["max_concurrent"] == 1
-        assert snapshot["queued"] == 0
-    finally:
-        service.close()
+def test_app_manager_queues_pooled_jobs_beyond_limit(monkeypatch):
+    """A multijob replay admitting one app at a time: the AppManager
+    queues the later arrivals (queued, not dropped) and they accrue
+    queueing delay."""
+    managers = []
+
+    def capturing(*args, **kwargs):
+        managers.append(build_shared_pool(*args, **kwargs))
+        return managers[-1]
+
+    monkeypatch.setattr(multijob, "build_shared_pool", capturing)
+    record = run_spec(ExperimentSpec(
+        workload="multijob", scenario="multijob", seed=0,
+        extra={"mix": "sparkpi", "n_jobs": 3, "mean_interarrival_s": 1.0,
+               "pool_cores": 4, "max_concurrent": 1}))
+    assert record.error is None and not record.failed
+    [manager] = managers
+    assert [app.failed for app in manager.finished] == [False] * 3
+    delays = [app.queueing_delay_s for app in manager.finished]
+    assert sum(1 for d in delays if d > 0) >= 2
+    snapshot = manager.snapshot()
+    assert snapshot["finished"] == 3
+    assert snapshot["max_concurrent"] == 1
+    assert snapshot["queued"] == 0
 
 
 def test_finished_pooled_jobs_keep_only_their_summary():

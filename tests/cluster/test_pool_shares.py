@@ -1,21 +1,21 @@
 """Differential test of the FAIR offer order kept by ``SchedulerPools``.
 
-The pools keep per-application slot counts and a bisect-sorted FAIR
+The pool keeps per-application slot counts and a bisect-sorted FAIR
 order, updated on the scheduler's launch/finish/removal paths. After
-every offer round this test rebuilds the order the way the per-launch
-algorithm it replaced did — regroup the live task sets by application,
-full-sort apps and pools with :func:`fair_sort_key` — and requires:
+every offer round this test rebuilds the order the way Spark's fair
+scheduler does — regroup the live task sets by application and
+stable-sort the apps with Spark's fair comparator at weight 1 and
+minShare 0 (FAIR), or keep admission order (FIFO) — and requires:
 
 - ``ordered_tasksets()`` (and every order the scheduler offers by)
   equals that reference;
-- each application's kept count, and each pool's ``stats()``
+- each application's kept count, and the pool's ``stats()``
   ``running_tasks``, equals the running plus speculative attempts over
   its live task sets.
 
-Generated inputs cover pool trees (1–3 FIFO/FAIR pools, weights,
-min shares, colliding app tiebreaks, orphan task sets with no
-schedulable) and multijob replays with speculation on and executor
-kills, so task sets zombify or fail with attempts still in flight.
+Generated inputs cover one FIFO or FAIR pool with colliding app
+tiebreaks, and multijob replays with speculation on and executor kills,
+so task sets zombify or fail with attempts still in flight.
 """
 
 from operator import itemgetter
@@ -28,17 +28,14 @@ from repro.cluster.pool import ExecutorPool
 from repro.cluster.pools import (
     FAIR,
     FIFO,
-    PoolConfig,
     PooledTaskScheduler,
     SchedulerPools,
-    fair_sort_key,
 )
 from repro.cluster.runtime import ClusterRuntime
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import run_spec
 from repro.simulation.faults import FaultSpec
 from repro.spark.config import SparkConf
-from repro.spark.dag_scheduler import DAGScheduler
 from repro.workloads import SyntheticWorkload
 
 
@@ -46,40 +43,33 @@ def occupied(taskset):
     return len(taskset.running) + len(taskset.speculative)
 
 
-def reference_order(configs, registered, tasksets):
-    """Regroup ``tasksets`` and full-sort them as the per-launch code
-    did: orphans first in submission order, then pools by fair key, apps
-    by admission order (FIFO) or a stable sort on fair key (FAIR)."""
-    orphans = [ts for ts in tasksets if ts.schedulable is None]
+def spark_fair_key(running, min_share, weight, tiebreak):
+    """Spark's fair comparator as a sort key: a schedulable below its
+    minimum share is needy and precedes every satisfied one; needy ones
+    compare by ``running / minShare``, satisfied ones by ``running /
+    weight``, then by ``tiebreak``."""
+    needy = running < min_share
+    ratio = running / max(min_share if needy else weight, 1)
+    return (0 if needy else 1, ratio, tiebreak)
+
+
+def reference_order(mode, registered, tasksets):
+    """Regroup ``tasksets`` by registered app and order the apps by
+    admission (FIFO) or a stable sort on Spark's fair key at weight 1
+    and minShare 0 (FAIR)."""
     by_app = {}
     for ts in tasksets:
-        if ts.schedulable is not None:
-            by_app.setdefault(id(ts.schedulable), []).append(ts)
-    rows = []
-    for config in configs:
-        members = []
-        pool_running = 0
-        for app in registered[config.name]:
-            sets = by_app.get(id(app))
-            if not sets:
-                continue
+        by_app.setdefault(id(ts.schedulable), []).append(ts)
+    members = []
+    for app in registered:
+        sets = by_app.get(id(app))
+        if sets:
             running = sum(occupied(ts) for ts in sets)
-            pool_running += running
-            members.append((fair_sort_key(running, app.min_share,
-                                          app.weight,
-                                          (app.app_id, app.index)), sets))
-        if members:
-            if config.mode == FAIR:
-                members.sort(key=itemgetter(0))
-            rows.append((fair_sort_key(pool_running, config.min_share,
-                                       config.weight, (config.name,)),
-                         members))
-    rows.sort(key=itemgetter(0))
-    ordered = list(orphans)
-    for _pool_key, members in rows:
-        for _app_key, sets in members:
-            ordered.extend(sets)
-    return ordered
+            members.append((spark_fair_key(running, 0, 1,
+                                           (app.app_id, app.index)), sets))
+    if mode == FAIR:
+        members.sort(key=itemgetter(0))
+    return [ts for _key, sets in members for ts in sets]
 
 
 class ShareChecker:
@@ -87,7 +77,7 @@ class ShareChecker:
     reference, tracking registrations on its own."""
 
     def __init__(self, monkeypatch):
-        #: id(SchedulerPools) -> pool name -> apps in registration order.
+        #: id(SchedulerPools) -> apps in registration order.
         self.registered = {}
         self.rounds = 0
         self.violations = []
@@ -99,11 +89,11 @@ class ShareChecker:
 
         def tracked_register(pools, app):
             register(pools, app)
-            checker._registry(pools)[app.pool].append(app)
+            checker._registry(pools).append(app)
 
         def tracked_unregister(pools, app):
             unregister(pools, app)
-            members = checker._registry(pools)[app.pool]
+            members = checker._registry(pools)
             if any(member is app for member in members):
                 members.remove(app)
 
@@ -125,21 +115,19 @@ class ShareChecker:
                             checked_dispatch)
 
     def _registry(self, pools):
-        return self.registered.setdefault(
-            id(pools), {name: [] for name in pools.pools})
+        return self.registered.setdefault(id(pools), [])
 
     def check(self, scheduler, order):
         self.rounds += 1
         pools = scheduler.scheduler_pools
         live = scheduler.tasksets
         registry = self._registry(pools)
-        expected = reference_order(pools.pools.values(), registry, live)
+        expected = reference_order(pools.mode, registry, live)
         if order != expected:
             self.violations.append(
                 f"order {[ts.name for ts in order]} != reference "
                 f"{[ts.name for ts in expected]}")
-        owners = {id(ts.schedulable) for ts in live
-                  if ts.schedulable is not None}
+        owners = {id(ts.schedulable) for ts in live}
         if not owners <= set(pools._shares):
             self.violations.append("an app with live task sets has no share")
         for share in pools._shares.values():
@@ -150,14 +138,14 @@ class ShareChecker:
                     f"{share.app!r}: kept {share.running} over "
                     f"{len(share.tasksets)} sets, live {want} over "
                     f"{len(sets)}")
-        for stat in pools.stats():
-            members = {id(app) for app in registry[stat["name"]]}
-            want = sum(occupied(ts) for ts in live
-                       if id(ts.schedulable) in members)
-            if stat["running_tasks"] != want or stat["apps"] != len(members):
-                self.violations.append(
-                    f"pool {stat['name']}: stats {stat} != {want} running "
-                    f"over {len(members)} apps")
+        [stat] = pools.stats()
+        members = {id(app) for app in registry}
+        want = sum(occupied(ts) for ts in live
+                   if id(ts.schedulable) in members)
+        if stat["running_tasks"] != want or stat["apps"] != len(members):
+            self.violations.append(
+                f"pool: stats {stat} != {want} running over "
+                f"{len(members)} apps")
 
     def assert_clean(self):
         assert self.rounds > 0
@@ -165,7 +153,7 @@ class ShareChecker:
 
 
 # ---------------------------------------------------------------------------
-# Generated pool trees with orphan task sets
+# Generated pools
 # ---------------------------------------------------------------------------
 
 def _synthetic(stages, tasks, seconds):
@@ -176,86 +164,56 @@ def _synthetic(stages, tasks, seconds):
 
 
 @st.composite
-def pool_trees(draw):
-    n_pools = draw(st.integers(min_value=1, max_value=3))
-    configs = [PoolConfig(f"pool{i}",
-                          mode=draw(st.sampled_from((FIFO, FAIR))),
-                          weight=draw(st.integers(min_value=1, max_value=4)),
-                          min_share=draw(st.integers(min_value=0,
-                                                     max_value=3)))
-               for i in range(n_pools)]
+def generated_pools(draw):
+    mode = draw(st.sampled_from((FIFO, FAIR)))
     job = st.tuples(st.integers(min_value=1, max_value=2),      # stages
                     st.integers(min_value=1, max_value=5),      # tasks
                     st.floats(min_value=2.0, max_value=40.0),   # core-s
                     st.floats(min_value=0.0, max_value=20.0))   # arrival
     apps = draw(st.lists(st.tuples(
-        st.integers(min_value=0, max_value=n_pools - 1),
         # A tiny id/index space makes (app_id, index) tiebreaks collide,
         # which the kept order must break by registration order.
         st.sampled_from(("a", "b")),
         st.integers(min_value=0, max_value=1),
-        st.integers(min_value=1, max_value=4),                  # weight
-        st.integers(min_value=0, max_value=3),                  # min_share
         job), min_size=1, max_size=6))
-    orphans = draw(st.lists(job, max_size=2))
     cores = draw(st.integers(min_value=1, max_value=6))
-    return configs, apps, orphans, cores
+    return mode, apps, cores
 
 
-def _run_pool_tree(configs, apps, orphans, cores):
-    pools = SchedulerPools(configs)
+def _run_pool(mode, apps, cores):
     runtime = ClusterRuntime(seed=0)
     env = runtime.env
-    pool = ExecutorPool(runtime, SparkConf({}), pools)
+    pool = ExecutorPool(runtime, SparkConf({}), SchedulerPools(mode))
     pool.provision_vm_cores(cores, "m4.xlarge")
     manager = AppManager(runtime, pool)
     arrivals = []
-    for i, (pool_index, app_id, index, weight, min_share,
-            (stages, tasks, seconds, at)) in enumerate(apps):
+    for i, (app_id, index, (stages, tasks, seconds, at)) in enumerate(apps):
         app = ClusterApp(app_id, index, _synthetic(stages, tasks, seconds),
-                         pool=configs[pool_index].name, weight=weight,
-                         min_share=min_share, parallelism=tasks)
-        arrivals.append((at, i, manager.submit, app))
-    orphan_jobs = []
-
-    def submit_orphan(spec):
-        stages, tasks, seconds = spec
-        # A DAG scheduler on the shared scheduler with no schedulable
-        # handle: its task sets are orphans, offered FIFO ahead of the
-        # pools.
-        dag = DAGScheduler(env, pool.scheduler, trace=runtime.trace)
-        orphan_jobs.append(dag.submit_job(
-            _synthetic(stages, tasks, seconds).build(runtime.lineage,
-                                                     tasks)))
-
-    for i, (stages, tasks, seconds, at) in enumerate(orphans):
-        arrivals.append((at, len(apps) + i, submit_orphan,
-                         (stages, tasks, seconds)))
+                         parallelism=tasks)
+        arrivals.append((at, i, app))
     arrivals.sort(key=itemgetter(0, 1))
 
     def arrive(env):
-        for at, _order, submit, item in arrivals:
+        for at, _order, app in arrivals:
             if at > env.now:
                 yield env.timeout(at - env.now)
-            submit(item)
+            manager.submit(app)
 
     env.run(until=env.process(arrive(env)))
-    for done in [manager.completion_event(len(apps))] + [
-            job.done for job in orphan_jobs]:
-        if not done.triggered:
-            env.run(until=done)
-    return manager, orphan_jobs
+    done = manager.completion_event(len(apps))
+    if not done.triggered:
+        env.run(until=done)
+    return manager
 
 
-@given(tree=pool_trees())
+@given(pool=generated_pools())
 @settings(max_examples=40, deadline=None)
-def test_kept_order_matches_full_sort_on_generated_pool_trees(tree):
+def test_kept_order_matches_full_sort_on_generated_pool_trees(pool):
     with pytest.MonkeyPatch.context() as monkeypatch:
         checker = ShareChecker(monkeypatch)
-        manager, orphan_jobs = _run_pool_tree(*tree)
+        manager = _run_pool(*pool)
     checker.assert_clean()
-    assert len(manager.finished) == len(tree[1])
-    assert len(orphan_jobs) == len(tree[2])
+    assert len(manager.finished) == len(pool[1])
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +263,15 @@ def test_check_catches_a_skipped_decrement(monkeypatch):
     skipped = []
 
     def leaky_occupy(pools, taskset, delta):
-        if delta < 0 and not skipped and taskset.schedulable is not None:
+        if delta < 0 and not skipped:
             skipped.append(delta)
             return
         occupy(pools, taskset, delta)
 
     monkeypatch.setattr(SchedulerPools, "occupy", leaky_occupy)
     checker = ShareChecker(monkeypatch)
-    configs = [PoolConfig("pool0", mode=FAIR)]
     job = (1, 4, 20.0, 0.0)
-    apps = [(0, "a", 0, 1, 0, job), (0, "b", 1, 1, 0, job)]
-    _run_pool_tree(configs, apps, [], cores=2)
+    _run_pool(FAIR, [("a", 0, job), ("b", 1, job)], cores=2)
     assert skipped
     assert checker.violations
     assert any("kept" in v for v in checker.violations)
@@ -335,18 +291,17 @@ def test_retry_replacing_a_listed_original_keeps_counts(monkeypatch):
         launch(scheduler, taskset, partition, executor)
 
     monkeypatch.setattr(PooledTaskScheduler, "_launch", watched_launch)
-    pools = SchedulerPools([PoolConfig("pool0", mode=FAIR)])
     runtime = ClusterRuntime(seed=0)
     env = runtime.env
     pool = ExecutorPool(runtime, SparkConf({"spark.speculation": True}),
-                        pools)
+                        SchedulerPools(FAIR))
     pool.provision_vm_cores(4, "m4.xlarge")
     scheduler = pool.scheduler
     slow = next(iter(scheduler.executors.values()))
     slow.cpu_slowdown = 10.0
     manager = AppManager(runtime, pool)
     manager.submit(ClusterApp("app", 0, _synthetic(1, 4, 40.0),
-                              pool="pool0", parallelism=4))
+                              parallelism=4))
 
     def kill_first_copy(env):
         while True:

@@ -1,24 +1,18 @@
-"""Scheduler-pool semantics: the fair comparator, pool registration,
-and the starvation guarantee on a live shared pool."""
+"""Scheduler-pool semantics: the one FIFO or FAIR pool of a pooled
+cluster, what it rejects, and how it shares slots on a live pool."""
 
 import pytest
 
+from repro.api.schemas import SchemaError
+from repro.api.service import ServeConfig, ServeRuntime
 from repro.cluster.apps import AppManager, ClusterApp
 from repro.cluster.pool import ExecutorPool
-from repro.cluster.pools import (
-    PoolConfig,
-    SchedulerPools,
-    fair_sort_key,
-)
+from repro.cluster.pools import SchedulerPools
 from repro.cluster.runtime import ClusterRuntime
 from repro.spark.config import SparkConf
+from repro.spark.dag_scheduler import DAGScheduler
 from repro.workloads import SyntheticWorkload
 
-#: A job that saturates a 4-slot pool for a long time: 32 tasks.
-BULK = dict(stages=1, core_seconds_per_stage=400.0,
-            shuffle_bytes_per_boundary=0,
-            required_cores=32, available_cores=4,
-            worker_itype="m4.xlarge")
 #: A small interactive job: 4 tasks.
 SMALL = dict(stages=1, core_seconds_per_stage=8.0,
              shuffle_bytes_per_boundary=0,
@@ -28,79 +22,43 @@ SMALL = dict(stages=1, core_seconds_per_stage=8.0,
 
 def test_pool_config_validation():
     with pytest.raises(ValueError, match="mode"):
-        PoolConfig("p", mode="lifo")
-    with pytest.raises(ValueError, match="weight"):
-        PoolConfig("p", weight=0)
-    with pytest.raises(ValueError, match="min_share"):
-        PoolConfig("p", min_share=-1)
+        SchedulerPools("lifo")
 
 
 def test_duplicate_and_unknown_pools_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        SchedulerPools([PoolConfig("a"), PoolConfig("a")])
-    with pytest.raises(ValueError, match="at least one"):
-        SchedulerPools([])
-    pools = SchedulerPools([PoolConfig("a")])
-    app = ClusterApp("x", 0, SyntheticWorkload(**SMALL), pool="nope")
-    with pytest.raises(ValueError, match="unknown pool"):
+    """An app registers once, and a served pooled job names the one
+    pool there is."""
+    pools = SchedulerPools("fair")
+    app = ClusterApp("x", 0, SyntheticWorkload(**SMALL))
+    pools.register(app)
+    with pytest.raises(ValueError, match="already registered"):
         pools.register(app)
+    service = ServeRuntime(ServeConfig())
+    with pytest.raises(SchemaError, match=r"unknown scheduler pool 'nope'; "
+                                          r"known: \['default'\]"):
+        service.submit({"workload": "sparkpi", "mode": "pooled",
+                        "pool": "nope"})
 
 
-def test_fair_sort_key_needy_precedes_satisfied():
-    needy = fair_sort_key(running=1, min_share=2, weight=1, tiebreak=("a",))
-    satisfied = fair_sort_key(running=0, min_share=0, weight=10,
-                              tiebreak=("b",))
-    assert needy < satisfied
-
-
-def test_fair_sort_key_orders_by_weighted_share():
-    light = fair_sort_key(running=2, min_share=0, weight=4, tiebreak=("a",))
-    heavy = fair_sort_key(running=2, min_share=0, weight=1, tiebreak=("b",))
-    assert light < heavy  # further below its weighted share
-
-
-def _run_two_apps(pools, bulk_pool, small_pool):
-    """One saturating app and one small app on a shared 4-slot pool;
-    returns (bulk, small) ClusterApps after both complete."""
+def _vm_pool(mode, cores=4):
     runtime = ClusterRuntime(seed=0)
-    pool = ExecutorPool(runtime, SparkConf({}), pools)
-    pool.provision_vm_cores(4, "m4.xlarge")
-    manager = AppManager(runtime, pool)
-    bulk = ClusterApp("bulk", 0, SyntheticWorkload(**BULK), pool=bulk_pool)
-    small = ClusterApp("small", 1, SyntheticWorkload(**SMALL),
-                       pool=small_pool)
-    manager.submit(bulk)
-    manager.submit(small)
-    runtime.env.run(until=manager.completion_event(2))
-    pool.settle(runtime.env.now)
-    assert not bulk.failed and not small.failed
-    return bulk, small
+    pool = ExecutorPool(runtime, SparkConf({}), SchedulerPools(mode))
+    pool.provision_vm_cores(cores, "m4.xlarge")
+    return runtime, pool
 
 
-def test_min_share_pool_schedules_under_saturating_competitor():
-    """The starvation guarantee: in one FIFO pool the small app waits
-    behind the saturating app's whole pending queue; given its own
-    min-share pool it schedules promptly and finishes long before."""
-    starved_pools = SchedulerPools([PoolConfig("default", mode="fifo")])
-    _bulk, starved = _run_two_apps(starved_pools, "default", "default")
-
-    fair_pools = SchedulerPools([
-        PoolConfig("batch", mode="fifo", weight=1),
-        PoolConfig("interactive", mode="fifo", weight=1, min_share=2),
-    ])
-    bulk, served = _run_two_apps(fair_pools, "batch", "interactive")
-
-    # In its own needy pool, the small app finishes while the bulk app
-    # is still running, and far sooner than when starved behind it.
-    assert served.finish_time < bulk.finish_time
-    assert served.latency_s < 0.25 * starved.latency_s
+def test_pooled_taskset_without_an_app_is_rejected():
+    """Every pooled task set belongs to an admitted app; one submitted
+    straight to the shared scheduler never joins its live list."""
+    runtime, pool = _vm_pool("fifo")
+    dag = DAGScheduler(runtime.env, pool.scheduler, trace=runtime.trace)
+    with pytest.raises(ValueError, match="belongs to no application"):
+        dag.submit_job(SyntheticWorkload(**SMALL).build(runtime.lineage, 4))
+    assert pool.scheduler.tasksets == []
 
 
 def _run_two_equal_apps(mode):
-    pools = SchedulerPools([PoolConfig("default", mode=mode)])
-    runtime = ClusterRuntime(seed=0)
-    pool = ExecutorPool(runtime, SparkConf({}), pools)
-    pool.provision_vm_cores(4, "m4.xlarge")
+    runtime, pool = _vm_pool(mode)
     manager = AppManager(runtime, pool)
     spec = dict(SMALL, required_cores=8, core_seconds_per_stage=80.0)
     apps = [ClusterApp(f"app{i}", i, SyntheticWorkload(**spec))

@@ -73,11 +73,10 @@ def test_replay_and_server_build_the_same_pool(monkeypatch, pool_style,
                                                lambda_cores):
     replay = _replay_pool(monkeypatch, 3, pool_cores=6,
                           lambda_cores=lambda_cores, pool_style=pool_style,
-                          mode="fifo", max_concurrent=2)
+                          mode="fifo", max_concurrent=0)
     service = ServeRuntime(ServeConfig(
         seed=3, pool_cores=6, lambda_cores=lambda_cores,
-        pool_style=pool_style, mode="fifo",
-        pool_max_concurrent=2)).start()
+        pool_style=pool_style, mode="fifo")).start()
     try:
         with service._sim_lock:
             served = pool_shape(service.manager)

@@ -39,8 +39,8 @@ HOT_FUNCTIONS = [
     (kernel_mod.Environment, "schedule"),
     (pools_mod.SchedulerPools, "ordered_tasksets"),
     (pools_mod.SchedulerPools, "occupy"),
-    (pools_mod._Pool, "place"),
-    (pools_mod._Pool, "unplace"),
+    (pools_mod.SchedulerPools, "_place"),
+    (pools_mod.SchedulerPools, "_unplace"),
     (pools_mod.SchedulerPools, "add_taskset"),
     (pools_mod.SchedulerPools, "drop_taskset"),
     (shuffle_mod.LocalShuffleBackend, "fetch"),

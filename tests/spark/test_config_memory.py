@@ -15,6 +15,7 @@ from repro.spark.memory import (
     pressure_slowdown,
     usable_heap_bytes,
 )
+from tests.spark.helpers import MiniCluster
 
 GB = 1024 ** 3
 
@@ -37,6 +38,9 @@ def test_override_at_construction():
 def test_unknown_key_rejected_everywhere():
     with pytest.raises(KeyError):
         SparkConf({"spark.made.up": 1})
+    # An executor's heap follows from its host; there is no heap key.
+    with pytest.raises(KeyError):
+        SparkConf({"spark.executor.memory.vm": 8 * GB})
     conf = SparkConf()
     with pytest.raises(KeyError):
         conf.get("spark.made.up")
@@ -124,6 +128,17 @@ def test_combined_slowdown_is_product_capped():
     assert combined == pytest.approx(
         min(MAX_SLOWDOWN,
             pressure_slowdown(2 * GB, mem) * aging_slowdown(mem, 300)))
+
+
+def test_executor_heap_follows_its_host():
+    """A VM executor's heap is its core's share of the VM's memory; a
+    Lambda executor's is its container's memory."""
+    cluster = MiniCluster()
+    [on_vm] = cluster.vm_executors(1, itype="m4.4xlarge")  # 64 GiB, 16 cores
+    [on_lambda] = cluster.lambda_executors(1, memory_mb=1536)
+    assert on_vm.memory_bytes == 4 * GB
+    assert on_lambda.memory_bytes == 1536 * 1024 ** 2
+    assert on_vm.vm.free_cores == 15
 
 
 def test_lambda_vs_vm_gc_asymmetry():

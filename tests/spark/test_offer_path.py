@@ -70,8 +70,7 @@ class Sequence:
                                               already_running=True)
         self.executors = [
             Executor(self.cluster.env, f"exec-{i}", HostKind.VM,
-                     self.cluster.conf, self.cluster.rng, vm=vm,
-                     memory_bytes=2e9)
+                     self.cluster.conf, self.cluster.rng, vm=vm)
             for i in range(executors)]
 
     def apply(self, op, index, rdd_id, partition, size):
