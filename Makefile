@@ -4,7 +4,7 @@
 	bench-multijob-smoke bench-plan-smoke bench-core-smoke \
 	bench-core bench-work bench-figures \
 	serve-smoke chaos-smoke obs-smoke report-smoke examples figures \
-	loc knobs clean
+	loc knobs census clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -135,6 +135,13 @@ loc:
 # CHANGES.md reports next to the line count.
 knobs:
 	@python tools/knobs.py src
+
+# The definitions in src/repro that no Python file outside tests/ names
+# (tools/census.py, stdlib only): a report of removal candidates, not a
+# gate — framework hooks show up, and names that are common words are
+# missed.
+census:
+	@python tools/census.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

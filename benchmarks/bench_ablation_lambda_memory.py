@@ -31,7 +31,7 @@ def run_memory(memory_mb: int, seed: int = 0):
     env, provider = runtime.env, runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
-    hdfs = HDFS(env, [master], runtime.rng, runtime.meter)
+    hdfs = HDFS(env, master, runtime.rng, runtime.meter)
     driver = SparkDriver(env, SparkConf(), runtime.rng,
                          ExternalShuffleBackend(hdfs))
     lambdas = []

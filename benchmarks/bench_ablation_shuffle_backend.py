@@ -41,7 +41,7 @@ def run_with_backend(backend_name: str, seed: int = 0):
                                  already_running=True)
     redis = None
     if backend_name == "hdfs":
-        storage = HDFS(env, [master], rng, meter)
+        storage = HDFS(env, master, rng, meter)
         backend = ExternalShuffleBackend(storage)
     elif backend_name == "s3":
         storage = S3(env, rng, meter)
@@ -53,7 +53,7 @@ def run_with_backend(backend_name: str, seed: int = 0):
         )
         from repro.spark.shuffle import QuboleS3ShuffleBackend
 
-        storage = S3(env, rng, meter, name="s3",
+        storage = S3(env, rng, meter,
                      put_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
                      get_rate_limit=QUBOLE_S3_EFFECTIVE_RATE,
                      stream_bytes_per_s=QUBOLE_S3_STREAM_BYTES_PER_S)

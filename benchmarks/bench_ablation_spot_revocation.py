@@ -35,7 +35,7 @@ def run_one(backend: str, revoke_at: float, seed: int = 2):
         hdfs_vm = provider.request_vm("m4.xlarge", already_running=True,
                                       name="hdfs-node")
         shuffle = ExternalShuffleBackend(
-            HDFS(env, [hdfs_vm], rng, runtime.meter),
+            HDFS(env, hdfs_vm, rng, runtime.meter),
             per_pair_objects=False)
     # Task times without jitter, so the sweep isolates the revocation.
     conf = SparkConf().set("spark.sim.task.jitter", 0.0)

@@ -36,7 +36,7 @@ def run_variant(uniform: bool, seed: int = 0) -> float:
     env, provider = runtime.env, runtime.provider
     master = provider.request_vm("m4.xlarge", name="master",
                                  already_running=True)
-    hdfs = HDFS(env, [master], runtime.rng)
+    hdfs = HDFS(env, master, runtime.rng, runtime.meter)
     conf = SparkConf({"spark.sim.task.jitter": 0.0})
     driver = SparkDriver(env, conf, runtime.rng, ExternalShuffleBackend(hdfs))
     worker = provider.request_vm("m4.4xlarge", already_running=True)

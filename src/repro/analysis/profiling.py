@@ -54,7 +54,7 @@ def _profile_lambda(spec: "ExperimentSpec", workload: Workload,
     # Master + HDFS node, per the workload's paper setup.
     master = provider.request_vm(workload.spec.master_itype, name="master",
                                  already_running=True)
-    hdfs = HDFS(env, [master], runtime.rng, runtime.meter)
+    hdfs = HDFS(env, master, runtime.rng, runtime.meter)
     driver = SparkDriver(env, conf, runtime.rng,
                          ExternalShuffleBackend(hdfs))
 

@@ -111,9 +111,6 @@ REDIS_NODE_BYTES_PER_S = 400.0 * MB
 #: Software overhead per HDFS RPC (open/create + pipeline setup).
 HDFS_REQUEST_LATENCY_MEAN_S = 0.004
 HDFS_REQUEST_LATENCY_CV = 0.30
-#: Default replication factor. The paper runs a single HDFS node colocated
-#: with the master, so experiments use replication=1.
-HDFS_DEFAULT_REPLICATION = 1
 
 # ---------------------------------------------------------------------------
 # JVM / executor model (§4.2 "smaller memory on Lambdas results in more

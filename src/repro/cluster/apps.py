@@ -79,7 +79,7 @@ def build_shared_pool(runtime: "ClusterRuntime", conf: "SparkConf", *,
         from repro.storage import HDFS
         master_vm = runtime.provider.request_vm(
             "m4.xlarge", name="pool-master", already_running=True)
-        hdfs = HDFS(runtime.env, [master_vm], runtime.rng, runtime.meter)
+        hdfs = HDFS(runtime.env, master_vm, runtime.rng, runtime.meter)
     pool = ExecutorPool(runtime, conf, pools, shuffle_storage=hdfs)
     if master_vm is not None:
         pool.dedicated_vms.append(master_vm)

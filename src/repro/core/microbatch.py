@@ -119,7 +119,7 @@ class MicroBatchSimulator:
         master = self.provider.request_vm("m4.xlarge", name="master",
                                           already_running=True)
         master.allocate_cores(master.itype.vcpus)
-        self._hdfs = HDFS(self.env, [master], self.rng, self.meter)
+        self._hdfs = HDFS(self.env, master, self.rng, self.meter)
         self._worker = self.provider.request_vm(worker_itype,
                                                 already_running=True)
         surplus = self._worker.itype.vcpus - vm_cores

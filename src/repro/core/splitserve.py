@@ -57,7 +57,7 @@ class SplitServe:
         self.env = env
         self.conf = conf if conf is not None else SparkConf()
         self.master_vm = master_vm
-        self.shuffle_storage = HDFS(env, [master_vm], rng, provider.meter)
+        self.shuffle_storage = HDFS(env, master_vm, rng, provider.meter)
 
         backend = ExternalShuffleBackend(self.shuffle_storage,
                                          per_pair_objects=False)

@@ -132,7 +132,7 @@ class JobStreamSimulator:
         self._master = self.provider.request_vm("m4.xlarge", name="master",
                                                 already_running=True)
         self._master.allocate_cores(self._master.itype.vcpus)
-        self._hdfs = HDFS(self.env, [self._master], self.rng, self.meter)
+        self._hdfs = HDFS(self.env, self._master, self.rng, self.meter)
         self._fleet: List["VirtualMachine"] = []
         self._job_ids = itertools.count()
         self._records: List[JobRecord] = []

@@ -28,10 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.spark.executor import Executor
     from repro.storage.base import StorageService
 
-#: Requests an executor keeps in flight against a shuffle storage service
-#: (in the spirit of ``spark.reducer.maxReqsInFlight``).
-FETCH_PARALLELISM = 5
-
 
 class FetchFailedError(RuntimeError):
     """A reducer could not fetch a map output (source lost).
@@ -166,9 +162,6 @@ class ShuffleBackend:
         """
         raise NotImplementedError
 
-    def on_executor_lost(self, executor_id: str) -> None:
-        """Hook for backend-side cleanup when an executor dies."""
-
 
 class LocalShuffleBackend(ShuffleBackend):
     """Worker-local shuffle files served peer-to-peer (vanilla Spark)."""
@@ -233,8 +226,9 @@ class ExternalShuffleBackend(ShuffleBackend):
     (§2). Requests per shuffle: M·R writes + M·R reads.
 
     Request counts, throttle admission, and billing go through the
-    storage service's batch API; payload bytes move as fused streams, so
-    contention is modelled without simulating every object individually.
+    storage service's request batches; payload bytes move as fused
+    streams, so contention is modelled without simulating every object
+    individually.
     Existence checks go through the :class:`MapOutputTracker` (an output
     is fetchable iff its map status is registered), which the executor
     validates before calling :meth:`fetch`.
@@ -250,10 +244,7 @@ class ExternalShuffleBackend(ShuffleBackend):
     def write(self, executor, shuffle_id, map_partition, nbytes, num_reducers):
         links = executor.net_links()
         count = max(1, num_reducers) if self.per_pair_objects else 1
-        yield self.storage.batch_write(
-            count, nbytes, via_links=links,
-            parallelism=FETCH_PARALLELISM,
-            key_prefix=f"shuffle{shuffle_id}/map{map_partition}")
+        yield self.storage.batch_write(count, nbytes, via_links=links)
 
     def fetch(self, executor, shuffle_id, reduce_partition, total_bytes,
               num_reducers, tracker, executors):
@@ -263,9 +254,7 @@ class ExternalShuffleBackend(ShuffleBackend):
         links = executor.net_links()
         # One request per map output (a ranged read of the consolidated
         # file, or a GET of this reducer's pair object).
-        yield self.storage.batch_read(
-            outputs, total_bytes, via_links=links,
-            parallelism=FETCH_PARALLELISM)
+        yield self.storage.batch_read(outputs, total_bytes, via_links=links)
 
 
 class QuboleS3ShuffleBackend(ExternalShuffleBackend):
@@ -312,6 +301,4 @@ class QuboleS3ShuffleBackend(ExternalShuffleBackend):
         if delay > 0:
             yield executor.env.timeout(delay)
         links = executor.net_links()
-        yield self.storage.batch_read(
-            outputs, total_bytes, via_links=links,
-            parallelism=FETCH_PARALLELISM)
+        yield self.storage.batch_read(outputs, total_bytes, via_links=links)

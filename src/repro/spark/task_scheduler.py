@@ -281,7 +281,6 @@ class TaskScheduler:
             if lost:
                 self._record(EV_MAP_OUTPUTS_LOST,
                              executor=executor.executor_id, count=lost)
-        self.shuffle_backend.on_executor_lost(executor.executor_id)
         self._notify("on_executor_lost", executor, reason)
         self._dispatch()
 

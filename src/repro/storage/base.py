@@ -1,25 +1,26 @@
-"""The common storage-service protocol and shared bookkeeping.
+"""The common storage-service protocol: request batches.
 
-Every service stores *keyed byte blobs* (shuffle blocks, in practice) and
-exposes event-returning ``write``/``read`` whose completion time models
-the service's latency, bandwidth contention, and throttling. Callers pass
-``via_links`` — the fair-share links on the *caller's* side of the path
-(a Lambda's NIC, a VM's network interface) — so that client-side
-bottlenecks compose with service-side ones.
+Every service serves one operation, the *request batch*:
+``batch_write``/``batch_read`` issue ``count`` requests carrying
+``total_bytes`` overall and return an event whose completion time models
+the service's latency, bandwidth contention, and throttling. A batch pays
+admission for all its requests, per-request latency in waves of
+:data:`REQUEST_PARALLELISM`, and one fused payload stream, so a
+200-partition Spark SQL stage costs hundreds of *requests* (correctly
+billed and throttled) without hundreds of simulated transfers. Callers
+pass ``via_links`` — the fair-share links on the *caller's* side of the
+path (a Lambda's NIC, a VM's network interface) — so that client-side
+bottlenecks compose with service-side ones. Services keep no key
+registry: which shuffle outputs exist is the
+:class:`~repro.spark.shuffle.MapOutputTracker`'s business.
 
 Services implement three hooks:
 
-- :meth:`_admit` — request-rate admission control (S3 throttling);
+- :meth:`_admit` — request-rate admission control (S3 throttling, the
+  HDFS namenode's RPC ceiling);
 - :meth:`_op_latency` — per-request software/network latency;
 - :meth:`_bulk_transfer` — the payload's path through the service's own
   bandwidth constraints.
-
-On top of the hooks the base class offers single-object ``write``/
-``read``/``read_partial`` and aggregate ``batch_write``/``batch_read``.
-The batch forms model N requests + one fused payload stream; the shuffle
-layer uses them so a 200-partition Spark SQL stage costs hundreds of
-*requests* (correctly billed and throttled) without hundreds of simulated
-transfers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.simulation.events import Event
 
@@ -37,9 +38,29 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Environment
     from repro.simulation.rng import RandomStreams
 
+#: Requests a caller keeps in flight within one batch (in the spirit of
+#: ``spark.reducer.maxReqsInFlight``).
+REQUEST_PARALLELISM = 5
 
-class StorageKeyError(KeyError):
-    """Raised when reading or deleting a key that does not exist."""
+
+class TokenBucket:
+    """Deterministic leaky bucket: admits ``rate_per_s`` requests/s
+    sustained, with one second of burst allowance. Batch admission
+    advances the virtual clock by the whole batch."""
+
+    def __init__(self, env: "Environment", rate_per_s: float) -> None:
+        if rate_per_s <= 0:
+            raise ValueError(f"rate must be positive, got {rate_per_s}")
+        self.env = env
+        self.interval = 1.0 / rate_per_s
+        self._virtual_time = -float("inf")
+
+    def admit_delay(self, count: int) -> float:
+        """Seconds the batch must wait for its last request's slot."""
+        now = self.env.now
+        earliest = max(self._virtual_time + self.interval, now - 1.0)
+        self._virtual_time = earliest + (count - 1) * self.interval
+        return max(0.0, self._virtual_time - now)
 
 
 @dataclass
@@ -57,24 +78,18 @@ class StorageStats:
 
 
 class StorageService(abc.ABC):
-    """Base class: key registry, stats, billing, and the event plumbing."""
+    """Base class: stats, billing, brownouts, and the batch plumbing."""
 
-    #: Requests issued concurrently within one batch operation.
-    DEFAULT_PARALLELISM = 5
+    #: The service's meter category (``storage:<name>``) and what a
+    #: ``storage:<glob>`` fault target matches.
+    name: str
 
-    def __init__(
-        self,
-        env: "Environment",
-        name: str,
-        rng: "RandomStreams",
-        meter: "BillingMeter" = None,
-    ) -> None:
+    def __init__(self, env: "Environment", rng: "RandomStreams",
+                 meter: "BillingMeter") -> None:
         self.env = env
-        self.name = name
         self.rng = rng
         self.meter = meter
         self.stats = StorageStats()
-        self._objects: Dict[str, float] = {}
         #: Brownout multiplier (>= 1) stretching admission delay,
         #: per-request latency and payload transfer. 1.0 = healthy; a
         #: ``storage_brownout`` fault raises it for its window. Elevated
@@ -111,142 +126,49 @@ class StorageService(abc.ABC):
 
     @abc.abstractmethod
     def _bulk_transfer(self, nbytes: float,
-                       via_links: Sequence["FairShareLink"], write: bool,
-                       context=None):
+                       via_links: Sequence["FairShareLink"], write: bool):
         """Generator: move the payload through the service-side and
         caller-side constraints."""
 
-    def _bill_write(self, nbytes: float, count: int = 1) -> float:
+    def _bill_write(self, nbytes: float, count: int) -> float:
         """Dollar cost of ``count`` write requests (0 unless charged)."""
         return 0.0
 
-    def _bill_read(self, nbytes: float, count: int = 1) -> float:
+    def _bill_read(self, nbytes: float, count: int) -> float:
         return 0.0
-
-    def _op_context(self, key: str, write: bool):
-        """Service-specific per-operation context (e.g. HDFS replica
-        placement), resolved at request time and passed to
-        :meth:`_bulk_transfer`."""
-        return None
-
-    # ------------------------------------------------------------------
-    # Public API: single objects
-    # ------------------------------------------------------------------
-
-    def write(self, key: str, nbytes: float,
-              via_links: Sequence["FairShareLink"] = ()) -> Event:
-        """Store ``nbytes`` under ``key``; event fires when durable."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        done = Event(self.env)
-        self.env.process(
-            self._run_io(1, float(nbytes), list(via_links), True, done,
-                         key=key, context=self._op_context(key, True)))
-        return done
-
-    def read(self, key: str,
-             via_links: Sequence["FairShareLink"] = ()) -> Event:
-        """Fetch the blob under ``key``; the event's value is its size."""
-        nbytes = self.size_of(key)
-        done = Event(self.env)
-        self.env.process(
-            self._run_io(1, nbytes, list(via_links), False, done,
-                         context=self._op_context(key, False)))
-        return done
-
-    def read_partial(self, key: str, nbytes: float,
-                     via_links: Sequence["FairShareLink"] = ()) -> Event:
-        """Ranged read: fetch ``nbytes`` out of the blob under ``key``.
-
-        Both S3 (ranged GET) and HDFS (positioned read) support this; the
-        shuffle layer uses it so a reducer pulls only its slice of a
-        consolidated map-output file. Billed like a normal read.
-        """
-        stored = self.size_of(key)
-        if nbytes < 0 or nbytes > stored + 1e-6:
-            raise ValueError(
-                f"range of {nbytes} bytes outside object {key!r} ({stored} bytes)")
-        done = Event(self.env)
-        self.env.process(
-            self._run_io(1, float(nbytes), list(via_links), False, done,
-                         context=self._op_context(key, False)))
-        return done
 
     # ------------------------------------------------------------------
     # Public API: request batches (fused payload, counted requests)
     # ------------------------------------------------------------------
 
     def batch_write(self, count: int, total_bytes: float,
-                    via_links: Sequence["FairShareLink"] = (),
-                    parallelism: int = None, key_prefix: str = None) -> Event:
-        """Issue ``count`` write requests carrying ``total_bytes`` overall.
-
-        Pays admission for all requests, per-request latency in waves of
-        ``parallelism``, and one fused payload stream. When ``key_prefix``
-        is given, a single registry entry ``<prefix>`` of ``total_bytes``
-        records the data for later batch reads.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        if total_bytes < 0:
-            raise ValueError(f"total_bytes must be non-negative, got {total_bytes}")
-        done = Event(self.env)
-        self.env.process(self._run_io(count, float(total_bytes),
-                                      list(via_links), True, done,
-                                      key=key_prefix,
-                                      parallelism=parallelism))
-        return done
+                    via_links: Sequence["FairShareLink"] = ()) -> Event:
+        """Issue ``count`` write requests carrying ``total_bytes`` overall;
+        the event fires when the last is durable."""
+        return self._start(count, total_bytes, via_links, True)
 
     def batch_read(self, count: int, total_bytes: float,
-                   via_links: Sequence["FairShareLink"] = (),
-                   parallelism: int = None) -> Event:
+                   via_links: Sequence["FairShareLink"] = ()) -> Event:
         """Issue ``count`` read requests fetching ``total_bytes`` overall."""
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        if total_bytes < 0:
-            raise ValueError(f"total_bytes must be non-negative, got {total_bytes}")
-        done = Event(self.env)
-        self.env.process(self._run_io(count, float(total_bytes),
-                                      list(via_links), False, done,
-                                      parallelism=parallelism))
-        return done
-
-    # ------------------------------------------------------------------
-    # Registry
-    # ------------------------------------------------------------------
-
-    def exists(self, key: str) -> bool:
-        return key in self._objects
-
-    def size_of(self, key: str) -> float:
-        try:
-            return self._objects[key]
-        except KeyError:
-            raise StorageKeyError(f"{self.name}: no object {key!r}") from None
-
-    def delete(self, key: str) -> None:
-        try:
-            del self._objects[key]
-        except KeyError:
-            raise StorageKeyError(f"{self.name}: no object {key!r}") from None
-
-    def keys(self):
-        """Iterate over stored keys (snapshot)."""
-        return list(self._objects)
-
-    @property
-    def total_stored_bytes(self) -> float:
-        return sum(self._objects.values())
+        return self._start(count, total_bytes, via_links, False)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
+    def _start(self, count: int, total_bytes: float, via_links,
+               write: bool) -> Event:
+        if count <= 0:
+            raise ValueError(f"count must be positive, got {count}")
+        if total_bytes < 0:
+            raise ValueError(f"total_bytes must be non-negative, got {total_bytes}")
+        done = Event(self.env)
+        self.env.process(self._run_io(count, float(total_bytes), via_links,
+                                      write, done))
+        return done
+
     def _run_io(self, count: int, nbytes: float, via_links, write: bool,
-                done: Event, key: str = None, parallelism: int = None,
-                context=None):
-        if parallelism is None:
-            parallelism = self.DEFAULT_PARALLELISM
+                done: Event):
         try:
             degraded = self.degradation_factor
             throttle = self._admit(count, write)
@@ -256,8 +178,7 @@ class StorageService(abc.ABC):
                     throttle *= degraded
                 self.stats.throttle_wait_s += throttle
                 yield self.env.timeout(throttle)
-            waves = math.ceil(count / max(1, parallelism))
-            for _ in range(waves):
+            for _ in range(math.ceil(count / REQUEST_PARALLELISM)):
                 latency = self._op_latency(write)
                 if latency > 0:
                     if degraded > 1.0:
@@ -266,8 +187,7 @@ class StorageService(abc.ABC):
                     yield self.env.timeout(latency)
             if nbytes > 0:
                 transfer_start = self.env.now
-                yield from self._bulk_transfer(nbytes, via_links, write,
-                                               context=context)
+                yield from self._bulk_transfer(nbytes, via_links, write)
                 if degraded > 1.0:
                     # A browned-out service streams the payload at 1/factor
                     # of its healthy rate: stretch the observed transfer.
@@ -279,8 +199,6 @@ class StorageService(abc.ABC):
             done.fail(exc)
             return
         if write:
-            if key is not None:
-                self._objects[key] = nbytes
             self.stats.bytes_written += nbytes
             self.stats.write_requests += count
             cost = self._bill_write(nbytes, count)
@@ -288,7 +206,7 @@ class StorageService(abc.ABC):
             self.stats.bytes_read += nbytes
             self.stats.read_requests += count
             cost = self._bill_read(nbytes, count)
-        if cost and self.meter is not None:
+        if cost:
             self.meter.bill_storage(self.name, cost)
         done.succeed(nbytes)
 

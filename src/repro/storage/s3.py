@@ -28,7 +28,7 @@ from repro.cloud.constants import (
     S3_REQUEST_LATENCY_MEAN_S,
     S3_STREAM_BYTES_PER_S,
 )
-from repro.storage.base import StorageService
+from repro.storage.base import StorageService, TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.network import FairShareLink
@@ -37,43 +37,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.rng import RandomStreams
 
 
-class _TokenBucket:
-    """Deterministic leaky bucket: admits ``rate`` requests/s sustained,
-    with ``burst_s`` seconds of burst allowance. Batch admission advances
-    the virtual clock by the whole batch."""
-
-    def __init__(self, env, rate_per_s: float, burst_s: float = 1.0) -> None:
-        if rate_per_s <= 0:
-            raise ValueError(f"rate must be positive, got {rate_per_s}")
-        self.env = env
-        self.interval = 1.0 / rate_per_s
-        self.burst = burst_s
-        self._virtual_time = -float("inf")
-
-    def admit_delay(self, count: int = 1) -> float:
-        """Seconds the batch must wait for its last request's slot."""
-        now = self.env.now
-        earliest = max(self._virtual_time + self.interval, now - self.burst)
-        self._virtual_time = earliest + (count - 1) * self.interval
-        return max(0.0, self._virtual_time - now)
-
-
 class S3(StorageService):
     """One S3 bucket."""
+
+    name = "s3"
 
     def __init__(
         self,
         env: "Environment",
         rng: "RandomStreams",
-        meter: "BillingMeter" = None,
-        name: str = "s3",
+        meter: "BillingMeter",
         put_rate_limit: float = S3_PUT_RATE_LIMIT,
         get_rate_limit: float = S3_GET_RATE_LIMIT,
         stream_bytes_per_s: float = S3_STREAM_BYTES_PER_S,
     ) -> None:
-        super().__init__(env, name, rng, meter)
-        self._put_bucket = _TokenBucket(env, put_rate_limit)
-        self._get_bucket = _TokenBucket(env, get_rate_limit)
+        super().__init__(env, rng, meter)
+        self._put_bucket = TokenBucket(env, put_rate_limit)
+        self._get_bucket = TokenBucket(env, get_rate_limit)
         self._stream_rate = stream_bytes_per_s
 
     def _admit(self, count: int, write: bool) -> float:
@@ -85,16 +65,15 @@ class S3(StorageService):
             "s3.request", S3_REQUEST_LATENCY_MEAN_S, S3_REQUEST_LATENCY_CV)
 
     def _bulk_transfer(self, nbytes: float,
-                       via_links: Sequence["FairShareLink"], write: bool,
-                       context=None):
+                       via_links: Sequence["FairShareLink"], write: bool):
         # Per-connection ceiling composed with the caller's links.
         events = [link.transfer(nbytes) for link in via_links]
         events.append(self.env.timeout(nbytes / self._stream_rate))
         for event in events:
             yield event
 
-    def _bill_write(self, nbytes: float, count: int = 1) -> float:
+    def _bill_write(self, nbytes: float, count: int) -> float:
         return count * S3_PRICE_PER_PUT
 
-    def _bill_read(self, nbytes: float, count: int = 1) -> float:
+    def _bill_read(self, nbytes: float, count: int) -> float:
         return count * S3_PRICE_PER_GET

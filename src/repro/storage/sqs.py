@@ -22,30 +22,20 @@ from repro.storage.base import StorageService
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.network import FairShareLink
-    from repro.cloud.pricing import BillingMeter
-    from repro.simulation.kernel import Environment
-    from repro.simulation.rng import RandomStreams
 
 #: Effective per-connection streaming rate to SQS.
 _SQS_STREAM_BYTES_PER_S = 30.0 * 1024 * 1024
 
 
 class SQSQueue(StorageService):
-    """One SQS queue used as a keyed blob store via message chunking.
+    """One SQS queue used as a blob store via message chunking.
 
-    Operation counts are in *chunks*: callers see the same keyed-blob API
-    as every other service, but requests (and bills) multiply by the
-    256 KB chunking factor internally.
+    Callers issue the same request batches as on every other service,
+    but chunk counts drive the bills and the extra latency waves: a
+    payload past 256 KB is split into messages internally.
     """
 
-    def __init__(
-        self,
-        env: "Environment",
-        rng: "RandomStreams",
-        meter: "BillingMeter" = None,
-        name: str = "sqs",
-    ) -> None:
-        super().__init__(env, name, rng, meter)
+    name = "sqs"
 
     @staticmethod
     def chunks_for(nbytes: float) -> int:
@@ -55,14 +45,13 @@ class SQSQueue(StorageService):
         return max(1, math.ceil(nbytes / SQS_MAX_MESSAGE_BYTES))
 
     def _op_latency(self, write: bool) -> float:
-        # One latency per chunk wave; chunk count is folded into billing
-        # and into extra latency waves via _chunk_waves below.
+        # One latency per request wave; the chunk count is folded into
+        # billing and into the extra latency waves of _bulk_transfer.
         return self.rng.lognormal_around(
             "sqs.request", SQS_REQUEST_LATENCY_MEAN_S, SQS_REQUEST_LATENCY_CV)
 
     def _bulk_transfer(self, nbytes: float,
-                       via_links: Sequence["FairShareLink"], write: bool,
-                       context=None):
+                       via_links: Sequence["FairShareLink"], write: bool):
         # Chunking latency: beyond the base request, each extra wave of
         # 8 pipelined chunks pays one more round trip.
         extra_waves = max(0, math.ceil(self.chunks_for(nbytes) / 8) - 1)
@@ -73,13 +62,13 @@ class SQSQueue(StorageService):
         for event in events:
             yield event
 
-    def _bill_write(self, nbytes: float, count: int = 1) -> float:
-        # One SEND per chunk. For batch ops, nbytes is the fused payload:
+    def _bill_write(self, nbytes: float, count: int) -> float:
+        # One SEND per chunk. nbytes is the batch's fused payload: the
         # chunk count scales with the payload, lower-bounded by count.
         chunks = max(count, self.chunks_for(nbytes))
         return chunks * SQS_PRICE_PER_REQUEST
 
-    def _bill_read(self, nbytes: float, count: int = 1) -> float:
+    def _bill_read(self, nbytes: float, count: int) -> float:
         # One RECEIVE + one DELETE per chunk.
         chunks = max(count, self.chunks_for(nbytes))
         return 2 * chunks * SQS_PRICE_PER_REQUEST

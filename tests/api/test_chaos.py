@@ -279,7 +279,7 @@ def test_live_fault_plan_applies_every_kind_then_lifts():
         assert vm_states == {"pool-master": "terminated", "vm-0": "running"}
         # The brownout reaches the one storage service the pool mounts,
         # its HDFS shuffle store on the master.
-        assert [vm.name for vm in hdfs.datanodes] == ["pool-master"]
+        assert hdfs.datanode.name == "pool-master"
         assert degradation == 2.0
         # No per-invocation gate is armed, so invoke failures are no-ops
         # on a live server, and no fault event reaches the hub.

@@ -42,8 +42,7 @@ def pool_shape(manager):
                       for ex in pool.scheduler.executors.values()],
         "lambdas": [fn.name for fn in pool.lambdas],
         "backend": type(pool.scheduler.shuffle_backend).__name__,
-        "storages": [(type(s).__name__, s.name,
-                      [vm.name for vm in s.datanodes])
+        "storages": [(type(s).__name__, s.name, s.datanode.name)
                      for s in pool.storages],
         "pools": pool.pools.stats(),
         "max_concurrent": manager.max_concurrent,
@@ -88,7 +87,7 @@ def test_replay_and_server_build_the_same_pool(monkeypatch, pool_style,
         assert served["storages"] == []
     else:
         assert served["backend"] == ExternalShuffleBackend.__name__
-        assert served["storages"] == [("HDFS", "hdfs", ["pool-master"])]
+        assert served["storages"] == [("HDFS", "hdfs", "pool-master")]
         assert served["dedicated_vms"] == ["pool-master"]
         assert len(served["lambdas"]) == lambda_cores
     assert [kind for _id, kind in served["executors"]] == ["vm"] * 6

@@ -37,7 +37,7 @@ def test_shuffle_storage_is_hdfs_on_the_master():
     _env, _provider, ss = make()
     assert ss.master_vm.name == "master"
     assert ss.master_vm.is_running
-    assert ss.shuffle_storage.datanodes == [ss.master_vm]
+    assert ss.shuffle_storage.datanode is ss.master_vm
 
 
 def test_launch_outcome_counts():

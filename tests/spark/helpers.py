@@ -27,7 +27,7 @@ class MiniCluster:
         elif backend == "hdfs":
             hdfs_vm = self.provider.request_vm("m4.xlarge", already_running=True,
                                                name="hdfs-node")
-            self.hdfs = HDFS(self.env, [hdfs_vm], self.rng, self.meter)
+            self.hdfs = HDFS(self.env, hdfs_vm, self.rng, self.meter)
             shuffle = ExternalShuffleBackend(self.hdfs, per_pair_objects=False)
         else:
             raise ValueError(f"unknown backend {backend}")

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud.constants import MB
 from repro.cluster.runtime import ClusterRuntime
 from repro.storage import HDFS, S3, SQSQueue
+from repro.storage.base import REQUEST_PARALLELISM
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ def test_batch_write_counts_requests_once_each(ctx):
 def test_batch_read_bills_per_request(ctx):
     env, rng, meter, provider = ctx
     s3 = S3(env, rng, meter)
-    env.run(until=s3.batch_write(1, MB, key_prefix="blob"))
+    env.run(until=s3.batch_write(1, MB))
     env.run(until=s3.batch_read(50, MB))
     from repro.cloud.constants import S3_PRICE_PER_GET
 
@@ -38,21 +39,13 @@ def test_batch_latency_paid_in_waves(ctx):
     env, rng, meter, provider = ctx
     s3 = S3(env, rng, meter)
     start = env.now
-    env.run(until=s3.batch_write(50, 0.0, parallelism=5))
+    env.run(until=s3.batch_write(50, 0.0))
     ten_waves = env.now - start
     other = ClusterRuntime(11)
     s3b = S3(other.env, other.rng, other.meter)
-    other.env.run(until=s3b.batch_write(50, 0.0, parallelism=50))
+    other.env.run(until=s3b.batch_write(REQUEST_PARALLELISM, 0.0))
     one_wave = other.env.now
     assert ten_waves > 3 * one_wave
-
-
-def test_batch_write_registers_prefix_key(ctx):
-    env, rng, meter, provider = ctx
-    s3 = S3(env, rng, meter)
-    env.run(until=s3.batch_write(10, 5 * MB, key_prefix="shuffle0/map1"))
-    assert s3.exists("shuffle0/map1")
-    assert s3.size_of("shuffle0/map1") == 5 * MB
 
 
 def test_batch_validation(ctx):
@@ -69,7 +62,7 @@ def test_batch_validation(ctx):
 def test_batch_throttle_admits_at_rate(ctx):
     env, rng, meter, provider = ctx
     s3 = S3(env, rng, meter, put_rate_limit=100.0)
-    env.run(until=s3.batch_write(1000, 0.0, parallelism=1000))
+    env.run(until=s3.batch_write(1000, 0.0))
     # 1000 requests at 100/s (1s burst credit) needs ~9s.
     assert env.now > 8.0
     assert s3.stats.throttle_wait_s > 0
@@ -78,33 +71,22 @@ def test_batch_throttle_admits_at_rate(ctx):
 def test_hdfs_namenode_rpc_limit_bends_huge_batches(ctx):
     env, rng, meter, provider = ctx
     node = provider.request_vm("m4.xlarge", already_running=True)
-    hdfs = HDFS(env, [node], rng, meter)
-    env.run(until=hdfs.batch_read(
-        20_000, 0.0, parallelism=20_000))
-    # 20k RPCs at the 4k/s namenode ceiling takes ~4-5 seconds.
-    assert env.now > 3.0
+    hdfs = HDFS(env, node, rng, meter)
+    env.run(until=hdfs.batch_read(20_000, 0.0))
+    # 20k RPCs at the 4k/s namenode ceiling (one second of burst) queue
+    # for ~4 seconds before the first request starts.
+    assert hdfs.stats.throttle_wait_s > 3.0
 
 
 def test_hdfs_batch_read_uses_datanode_bandwidth(ctx):
     env, rng, meter, provider = ctx
     node = provider.request_vm("m4.xlarge", already_running=True)  # 750 Mbps
-    hdfs = HDFS(env, [node], rng, meter)
+    hdfs = HDFS(env, node, rng, meter)
     from repro.cloud.constants import MBPS
 
     nbytes = 750 * MBPS * 4
     env.run(until=hdfs.batch_read(10, nbytes))
     assert env.now == pytest.approx(4.0, rel=0.05)
-
-
-def test_read_partial_range_validation(ctx):
-    env, rng, meter, provider = ctx
-    s3 = S3(env, rng, meter)
-    env.run(until=s3.write("obj", MB))
-    with pytest.raises(ValueError):
-        s3.read_partial("obj", 2 * MB)
-    done = s3.read_partial("obj", MB / 2)
-    env.run(until=done)
-    assert s3.stats.bytes_read == pytest.approx(MB / 2)
 
 
 def test_sqs_batch_billing_uses_chunk_floor(ctx):

@@ -9,7 +9,7 @@ from repro.cloud.pricing import LambdaPricing, VMPricing
 from repro.simulation import Environment, RandomStreams
 from repro.spark.memory import MAX_SLOWDOWN, gc_slowdown
 from repro.spark.shuffle import MapOutputTracker, MapStatus
-from repro.storage.s3 import _TokenBucket
+from repro.storage.base import TokenBucket
 from repro.workloads.pagerank import skewed_compute
 
 
@@ -65,7 +65,7 @@ def test_single_transfer_exact_duration(capacity, nbytes):
 @settings(max_examples=60, deadline=None)
 def test_token_bucket_never_admits_faster_than_rate(rate, counts):
     env = Environment()
-    bucket = _TokenBucket(env, rate, burst_s=1.0)
+    bucket = TokenBucket(env, rate)
     total = 0
     worst_delay = 0.0
     for count in counts:
