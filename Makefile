@@ -2,7 +2,7 @@
 
 .PHONY: install test bench bench-smoke bench-resilience-smoke \
 	bench-multijob-smoke bench-plan-smoke bench-core-smoke \
-	bench-core bench-work bench-figures \
+	bench-core bench-work bench-figures bench-pins \
 	serve-smoke chaos-smoke obs-smoke report-smoke examples figures \
 	loc knobs census clean
 
@@ -43,6 +43,19 @@ bench-figures:
 bench-resilience-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		pytest benchmarks/bench_resilience.py -m smoke -q
+
+# Every full-size output pin in perfbench/expected.json, at seed 0 and at
+# the held-out seed 7919: each world of replay-fair, replay-split and
+# sweep-fig5 must reproduce its pinned record digest and event count, or
+# perfbench/run.py exits non-zero and prints the units that moved.
+# `pytest perfbench` checks only the tiny pins. About 45 s per seed.
+bench-pins:
+	@for seed in 0 7919; do \
+		for workload in replay-fair replay-split sweep-fig5; do \
+			python3 perfbench/run.py --workload $$workload \
+				--seed $$seed --seconds 0 || exit 1; \
+		done; \
+	done
 
 # One tiny job-arrival replay against a shared executor pool — smoke-tests
 # the multi-application cluster runtime (see DESIGN.md, "Cluster runtime").

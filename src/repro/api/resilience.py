@@ -142,10 +142,6 @@ class RetryPolicy:
             raise ValueError(
                 f"jitter_frac must be in [0, 1], got {self.jitter_frac}")
 
-    def should_retry(self, attempts: int) -> bool:
-        """May another execution follow ``attempts`` completed ones?"""
-        return attempts < self.max_attempts
-
     def backoff_s(self, key: str, attempts: int) -> float:
         """Seconds to wait before the attempt after ``attempts``."""
         base = min(self.max_backoff_s,

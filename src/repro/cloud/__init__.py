@@ -7,16 +7,16 @@ depends on:
   bandwidth, a ~2 minute provisioning delay, and per-second billing with a
   60 s minimum charge (:mod:`repro.cloud.vm`,
   :mod:`repro.cloud.instance_types`, :mod:`repro.cloud.pricing`).
-- Lambda-style cloud functions with 1 vCPU per 1.5 GB, warm/cold start
-  paths, a 15 minute lifetime cap, memory-proportional network
+- Lambda-style cloud functions with 1 vCPU per 1.5 GB, a ~100 ms warm
+  start, a 15 minute lifetime cap, memory-proportional network
   bandwidth, and 100 ms-granularity GB-second billing
   (:mod:`repro.cloud.lambda_fn`; the 512 MB /tmp limit is not
   modelled).
 - Fair-share bandwidth links used for both EBS and network contention
   (:mod:`repro.cloud.network`).
 - A :class:`~repro.cloud.provisioner.CloudProvider` facade that owns the
-  warm pool, the fleet, and the billing meter. It alone bills a Lambda
-  container: once, invocation → stop, when its function returns
+  fleet, the Lambda invoker and the billing meter. It alone bills a
+  Lambda container: once, invocation → stop, when its function returns
   (``LambdaInstance.finish()``) or the provider reaps it.
 """
 

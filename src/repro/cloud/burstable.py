@@ -144,8 +144,3 @@ class BurstableVM(VirtualMachine):
         remainder = cpu_seconds - burst
         throttled = remainder / self.spec.baseline_fraction
         return burst + throttled
-
-    @property
-    def is_throttled(self) -> bool:
-        """Out of credits: running at the baseline fraction."""
-        return self.credit_seconds <= 0.0

@@ -43,14 +43,8 @@ LAMBDA_MB_PER_VCPU = 1536
 #: Warm-start latency (paper: "about 100ms when warm").
 LAMBDA_WARM_START_MEAN_S = 0.100
 LAMBDA_WARM_START_CV = 0.25
-#: Cold-start latency (fresh Firecracker microVM + runtime + code fetch).
-LAMBDA_COLD_START_MEAN_S = 8.0
-LAMBDA_COLD_START_CV = 0.30
 #: Hard lifetime cap (paper: "terminated after 15 minutes").
 LAMBDA_LIFETIME_S = 900.0
-#: How long the provider keeps an idle container warm (paper footnote:
-#: "AWS keeps dormant Lambda alive for ~90 minutes").
-LAMBDA_WARM_KEEPALIVE_S = 90 * 60.0
 
 #: Lambda network bandwidth scales roughly linearly with allocated memory
 #: (measured by Wang et al., USENIX ATC'18, cited by the paper). At the

@@ -4,7 +4,7 @@ Models every Lambda property §3 of the paper identifies as a design
 constraint:
 
 - memory-indexed capacity: one full vCPU per 1536 MB, fractional below;
-- warm starts (~100 ms) vs cold starts (several seconds);
+- a warm start (~100 ms) on every invocation;
 - a hard 15 minute lifetime after which the provider reaps the container;
 - network bandwidth proportional to allocated memory;
 - no inbound connectivity (peers cannot push data to a Lambda — all state
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cloud.constants import (
-    LAMBDA_COLD_START_CV,
-    LAMBDA_COLD_START_MEAN_S,
     LAMBDA_LIFETIME_S,
     LAMBDA_MAX_MEMORY_MB,
     LAMBDA_MB_PER_VCPU,
@@ -97,7 +95,7 @@ class LambdaConfig:
 class LambdaInstance:
     """One invoked function container.
 
-    ``ready`` fires when the container finishes its (warm or cold) start.
+    ``ready`` fires when the container finishes its warm start.
     ``expired`` fires if the provider reaps the container at the lifetime
     cap while it is still running — work on it at that moment is lost,
     exactly the failure SplitServe's segueing is designed to pre-empt.
@@ -111,14 +109,12 @@ class LambdaInstance:
         name: str,
         config: LambdaConfig,
         rng: "RandomStreams",
-        warm: bool,
         on_stop: Callable[["LambdaInstance"], None],
         trace: Optional["TraceRecorder"] = None,
     ) -> None:
         self.env = env
         self.name = name
         self.config = config
-        self.warm_start = warm
         self._trace = trace
         #: The provider's hook, called once when the container stops
         #: (the function returned or the reaper took it).
@@ -134,16 +130,11 @@ class LambdaInstance:
         self.net_link = FairShareLink(
             env, config.network_bytes_per_s, name=f"{name}/net")
 
-        if warm:
-            start_delay_s = rng.lognormal_around(
-                "lambda.warm_start", LAMBDA_WARM_START_MEAN_S,
-                LAMBDA_WARM_START_CV)
-        else:
-            start_delay_s = rng.lognormal_around(
-                "lambda.cold_start", LAMBDA_COLD_START_MEAN_S,
-                LAMBDA_COLD_START_CV)
+        start_delay_s = rng.lognormal_around(
+            "lambda.warm_start", LAMBDA_WARM_START_MEAN_S,
+            LAMBDA_WARM_START_CV)
         env.process(self._lifecycle(start_delay_s))
-        self._record(EV_INVOKED, warm=warm, start_delay=start_delay_s)
+        self._record(EV_INVOKED, warm=True, start_delay=start_delay_s)
 
     # ------------------------------------------------------------------
 

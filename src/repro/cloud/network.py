@@ -65,13 +65,6 @@ class FairShareLink:
         self._advance()
         return self._bytes_moved
 
-    @property
-    def current_rate_per_transfer(self) -> float:
-        """The fair-share rate each active transfer currently receives."""
-        if not self._active:
-            return self._capacity
-        return self._capacity / len(self._active)
-
     def transfer(self, nbytes: float) -> Event:
         """Start moving ``nbytes``; the returned event fires on completion.
 

@@ -1,12 +1,11 @@
-"""The cloud-provider facade: VM fleet, Lambda warm pool, billing hooks.
+"""The cloud-provider facade: VM fleet, Lambda invoker, billing hooks.
 
 :class:`CloudProvider` owns:
 
 - the VM fleet (request / terminate, with realistic provisioning delays);
-- the Lambda warm pool — containers of a given memory size that finished
-  recently are reusable for ~90 minutes, so subsequent invocations start
-  warm (the paper's experiments run against a warmed pool; cold-start
-  behaviour is reproducible by draining the pool);
+- the Lambda invoker — every invocation starts warm (§4.2), and the
+  provider counts the containers still live against the account's
+  concurrency limit;
 - the :class:`~repro.cloud.pricing.BillingMeter` for marginal-cost
   accounting, and the run's metrics registry, both handed in by the
   world that owns them (:class:`~repro.cluster.runtime.ClusterRuntime`).
@@ -14,21 +13,18 @@
 It is the one owner of a Lambda container's bill. Every container it
 invokes stops once — its function returns (``LambdaInstance.finish()``)
 or the lifetime reaper takes it — and that stop bills invocation → stop
-and decides whether the container rejoins the warm pool. Callers only
-say that a function returned.
+and leaves the live count. Callers only say that a function returned.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.cloud.constants import LAMBDA_WARM_KEEPALIVE_S
 from repro.cloud.instance_types import InstanceType, instance_type
 from repro.cloud.lambda_fn import (
     LambdaConfig,
     LambdaInstance,
-    LambdaState,
     LambdaThrottledError,
 )
 from repro.cloud.vm import VirtualMachine
@@ -56,7 +52,6 @@ class CloudProvider:
         meter: "BillingMeter",
         metrics: "MetricsRegistry",
         trace: Optional["TraceRecorder"] = None,
-        warm_pool_size: int = 10_000,
     ) -> None:
         self.env = env
         self.rng = rng
@@ -66,11 +61,10 @@ class CloudProvider:
         #: RunRecord.metrics.
         self.metrics = metrics
         self.vms: List[VirtualMachine] = []
-        self.lambdas: List[LambdaInstance] = []
-        #: memory_mb -> list of sim-times at which a container went idle;
-        #: each entry is one reusable warm container.
-        self._warm_pool: Dict[int, List[float]] = {}
-        self._initial_warm = warm_pool_size
+        #: Functions invoked and not yet stopped (returned or reaped) —
+        #: the quantity the account concurrency limit is enforced
+        #: against.
+        self.active_lambda_count = 0
         self._vm_ids = itertools.count()
         self._lambda_ids = itertools.count()
         #: Account-level concurrent-execution cap; invocations beyond it
@@ -81,8 +75,6 @@ class CloudProvider:
         #: injector): a callable returning an exception to raise, or None
         #: to admit the invocation.
         self.invoke_fault = None
-        self.throttled_invocations = 0
-        self.failed_invocations = 0
 
     # ------------------------------------------------------------------
     # VMs
@@ -121,11 +113,10 @@ class CloudProvider:
         self,
         config: Optional[LambdaConfig] = None,
         name: Optional[str] = None,
-        force_cold: bool = False,
     ) -> LambdaInstance:
-        """Invoke one function; warm-start if the pool has a live container
-        of the same memory size. The container is billed when it stops;
-        a caller whose function is done calls its ``finish()``.
+        """Invoke one function; it starts warm. The container is billed
+        when it stops; a caller whose function is done calls its
+        ``finish()``.
 
         Raises :class:`LambdaThrottledError` past the account concurrency
         limit, or whatever the injected ``invoke_fault`` hook returns —
@@ -135,7 +126,6 @@ class CloudProvider:
             config = LambdaConfig()
         if (self.concurrency_limit is not None
                 and self.active_lambda_count >= self.concurrency_limit):
-            self.throttled_invocations += 1
             self.metrics.counter("cloud.lambda.throttles").inc()
             self._record(EV_LAMBDA_THROTTLED, limit=self.concurrency_limit,
                          active=self.active_lambda_count)
@@ -145,64 +135,25 @@ class CloudProvider:
         if self.invoke_fault is not None:
             error = self.invoke_fault()
             if error is not None:
-                self.failed_invocations += 1
                 self.metrics.counter("cloud.lambda.invoke_failures").inc()
                 self._record(EV_LAMBDA_INVOKE_FAILED, error=str(error))
                 raise error
         if name is None:
             name = f"lambda-{next(self._lambda_ids)}"
-        warm = (not force_cold) and self._take_warm(config.memory_mb)
         self.metrics.counter("cloud.lambda.invocations").inc()
-        self.metrics.counter("cloud.lambda.warm_starts" if warm
-                             else "cloud.lambda.cold_starts").inc()
-        instance = LambdaInstance(
-            self.env, name, config, self.rng, warm, self._stopped,
-            trace=self.trace)
-        self.lambdas.append(instance)
-        return instance
+        self.metrics.counter("cloud.lambda.warm_starts").inc()
+        self.active_lambda_count += 1
+        return LambdaInstance(self.env, name, config, self.rng,
+                              self._stopped, trace=self.trace)
 
     def _stopped(self, instance: LambdaInstance) -> None:
         """A container's one stop: its function returned
         (:meth:`LambdaInstance.finish`) or the reaper took it at the
         lifetime cap. Bill invocation → stop (§5.1's marginal cost, in
-        GB-seconds); only a container whose function returned rejoins
-        the warm pool."""
+        GB-seconds) and release its place under the concurrency limit."""
         self.meter.bill_lambda(instance.name, instance.config.memory_mb,
                                instance.invoke_time, instance.finish_time)
-        if instance.state is LambdaState.FINISHED:
-            pool = self._warm_pool.setdefault(instance.config.memory_mb, [])
-            pool.append(self.env.now)
-
-    def _take_warm(self, memory_mb: int) -> bool:
-        """Pop one live warm container of this size, or consume one slot
-        of the pre-warmed initial pool."""
-        pool = self._warm_pool.setdefault(memory_mb, [])
-        cutoff = self.env.now - LAMBDA_WARM_KEEPALIVE_S
-        # Expire stale containers (kept sorted by construction).
-        while pool and pool[0] < cutoff:
-            pool.pop(0)
-        if pool:
-            pool.pop()
-            return True
-        if self._initial_warm > 0:
-            self._initial_warm -= 1
-            return True
-        return False
-
-    @property
-    def active_lambda_count(self) -> int:
-        """Functions invoked and not yet finished/reaped — the quantity
-        the account concurrency limit is enforced against."""
-        return sum(1 for fn in self.lambdas if fn.finish_time is None)
-
-    @property
-    def warm_pool_available(self) -> int:
-        """Containers currently reusable as warm starts (any size) plus
-        the untouched pre-warmed allotment."""
-        cutoff = self.env.now - LAMBDA_WARM_KEEPALIVE_S
-        live = sum(sum(1 for t in pool if t >= cutoff)
-                   for pool in self._warm_pool.values())
-        return live + self._initial_warm
+        self.active_lambda_count -= 1
 
     def _record(self, event: str, **fields) -> None:
         if self.trace is not None:

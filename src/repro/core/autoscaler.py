@@ -108,10 +108,3 @@ class InterJobAutoscaler:
                 report.shortfall_core_hours += shortfall * dt_h
                 report.idle_core_hours += idle * dt_h
         return report
-
-    def compare_policies(self, trace: Sequence[DemandPoint],
-                         policies: Sequence[ProvisioningPolicy],
-                         itype: InstanceType) -> List[AutoscaleReport]:
-        """Replay each policy; sorted by total (VM + Lambda-bridge) cost."""
-        reports = [self.replay(trace, p) for p in policies]
-        return sorted(reports, key=lambda r: r.total_cost(itype))

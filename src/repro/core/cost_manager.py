@@ -10,7 +10,7 @@ runs the job on the prescribed cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cloud.constants import VM_STARTUP_MEAN_S
 from repro.cloud.instance_types import InstanceType, fewest_instances_for_cores
@@ -27,10 +27,6 @@ class ExecutionPlan:
     segue: bool
     est_duration_s: float
     est_cost: float
-
-    @property
-    def is_hybrid(self) -> bool:
-        return self.vm_cores > 0 and self.lambda_cores > 0
 
 
 class CostManager:
@@ -67,19 +63,6 @@ class CostManager:
         if not feasible:
             return None
         return min(cores for cores, _d in feasible)
-
-    def cheapest_parallelism(self, slo_s: float,
-                             itype: InstanceType) -> Optional[Tuple[int, float]]:
-        """(cores, est. cost) of the cheapest feasible point, assuming
-        all-VM execution on ``itype`` cores."""
-        best = None
-        for cores, duration in self.profile.items():
-            if duration > slo_s:
-                continue
-            cost = cores * vm_vcpu_cost(itype, duration)
-            if best is None or cost < best[1]:
-                best = (cores, cost)
-        return best
 
     # ------------------------------------------------------------------
     # Split + segue decision

@@ -47,12 +47,6 @@ class BatchRecord:
     started_at: float = 0.0
     finished_at: Optional[float] = None
 
-    @property
-    def processing_s(self) -> Optional[float]:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
     def lateness(self, interval_s: float) -> Optional[float]:
         """Seconds past the deadline (the next batch's arrival)."""
         if self.finished_at is None:

@@ -1,7 +1,7 @@
 """Bus-driven metrics: one subscriber that turns events into registry
 updates.
 
-The cloud layer increments provider-side counters directly (cold/warm
+The cloud layer increments provider-side counters directly (warm
 starts, throttles — data the events do not always carry); everything
 derivable from the event stream itself lands here, so any component
 publishing to the bus is automatically measured. Each metric has exactly
@@ -11,7 +11,7 @@ are never doubled.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.observability.bus import ListenerInterface
 from repro.observability.categories import (

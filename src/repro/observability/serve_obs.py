@@ -332,10 +332,6 @@ class ServeTracer:
         with self._lock:
             return self._trace_of_job.get(job_id)
 
-    def active_trace_ids(self) -> List[str]:
-        with self._lock:
-            return sorted(self._open_roots)
-
     def spans(self, job_id: str) -> List[Dict[str, Any]]:
         """All spans of the job's trace, birth order, as dicts."""
         with self._lock:

@@ -1,6 +1,6 @@
 """Reproducible named random-number streams.
 
-Every stochastic component of the simulation (VM boot times, Lambda cold
+Every stochastic component of the simulation (VM boot times, Lambda warm
 starts, task service-time jitter, arrival processes, ...) draws from its
 own named stream so that changing one component's draw count does not
 perturb any other component — a standard variance-reduction / repeatability

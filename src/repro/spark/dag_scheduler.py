@@ -68,8 +68,6 @@ class Stage:
         self.attempts = 0
         #: Result-stage bookkeeping (shuffle stages use the tracker).
         self.result_partitions: Set[int] = set()
-        self.first_submit_time: Optional[float] = None
-        self.complete_time: Optional[float] = None
 
     @property
     def num_tasks(self) -> int:
@@ -108,25 +106,6 @@ class Job:
         if self.finish_time is None:
             return None
         return self.finish_time - self.submit_time
-
-    def stage_summaries(self) -> List[dict]:
-        """Per-stage timing: submit/complete times and task counts, in
-        completion order (the Figure 7 stage axis as data)."""
-        rows = []
-        for stage in self.stages:
-            rows.append({
-                "stage": stage.name,
-                "tasks": stage.num_tasks,
-                "submitted_at": stage.first_submit_time,
-                "completed_at": stage.complete_time,
-                "duration": (None if stage.complete_time is None
-                             or stage.first_submit_time is None
-                             else stage.complete_time - stage.first_submit_time),
-                "attempts": stage.attempts,
-            })
-        rows.sort(key=lambda r: (r["completed_at"] is None,
-                                 r["completed_at"]))
-        return rows
 
 
 def _visit_stages(stage: Stage, seen: List[Stage], seen_ids: Set[int]) -> None:
@@ -254,8 +233,6 @@ class DAGScheduler(SchedulerListener):
         if not partitions:
             self._on_stage_complete(stage)
             return
-        if stage.first_submit_time is None:
-            stage.first_submit_time = self.env.now
         stage.attempts += 1
         if stage.attempts > self._max_stage_attempts:
             self._fail_job(f"{stage.name} exceeded "
@@ -353,7 +330,6 @@ class DAGScheduler(SchedulerListener):
 
     def _on_stage_complete(self, stage: Stage) -> None:
         self._running.discard(stage)
-        stage.complete_time = self.env.now
         self._record(EV_STAGE_COMPLETE, stage=stage.name,
                      stage_id=stage.stage_id)
         if not stage.is_shuffle_map:

@@ -301,19 +301,12 @@ class TaskScheduler:
                      kind=executor.kind.value)
         if executor.lambda_instance is not None:
             # The function on a drained Lambda executor returns: the
-            # provider bills its container and takes it back warm.
+            # provider bills its container.
             executor.lambda_instance.finish()
 
     @property
     def registered_executors(self) -> List[Executor]:
         return list(self.executors.values())
-
-    def executor_counts(self) -> Dict[str, int]:
-        """Live executors by host kind, e.g. {'vm': 2, 'lambda': 3}."""
-        counts: Dict[str, int] = {}
-        for ex in self.executors.values():
-            counts[ex.kind.value] = counts.get(ex.kind.value, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # Task set lifecycle

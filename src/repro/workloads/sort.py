@@ -61,10 +61,6 @@ class SortWorkload(Workload):
         """100-byte records, TeraSort's canonical layout."""
         return self.dataset_bytes / 100.0
 
-    @property
-    def is_sql(self) -> bool:
-        return False
-
     def build(self, lineage: RDDBuilder, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")

@@ -139,12 +139,6 @@ class TPCDSWorkload(Workload):
             qubole_supported=profile.qubole_supported,
         )
 
-    @property
-    def is_sql(self) -> bool:
-        """SQL workloads shuffle at 200-partition granularity — relevant
-        to the Qubole S3 object-count model."""
-        return True
-
     def build(self, lineage: RDDBuilder, parallelism: int):
         if parallelism <= 0:
             raise ValueError("parallelism must be positive")

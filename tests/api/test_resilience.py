@@ -70,14 +70,6 @@ def test_retry_policy_validation():
         RetryPolicy(base_backoff_s=-1.0)
 
 
-def test_retry_policy_bounded_attempts():
-    policy = RetryPolicy(max_attempts=3)
-    assert policy.should_retry(1)
-    assert policy.should_retry(2)
-    assert not policy.should_retry(3)
-    assert not RetryPolicy(max_attempts=1).should_retry(1)
-
-
 def test_backoff_grows_exponentially_and_caps():
     policy = RetryPolicy(max_attempts=10, base_backoff_s=0.1,
                          multiplier=2.0, max_backoff_s=0.5,

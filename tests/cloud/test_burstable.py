@@ -44,7 +44,7 @@ def test_throttles_to_baseline_when_exhausted():
     wall = vm.consume_cpu(120.0)
     # 60s at full speed + 60s of demand at 30% baseline = 60 + 200.
     assert wall == pytest.approx(60.0 + 60.0 / 0.30)
-    assert vm.is_throttled
+    assert vm.credit_seconds == 0.0  # out of credits: at the baseline
 
 
 def test_credits_accrue_over_time():

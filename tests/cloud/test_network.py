@@ -128,11 +128,3 @@ def test_transfer_via_single_link_passthrough():
     env.run(until=done)
     assert env.now == pytest.approx(5.0)
 
-
-def test_current_rate_per_transfer():
-    env = Environment()
-    link = FairShareLink(env, 100.0)
-    assert link.current_rate_per_transfer == 100.0
-    link.transfer(1000)
-    link.transfer(1000)
-    assert link.current_rate_per_transfer == 50.0

@@ -1,21 +1,22 @@
-"""Unit tests for the CloudProvider facade: fleet, warm pool, billing."""
+"""Unit tests for the CloudProvider facade: fleet, live Lambda count,
+billing."""
 
 import pytest
 
-from repro.cloud import CloudProvider, LambdaConfig
-from repro.cloud.constants import LAMBDA_LIFETIME_S, LAMBDA_WARM_KEEPALIVE_S
+from repro.cloud import CloudProvider, LambdaConfig, LambdaState
+from repro.cloud.constants import LAMBDA_LIFETIME_S
+from repro.cloud.lambda_fn import LambdaThrottledError
 from repro.cloud.pricing import BillingMeter
 from repro.observability.metrics import MetricsRegistry
 from repro.simulation import Environment, RandomStreams
 
 
-def make(seed=0, warm_pool_size=10_000):
-    # A bare provider, so the warm pool can be sized: it takes the meter
-    # and registry a ClusterRuntime would hand it.
+def make(seed=0):
+    # A bare provider: it takes the meter and registry a ClusterRuntime
+    # would hand it.
     env = Environment()
     provider = CloudProvider(env, RandomStreams(seed), BillingMeter(),
-                             MetricsRegistry(),
-                             warm_pool_size=warm_pool_size)
+                             MetricsRegistry())
     return env, provider
 
 
@@ -40,51 +41,56 @@ def test_lambda_names_autogenerated():
     a = provider.invoke_lambda()
     b = provider.invoke_lambda()
     assert a.name != b.name
-    assert provider.lambdas == [a, b]
+    assert provider.active_lambda_count == 2
 
 
-def test_initial_warm_pool_depletes():
-    env, provider = make(warm_pool_size=2)
-    assert provider.invoke_lambda().warm_start
-    assert provider.invoke_lambda().warm_start
-    assert not provider.invoke_lambda().warm_start
-
-
-def test_force_cold_bypasses_pool():
+def test_live_count_falls_once_per_stop_and_gates_the_limit():
     env, provider = make()
-    assert not provider.invoke_lambda(force_cold=True).warm_start
+    provider.concurrency_limit = 2
+    returned = provider.invoke_lambda()
+    reaped = provider.invoke_lambda(LambdaConfig(lifetime_s=5.0))
+    assert provider.active_lambda_count == 2
+    # A third invoke is throttled, and a throttled invoke is not counted.
+    with pytest.raises(LambdaThrottledError):
+        provider.invoke_lambda()
+    assert provider.active_lambda_count == 2
 
+    # A return lowers the count once; a second return changes nothing.
+    env.run(until=returned.ready)
+    returned.finish()
+    assert provider.active_lambda_count == 1
+    returned.finish()
+    assert provider.active_lambda_count == 1
 
-def test_released_container_expires_after_keepalive():
-    env, provider = make(warm_pool_size=0)
-    fn = provider.invoke_lambda()
+    # A reap lowers it once; a late return changes nothing.
+    env.run(until=reaped.expired)
+    assert provider.active_lambda_count == 0
+    reaped.finish()
+    assert provider.active_lambda_count == 0
 
-    def flow(env):
-        yield fn.ready
-        fn.finish()
-        # Immediately reusable...
-        warm = provider.invoke_lambda()
-        assert warm.warm_start
-        warm.finish()
-        # ...but not after the ~90 minute keepalive.
-        yield env.timeout(LAMBDA_WARM_KEEPALIVE_S + 1)
-        stale = provider.invoke_lambda()
-        assert not stale.warm_start
-        stale.finish()
+    # A finish() during the warm start lowers it once, and the start's
+    # end does not lower it again.
+    starting = provider.invoke_lambda()
+    assert starting.state is LambdaState.STARTING
+    assert provider.active_lambda_count == 1
+    starting.finish()
+    assert provider.active_lambda_count == 0
+    env.run(until=env.now + 1.0)
+    assert provider.active_lambda_count == 0
 
-    env.process(flow(env))
-    env.run(until=LAMBDA_WARM_KEEPALIVE_S + 100)
-
-
-def test_warm_pool_available_counts():
-    env, provider = make(warm_pool_size=3)
-    assert provider.warm_pool_available == 3
+    # The limit admits again, up to itself.
     provider.invoke_lambda()
-    assert provider.warm_pool_available == 2
+    provider.invoke_lambda()
+    assert provider.active_lambda_count == 2
+    with pytest.raises(LambdaThrottledError):
+        provider.invoke_lambda()
+    # One bill per stopped container.
+    assert [r.name for r in provider.meter.records] == [
+        returned.name, reaped.name, starting.name]
 
 
 def test_release_is_idempotent_for_billing_window():
-    env, provider = make(warm_pool_size=1)
+    env, provider = make()
     fn = provider.invoke_lambda()
 
     def flow(env):
@@ -98,25 +104,25 @@ def test_release_is_idempotent_for_billing_window():
 
     env.process(flow(env))
     env.run(until=100)
-    # Billed once, ~10s, not 60s; back in the warm pool once.
+    # Billed once, ~10s, not 60s.
     from repro.cloud.pricing import lambda_cost
 
     [record] = provider.meter.records
     assert record.cost == pytest.approx(lambda_cost(1536, 10), rel=0.1)
-    assert provider.warm_pool_available == 1
+    assert provider.active_lambda_count == 0
 
 
 def test_reaped_container_is_billed_and_not_kept_warm():
-    env, provider = make(warm_pool_size=0)
+    env, provider = make()
     fn = provider.invoke_lambda()
     env.run(until=fn.expired)
     # Billed at the reap, invocation -> cap...
     assert provider.meter.intervals("lambda") == [
         (fn.name, 0.0, LAMBDA_LIFETIME_S)]
-    # ...once, and never reused: a late return changes nothing.
+    # ...once: a late return changes nothing.
     fn.finish()
     assert len(provider.meter.records) == 1
-    assert provider.warm_pool_available == 0
+    assert provider.active_lambda_count == 0
 
 
 def test_custom_lambda_config_respected():

@@ -151,15 +151,6 @@ def test_lambda_warm_start_is_fast():
     fn = provider.invoke_lambda()
     env.run(until=fn.ready)
     assert env.now < 1.0  # ~100ms warm
-    assert fn.warm_start
-
-
-def test_lambda_cold_start_is_slow():
-    env, provider = make_provider()
-    fn = provider.invoke_lambda(force_cold=True)
-    env.run(until=fn.ready)
-    assert 2.0 < env.now < 30.0
-    assert not fn.warm_start
 
 
 def test_lambda_expires_at_lifetime_cap():
@@ -195,41 +186,6 @@ def test_lambda_network_bandwidth_proportional_to_memory():
     ratio = (large.net_link.capacity_bytes_per_s
              / small.net_link.capacity_bytes_per_s)
     assert ratio == pytest.approx(3008 / 512)
-
-
-# ---------------------------------------------------------------------------
-# Warm pool
-# ---------------------------------------------------------------------------
-
-def test_warm_pool_reuse_after_release():
-    env, provider = make_provider()
-    provider._initial_warm = 0  # force cold starts until a release happens
-    first = provider.invoke_lambda()
-    assert not first.warm_start
-
-    def cycle(env):
-        yield first.ready
-        first.finish()
-        second = provider.invoke_lambda()
-        assert second.warm_start
-
-    env.process(cycle(env))
-    env.run()
-
-
-def test_warm_pool_sized_entries_do_not_cross_memory_classes():
-    env, provider = make_provider()
-    provider._initial_warm = 0
-    fn = provider.invoke_lambda(LambdaConfig(memory_mb=1024))
-
-    def cycle(env):
-        yield fn.ready
-        fn.finish()
-        other = provider.invoke_lambda(LambdaConfig(memory_mb=2048))
-        assert not other.warm_start  # different size class: cold
-
-    env.process(cycle(env))
-    env.run()
 
 
 def test_billing_helpers():

@@ -72,16 +72,6 @@ def test_lean_policy_plus_lambdas_can_be_cheaper():
     assert lean.shortfall_events > conservative.shortfall_events
 
 
-def test_compare_policies_sorted_by_cost():
-    trace = DiurnalTrace(seed=3).generate()
-    scaler = InterJobAutoscaler()
-    itype = instance_type("m4.4xlarge")
-    reports = scaler.compare_policies(
-        trace, [ProvisioningPolicy(k=k) for k in (0, 1, 2, 3)], itype)
-    costs = [r.total_cost(itype) for r in reports]
-    assert costs == sorted(costs)
-
-
 # ---------------------------------------------------------------------------
 # DiurnalTrace
 # ---------------------------------------------------------------------------

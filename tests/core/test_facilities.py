@@ -164,4 +164,5 @@ def test_run_job_hybrid_executes_on_both_kinds():
 def test_finish_run_releases_lambda_containers():
     env, provider, ss, workers = make_splitserve(worker_cores=0)
     result = ss.run_job(simple_job(tasks=4, seconds=2.0), required_cores=4)
-    assert all(fn.finish_time is not None for fn in provider.lambdas)
+    assert provider.metrics.counter("cloud.lambda.invocations").value == 4
+    assert provider.active_lambda_count == 0

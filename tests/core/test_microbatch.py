@@ -1,7 +1,5 @@
 """Tests for the micro-batch streaming extension (§7's Flink direction)."""
 
-import math
-
 import pytest
 
 from repro.core.microbatch import MicroBatchSimulator
@@ -78,4 +76,3 @@ def test_batches_are_sequential_and_monotone():
     assert starts == sorted(starts)
     for batch in outcome.completed:
         assert batch.finished_at >= batch.started_at
-        assert not math.isnan(batch.processing_s)

@@ -28,7 +28,8 @@ def test_lambda_memory_option_flows_to_containers():
     env, provider, ss = make(lambda_memory_mb=3008)
     outcome = ss.launching.acquire(2)
     env.run(until=outcome.all_registered)
-    assert all(fn.config.memory_mb == 3008 for fn in provider.lambdas)
+    assert all(ex.lambda_instance.config.memory_mb == 3008
+               for ex in outcome.lambda_executors)
     # And the executors inherit the doubled CPU share.
     assert all(ex.cpu_speed > 1.5 for ex in outcome.lambda_executors)
 
@@ -78,4 +79,6 @@ def test_timeout_knob_drained_lambdas_are_billed_once():
                       if r.kind == "lambda"]
     names = [r.name for r in lambda_records]
     assert len(names) == len(set(names))
-    assert len(names) == len(provider.lambdas)
+    invocations = provider.metrics.counter("cloud.lambda.invocations")
+    assert len(names) == invocations.value
+    assert provider.active_lambda_count == 0

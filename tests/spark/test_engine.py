@@ -321,6 +321,5 @@ def test_executor_counts_by_kind():
     cluster = MiniCluster()
     cluster.vm_executors(2)
     cluster.lambda_executors(3)
-    counts = cluster.driver.task_scheduler.executor_counts()
-    assert counts == {"vm": 2, "lambda": 3}
+    assert len(cluster.driver.executors_of_kind(HostKind.VM)) == 2
     assert len(cluster.driver.executors_of_kind(HostKind.LAMBDA)) == 3

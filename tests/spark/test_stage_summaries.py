@@ -1,8 +1,21 @@
-"""Tests for per-stage job summaries."""
+"""Tests for per-stage timing and attempt counts: a job's stages and the
+DAG scheduler's stage events."""
 
 import pytest
 
 from tests.spark.helpers import MiniCluster, two_stage_rdd
+
+
+def stage_times(cluster):
+    """Stage name -> (first submission, last completion), from the
+    trace's ``dag`` stage events."""
+    times = {}
+    for record in cluster.trace.select(category="dag"):
+        if record.name == "stage_submitted":
+            times.setdefault(record.get("stage"), [record.time, None])
+        elif record.name == "stage_complete":
+            times[record.get("stage")][1] = record.time
+    return times
 
 
 def test_stage_summaries_ordered_and_complete():
@@ -13,15 +26,14 @@ def test_stage_summaries_ordered_and_complete():
                         shuffle_bytes=0)
     job = cluster.driver.submit(rdd)
     cluster.env.run(until=job.done)
-    rows = job.stage_summaries()
-    assert len(rows) == 2
-    map_row, result_row = rows
-    assert "map" in map_row["stage"]
-    assert "result" in result_row["stage"]
-    assert map_row["completed_at"] <= result_row["submitted_at"]
-    assert map_row["duration"] == pytest.approx(10.0, rel=0.1)
-    assert result_row["duration"] == pytest.approx(5.0, rel=0.1)
-    assert all(r["attempts"] == 1 for r in rows)
+    times = stage_times(cluster)
+    assert len(job.stages) == len(times) == 2
+    [map_times] = [t for name, t in times.items() if "map" in name]
+    [result_times] = [t for name, t in times.items() if "result" in name]
+    assert map_times[1] <= result_times[0]
+    assert map_times[1] - map_times[0] == pytest.approx(10.0, rel=0.1)
+    assert result_times[1] - result_times[0] == pytest.approx(5.0, rel=0.1)
+    assert all(stage.attempts == 1 for stage in job.stages)
 
 
 def test_stage_summaries_count_resubmissions():
@@ -39,6 +51,5 @@ def test_stage_summaries_count_resubmissions():
 
     cluster.env.process(killer(cluster.env))
     cluster.env.run(until=job.done)
-    rows = job.stage_summaries()
-    map_row = next(r for r in rows if "map" in r["stage"])
-    assert map_row["attempts"] >= 2  # the rollback re-ran it
+    map_stage = next(s for s in job.stages if s.is_shuffle_map)
+    assert map_stage.attempts >= 2  # the rollback re-ran it
